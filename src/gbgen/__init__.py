@@ -46,8 +46,6 @@ from .backward import (
     BackwardSpec,
     PolyMatrix,
     backward_transform,
-    is_left_invertible_form,
-    matrix_apply,
     sample_entry,
     sample_permutation,
     sample_unimodular_upper,
@@ -62,6 +60,7 @@ from .dataset import (
     OracleMismatchError,
     SamplePair,
     TokenError,
+    check_pair,
     child_seed,
     generate_dataset,
     generate_sample,

@@ -33,9 +33,7 @@ __all__ = [
     "sample_entry",
     "sample_unimodular_upper",
     "sample_permutation",
-    "matrix_apply",
     "backward_transform",
-    "is_left_invertible_form",
 ]
 
 
@@ -46,8 +44,6 @@ class BackwardSpec:
     s_max: int  # row count upper bound; s is uniform on [n, s_max]
     max_entry_degree: int = 3  # total-degree cap for sampled entries
     density: float = 1.0  # probability an upper-triangular slot is filled
-    density_u1: float | None = None  # per-factor overrides; None means use density
-    density_u2: float | None = None
     max_entry_terms: int = 2  # entry term counts are uniform on [1, this]
     num_range: tuple[int, int] = (-5, 5)  # rational numerator bounds for entries
     den_range: tuple[int, int] = (1, 5)
@@ -61,14 +57,6 @@ class BackwardSpec:
             raise ValueError("density must lie in [0, 1]")
         if self.max_entry_terms < 1:
             raise ValueError("max_entry_terms must be at least 1")
-
-    @property
-    def u1_density(self) -> float:
-        return self.density if self.density_u1 is None else self.density_u1
-
-    @property
-    def u2_density(self) -> float:
-        return self.density if self.density_u2 is None else self.density_u2
 
 
 class PolyMatrix:
@@ -88,39 +76,6 @@ class PolyMatrix:
                 if not isinstance(p, Polynomial) or p.ring != ring:
                     raise ValueError("entries must be polynomials over the matrix ring")
 
-    @staticmethod
-    def identity(ring: PolyRing, size: int) -> "PolyMatrix":
-        one, zero = ring.one(), ring.zero()
-        return PolyMatrix(ring, [[one if i == j else zero for j in range(size)] for i in range(size)])
-
-    @staticmethod
-    def permutation(ring: PolyRing, perm) -> "PolyMatrix":
-        """Row i carries a 1 in column perm[i]: (P @ v)[i] == v[perm[i]]."""
-        perm = list(perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise ValueError(f"not a permutation: {perm!r}")
-        one, zero = ring.one(), ring.zero()
-        return PolyMatrix(ring, [[one if j == p else zero for j in range(len(perm))] for p in perm])
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.ring != other.ring or self.cols != other.rows:
-            raise ValueError("shape or ring mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.ring.zero()
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.ring, out)
-
     def apply(self, polys) -> list:
         """Matrix-vector product against a list of polynomials."""
         polys = list(polys)
@@ -135,30 +90,6 @@ class PolyMatrix:
                     acc = acc + e * g
             out.append(acc)
         return out
-
-    def is_unimodular_upper(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one = self.ring.one()
-        for i in range(self.rows):
-            if self.entries[i][i] != one:
-                return False
-            for j in range(i):
-                if self.entries[i][j]:
-                    return False
-        return True
-
-    def is_permutation(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one = self.ring.one()
-        seen = set()
-        for row in self.entries:
-            hits = [j for j, p in enumerate(row) if p]
-            if len(hits) != 1 or row[hits[0]] != one:
-                return False
-            seen.add(hits[0])
-        return len(seen) == self.rows
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
@@ -199,12 +130,8 @@ def sample_entry(ring: PolyRing, spec: BackwardSpec, rng: random.Random) -> Poly
     return ring.from_terms(pairs)
 
 
-def sample_unimodular_upper(
-    ring: PolyRing, size: int, spec: BackwardSpec, rng: random.Random, density: float | None = None
-) -> PolyMatrix:
-    """Unit diagonal, zero below, random sparse entries above."""
-    if density is None:
-        density = spec.density
+def sample_unimodular_upper(ring: PolyRing, size: int, spec: BackwardSpec, rng: random.Random) -> PolyMatrix:
+    """Unit diagonal, zero below, entries above present with probability ``spec.density``."""
     one, zero = ring.one(), ring.zero()
     entries = []
     for i in range(size):
@@ -214,7 +141,7 @@ def sample_unimodular_upper(
                 row.append(zero)
             elif j == i:
                 row.append(one)
-            elif rng.random() < density:
+            elif rng.random() < spec.density:
                 row.append(sample_entry(ring, spec, rng))
             else:
                 row.append(zero)
@@ -227,10 +154,6 @@ def sample_permutation(size: int, rng: random.Random) -> list:
     perm = list(range(size))
     rng.shuffle(perm)
     return perm
-
-
-def matrix_apply(matrix: PolyMatrix, polys) -> list:
-    return matrix.apply(polys)
 
 
 @dataclass
@@ -274,8 +197,8 @@ def backward_transform(basis, spec: BackwardSpec, rng: random.Random) -> Backwar
     check_range = ring.field.modulus is None and spec.coeff_limit is not None
     retries = 0
     while True:
-        u1 = sample_unimodular_upper(ring, s, spec, rng, spec.u1_density)
-        u2 = sample_unimodular_upper(ring, n, spec, rng, spec.u2_density)
+        u1 = sample_unimodular_upper(ring, s, spec, rng)
+        u2 = sample_unimodular_upper(ring, n, spec, rng)
         perm = sample_permutation(s, rng)
 
         padded = u2.apply(basis) + [ring.zero()] * (s - n)
@@ -288,26 +211,3 @@ def backward_transform(basis, spec: BackwardSpec, rng: random.Random) -> Backwar
             return BackwardSample(F, s, over_range=True, retries=retries)
         retries += 1
 
-
-def is_left_invertible_form(
-    s: int, n: int, P: PolyMatrix, U1: PolyMatrix, U2: PolyMatrix
-) -> bool:
-    """Structural check that U1 P U2 admits the stacked-triangular left inverse.
-
-    Requires s >= n >= 1, U1 an s x s unimodular upper triangle, P an s x s
-    permutation, and U2 an s x n stack of an n x n unimodular upper triangle
-    over zero rows.
-    """
-    if n < 1 or s < n:
-        return False
-    if U1.rows != s or not U1.is_unimodular_upper():
-        return False
-    if P.rows != s or P.cols != s or not P.is_permutation():
-        return False
-    if U2.rows != s or U2.cols != n:
-        return False
-    ring = U2.ring
-    top = PolyMatrix(ring, U2.entries[:n])
-    if not top.is_unimodular_upper():
-        return False
-    return all(not p for row in U2.entries[n:] for p in row)

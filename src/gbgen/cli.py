@@ -15,7 +15,7 @@ Subcommands:
 All sampling is deterministic given --seed; when the flag is omitted the
 GBGEN_SEED environment variable supplies the default (0 if unset).  Exit
 status is 0 on success, 1 when verification or solving finds a failure,
-2 on bad arguments.
+2 on bad arguments (a GBGEN_SEED that is not an integer included).
 """
 
 import argparse
@@ -24,7 +24,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from functools import partial
 
 from . import __version__
 
@@ -32,22 +32,17 @@ from .bench import DEFAULT_TIMEOUT, BenchReport, run_bench
 from .dataset import (
     GenerationConfig,
     OracleMismatchError,
+    check_pair,
     generate_sample,
     parse_prefix_tokens,
     profile_dataset,
     read_jsonl,
-    sample_from_record,
-    sample_to_record,
-    to_prefix_tokens,
-    write_jsonl,
+    record_line,
+    token_line,
     write_meta,
-    write_tokens,
-    BOS,
-    EOS,
 )
 from .field import FieldSpec, RATIONALS, prime_field
 from .fglm import fglm
-from .groebner import GroebnerTimeout, buchberger
 from .orders import order_by_name
 from .solve import ShapeError, solve_shape
 
@@ -67,11 +62,12 @@ def parse_field(text: str) -> FieldSpec:
     raise argparse.ArgumentTypeError(f"cannot read field {text!r}; try q, f7, f31 or gf101")
 
 
-def _default_seed() -> int:
+def _seed(text: str) -> int:
+    # argparse also runs this on the GBGEN_SEED default when --seed is omitted
     try:
-        return int(os.environ.get("GBGEN_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer (--seed and GBGEN_SEED take integers)") from None
 
 
 def _generator_stamp() -> dict:
@@ -101,7 +97,7 @@ def _add_generation_flags(p: argparse.ArgumentParser):
     p.add_argument("--s-max", type=int, default=None, help="max system size (default n+2)")
     p.add_argument("--sigma", type=float, default=1.0, help="fill density of the triangular factors (default 1.0)")
     p.add_argument("--order", default="lex", choices=["lex", "grlex", "grevlex"], help="target term order")
-    p.add_argument("--seed", type=int, default=_default_seed(),
+    p.add_argument("--seed", type=_seed, default=os.environ.get("GBGEN_SEED", "0"),
                    help="master seed (default GBGEN_SEED or 0)")
     p.add_argument("--drop-zeros", action="store_true", help="drop zero rows from F instead of keeping them")
     p.add_argument("--verify-fraction", type=float, default=0.01, help="fraction spot-checked inline (default 0.01)")
@@ -123,81 +119,58 @@ def _config_from_args(args) -> GenerationConfig:
     )
 
 
-def _worker_generate(payload):
-    config_dict, index = payload
-    config = GenerationConfig.from_dict(config_dict)
-    return sample_to_record(generate_sample(config, index), config)
-
-
-def _sample_stream(config: GenerationConfig, jobs: int):
+def _ordered_map(fn, items, jobs: int, chunksize: int):
+    """``map(fn, items)``, spread over ``jobs`` worker processes when jobs > 1."""
     if jobs <= 1:
-        for i in range(config.num_samples):
-            yield generate_sample(config, i)
+        yield from map(fn, items)
         return
-    payloads = [(config.to_dict(), i) for i in range(config.num_samples)]
+    # Executor.map submits every item before it yields; reading them all first
+    # lets bad input fail before any worker starts
+    items = list(items)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for record in pool.map(_worker_generate, payloads, chunksize=32):
-            yield sample_from_record(record)
+        yield from pool.map(fn, items, chunksize=chunksize)
+
+
+def _render_sample(config: GenerationConfig, index: int):
+    pair = generate_sample(config, index)
+    return index, pair.seed_used, pair.spot_check, record_line(pair, config), token_line(pair)
 
 
 def cmd_generate(args) -> int:
     config = _config_from_args(args)
-    out = args.out
-    jsonl_path = f"{out}.jsonl"
-    samples = []
+    jsonl_path = f"{args.out}.jsonl"
+    rendered = _ordered_map(partial(_render_sample, config), range(config.num_samples), args.jobs, chunksize=32)
     try:
-        count = write_jsonl(_collecting(_sample_stream(config, args.jobs), samples), jsonl_path, config)
+        with open(jsonl_path, "w", encoding="utf-8") as records, \
+                open(f"{args.out}.tokens.txt", "w", encoding="utf-8") as tokens:
+            for index, seed, spot_check, record, token in rendered:
+                if spot_check == "timeout":
+                    print(f"TIMEOUT spot check of sample {index} (child_seed {seed}): kept unchecked", file=sys.stderr)
+                records.write(record + "\n")
+                tokens.write(token + "\n")
     except OracleMismatchError as exc:
         print(f"generation aborted: {exc}", file=sys.stderr)
         return 1
-    write_meta(f"{out}.meta.json", config, extra=_generator_stamp())
-    write_tokens(samples, f"{out}.tokens.txt")
-    print(f"wrote {count} samples to {jsonl_path}")
+    write_meta(f"{args.out}.meta.json", config, extra=_generator_stamp())
+    print(f"wrote {config.num_samples} samples to {jsonl_path}")
     return 0
 
 
-def _collecting(stream, into: list):
-    for pair in stream:
-        into.append(pair)
-        yield pair
-
-
-def _worker_verify(record):
-    pair = sample_from_record(record)
-    return record["index"], _pair_matches(pair)
-
-
-def _pair_matches(pair, timeout: float | None = None) -> bool:
-    gens = [f for f in pair.F if f]
-    if not gens:
-        return False
-    try:
-        recovered = buchberger(gens, timeout=timeout, chain_criterion=True).basis
-    except GroebnerTimeout:
-        return False
-    ring = recovered[0].ring
-    expected = sorted(pair.G, key=lambda g: ring.order.key(g.leading_monomial))
-    return recovered == expected
+def _check_sample(timeout, pair):
+    return pair.index, pair.seed_used, check_pair(pair, timeout)
 
 
 def cmd_verify(args) -> int:
+    checks = _ordered_map(partial(_check_sample, args.timeout), read_jsonl(args.input), args.jobs, chunksize=8)
     failures = 0
     total = 0
-    if args.jobs > 1:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for index, ok in pool.map(_worker_verify, records, chunksize=8):
-                total += 1
-                if not ok:
-                    failures += 1
-                    print(f"FAIL sample {index}: completion of F does not give G")
-    else:
-        for pair in read_jsonl(args.input):
-            total += 1
-            if not _pair_matches(pair, timeout=args.timeout):
-                failures += 1
-                print(f"FAIL sample {pair.index}: completion of F does not give G")
+    for index, seed, outcome in checks:
+        total += 1
+        if outcome == "timeout":
+            print(f"TIMEOUT sample {index} (child_seed {seed}): no basis within {args.timeout:g} s")
+        elif outcome == "mismatch":
+            print(f"FAIL sample {index}: completion of F does not give G")
+        failures += outcome != "ok"
     print(f"verified {total} samples: {total - failures} ok, {failures} failed")
     return 1 if failures else 0
 
@@ -237,13 +210,13 @@ def cmd_tokenize(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         for pair in read_jsonl(args.input):
             ring = (pair.G or pair.F)[0].ring
-            left = to_prefix_tokens(pair.F)
-            right = to_prefix_tokens(pair.G)
-            # cheap paranoia: the token stream must parse back to the input
+            line = token_line(pair)
+            # cheap paranoia: the line must parse back to the input
+            left, right = (side.split(" ")[1:-1] for side in line.split("\t"))
             if parse_prefix_tokens(left, ring) != pair.F or parse_prefix_tokens(right, ring) != pair.G:
                 print(f"FAIL sample {pair.index}: tokens do not round-trip", file=sys.stderr)
                 return 1
-            fh.write(" ".join([BOS, *left, EOS]) + "\t" + " ".join([BOS, *right, EOS]) + "\n")
+            fh.write(line + "\n")
             count += 1
     print(f"tokenized {count} samples into {args.out}")
     return 0
@@ -335,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s-max", type=int, default=None)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=os.environ.get("GBGEN_SEED", "0"))
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(fn=cmd_bench)

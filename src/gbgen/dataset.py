@@ -10,14 +10,14 @@ without sharing state.
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .backward import BackwardSpec, backward_transform
 from .field import FieldSpec
 from .fglm import fglm
-from .groebner import buchberger
+from .groebner import GroebnerTimeout, buchberger
 from .orders import OrderKind, TermOrder, order_by_name
 from .poly import Polynomial, PolyRing
 from .shapegen import ShapeBasisSpec, sample_shape_basis
@@ -27,6 +27,8 @@ __all__ = [
     "SamplePair",
     "DatasetProfile",
     "OracleMismatchError",
+    "SPOT_CHECK_TIMEOUT",
+    "check_pair",
     "child_seed",
     "generate_sample",
     "generate_dataset",
@@ -41,6 +43,8 @@ __all__ = [
     "read_jsonl",
     "write_meta",
     "write_tokens",
+    "record_line",
+    "token_line",
     "JsonlError",
     "BOS",
     "EOS",
@@ -149,14 +153,46 @@ class SamplePair:
     seed_used: int
     contains_zero: bool = False
     over_range: bool = False
+    # outcome of the inline spot check: None when the coin flip skipped it,
+    # else "ok" or "timeout" (a mismatch raises OracleMismatchError instead)
+    spot_check: str | None = dataclass_field(default=None, compare=False)
 
 
 class OracleMismatchError(RuntimeError):
     """Spot verification found a sample whose F does not regenerate G."""
 
     def __init__(self, index: int, detail: str):
-        super().__init__(f"sample {index}: {detail}")
+        # both values go to the base class so that the error survives the
+        # pickling that carries it out of a worker process
+        super().__init__(index, detail)
         self.index = index
+        self.detail = detail
+
+    def __str__(self):
+        return f"sample {self.index}: {self.detail}"
+
+
+# Seconds the inline spot check of ``generate_sample`` gives the oracle.
+SPOT_CHECK_TIMEOUT = 5.0
+
+
+def check_pair(pair: SamplePair, timeout: float | None = None) -> str:
+    """The oracle: complete F afresh and compare the result with G.
+
+    Returns "ok" when the reduced basis of the nonzero members of F equals G
+    (sorted by the order key), "mismatch" when it differs or F has no nonzero
+    member, and "timeout" when the completion runs past ``timeout`` seconds.
+    Only F and G are consulted, never the transform that built F.
+    """
+    gens = [f for f in pair.F if f]
+    if not gens:
+        return "mismatch"
+    try:
+        recovered = buchberger(gens, timeout=timeout, chain_criterion=True).basis
+    except GroebnerTimeout:
+        return "timeout"
+    expected = sorted(pair.G, key=lambda g: g.ring.order.key(g.leading_monomial))
+    return "ok" if recovered == expected else "mismatch"
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -198,21 +234,10 @@ def generate_sample(config: GenerationConfig, index: int) -> SamplePair:
         over_range=sample.over_range,
     )
     if config.verify_fraction > 0 and rng.random() < config.verify_fraction:
-        _spot_verify(pair)
+        pair.spot_check = check_pair(pair, SPOT_CHECK_TIMEOUT)
+        if pair.spot_check == "mismatch":
+            raise OracleMismatchError(index, f"completion of F does not give G (child_seed {seed})")
     return pair
-
-
-def _spot_verify(pair: SamplePair):
-    nonzero = [f for f in pair.F if f]
-    if not nonzero:
-        raise OracleMismatchError(pair.index, "F contains no nonzero polynomial")
-    recovered = buchberger(nonzero, chain_criterion=True).basis
-    expected = sorted(pair.G, key=lambda g: g.ring.order.key(g.leading_monomial))
-    if recovered != expected:
-        raise OracleMismatchError(
-            pair.index,
-            f"completion of F gave {[str(g) for g in recovered]}, expected {[str(g) for g in expected]}",
-        )
 
 
 def generate_dataset(config: GenerationConfig) -> Iterator[SamplePair]:
@@ -452,6 +477,11 @@ def sample_to_record(pair: SamplePair, config: GenerationConfig) -> dict:
     }
 
 
+def record_line(pair: SamplePair, config: GenerationConfig) -> str:
+    """A sample's JSONL line, without the newline."""
+    return json.dumps(sample_to_record(pair, config))
+
+
 def sample_from_record(record: dict) -> SamplePair:
     ring = ring_for(FieldSpec.from_dict(record["field"]), record["nvars"], record["order"])
     return SamplePair(
@@ -470,8 +500,7 @@ def write_jsonl(samples: Iterable[SamplePair], path, config: GenerationConfig) -
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for pair in samples:
-            fh.write(json.dumps(sample_to_record(pair, config)))
-            fh.write("\n")
+            fh.write(record_line(pair, config) + "\n")
             count += 1
     return count
 
@@ -501,13 +530,18 @@ def write_meta(path, config: GenerationConfig, extra: dict | None = None):
         fh.write("\n")
 
 
+def token_line(pair: SamplePair) -> str:
+    """A sample's token-file line, without the newline: framed F tokens, a tab, framed G tokens."""
+    left = " ".join([BOS, *to_prefix_tokens(pair.F), EOS])
+    right = " ".join([BOS, *to_prefix_tokens(pair.G), EOS])
+    return f"{left}\t{right}"
+
+
 def write_tokens(samples: Iterable[SamplePair], path) -> int:
-    """One line per sample: framed F tokens, a tab, framed G tokens."""
+    """One :func:`token_line` per sample."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for pair in samples:
-            left = " ".join([BOS, *to_prefix_tokens(pair.F), EOS])
-            right = " ".join([BOS, *to_prefix_tokens(pair.G), EOS])
-            fh.write(f"{left}\t{right}\n")
+            fh.write(token_line(pair) + "\n")
             count += 1
     return count

@@ -35,7 +35,6 @@ class ShapeBasisSpec:
     max_terms: int = 5  # cap on the term count of each univariate draw
     num_range: tuple[int, int] = (-5, 5)  # rational numerator bounds
     den_range: tuple[int, int] = (1, 5)  # rational denominator bounds
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if self.nvars < 1:
@@ -60,9 +59,7 @@ def sample_nonzero_coeff(spec: ShapeBasisSpec, rng: random.Random):
     return Fraction(num, rng.randint(*spec.den_range))
 
 
-def sample_univariate(
-    spec: ShapeBasisSpec, max_degree: int, monic: bool, rng: random.Random | None = None
-) -> Polynomial:
+def sample_univariate(spec: ShapeBasisSpec, max_degree: int, monic: bool, rng: random.Random) -> Polynomial:
     """A random polynomial in the last variable with degree <= max_degree.
 
     The term count is uniform on [1, min(max_terms, max_degree + 1)] and the
@@ -70,8 +67,6 @@ def sample_univariate(
     max_degree is always present with coefficient 1 (so the degree is exactly
     max_degree) and the remaining terms sit strictly below it.
     """
-    if rng is None:
-        rng = random.Random(spec.rng_seed)
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if monic and max_degree < 1:
@@ -94,13 +89,11 @@ def sample_univariate(
     return ring.from_terms(pairs)
 
 
-def sample_shape_basis(spec: ShapeBasisSpec, rng: random.Random | None = None) -> list:
+def sample_shape_basis(spec: ShapeBasisSpec, rng: random.Random) -> list:
     """One reduced lex basis in shape position over spec's ring.
 
     Returns [x0 - g0, ..., x{n-2} - g{n-2}, h]; for one variable just [h].
     """
-    if rng is None:
-        rng = random.Random(spec.rng_seed)
     ring = spec.ring()
     deg_h = rng.randint(1, spec.max_degree)
     h = sample_univariate(spec, deg_h, monic=True, rng=rng)

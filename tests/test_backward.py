@@ -15,7 +15,6 @@ from gbgen import (
     ShapeBasisSpec,
     backward_transform,
     buchberger,
-    is_left_invertible_form,
     lex,
     prime_field,
     sample_entry,
@@ -31,14 +30,94 @@ def canon(basis):
     return sorted(basis, key=lambda g: g.ring.order.key(g.leading_monomial))
 
 
+# -- reference matrix algebra: the transform itself only needs PolyMatrix.apply
+
+
+def identity(ring, size):
+    one, zero = ring.one(), ring.zero()
+    return PolyMatrix(ring, [[one if i == j else zero for j in range(size)] for i in range(size)])
+
+
+def permutation_matrix(ring, perm):
+    """Row i carries a 1 in column perm[i]: (P v)[i] == v[perm[i]]."""
+    perm = list(perm)
+    if sorted(perm) != list(range(len(perm))):
+        raise ValueError(f"not a permutation: {perm!r}")
+    one, zero = ring.one(), ring.zero()
+    return PolyMatrix(ring, [[one if j == p else zero for j in range(len(perm))] for p in perm])
+
+
+def matmul(a, b):
+    """The full matrix product a b."""
+    if a.ring != b.ring or a.cols != b.rows:
+        raise ValueError("shape or ring mismatch")
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = a.ring.zero()
+            for k in range(a.cols):
+                x, y = a.entries[i][k], b.entries[k][j]
+                if x and y:
+                    acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(a.ring, out)
+
+
+def is_unimodular_upper(m):
+    if m.rows != m.cols:
+        return False
+    one = m.ring.one()
+    for i in range(m.rows):
+        if m.entries[i][i] != one:
+            return False
+        if any(m.entries[i][j] for j in range(i)):
+            return False
+    return True
+
+
+def is_permutation(m):
+    if m.rows != m.cols:
+        return False
+    one = m.ring.one()
+    seen = set()
+    for row in m.entries:
+        hits = [j for j, p in enumerate(row) if p]
+        if len(hits) != 1 or row[hits[0]] != one:
+            return False
+        seen.add(hits[0])
+    return len(seen) == m.rows
+
+
+def is_left_invertible_form(s, n, P, U1, U2):
+    """Structural check that U1 P U2 admits the stacked-triangular left inverse.
+
+    Requires s >= n >= 1, U1 an s x s unimodular upper triangle, P an s x s
+    permutation, and U2 an s x n stack of an n x n unimodular upper triangle
+    over zero rows.
+    """
+    if n < 1 or s < n:
+        return False
+    if U1.rows != s or not is_unimodular_upper(U1):
+        return False
+    if P.rows != s or P.cols != s or not is_permutation(P):
+        return False
+    if U2.rows != s or U2.cols != n:
+        return False
+    if not is_unimodular_upper(PolyMatrix(U2.ring, U2.entries[:n])):
+        return False
+    return all(not p for row in U2.entries[n:] for p in row)
+
+
 def replay(basis, spec, seed):
     """Re-draw s, U1, U2, perm exactly as backward_transform does."""
     rng = random.Random(seed)
     ring = basis[0].ring
     n = len(basis)
     s = rng.randint(n, spec.s_max)
-    u1 = sample_unimodular_upper(ring, s, spec, rng, spec.u1_density)
-    u2 = sample_unimodular_upper(ring, n, spec, rng, spec.u2_density)
+    u1 = sample_unimodular_upper(ring, s, spec, rng)
+    u2 = sample_unimodular_upper(ring, n, spec, rng)
     perm = sample_permutation(s, rng)
     return s, u1, u2, perm
 
@@ -60,8 +139,8 @@ def test_fast_path_matches_full_matrix_product():
         sample = backward_transform(G, spec, random.Random(seed))
         s, u1, u2, perm = replay(G, spec, seed)
         assert sample.s == s
-        P = PolyMatrix.permutation(ring, perm)
-        full = (u1 @ P @ stack_u2(ring, u2, s)).apply(G)
+        P = permutation_matrix(ring, perm)
+        full = matmul(matmul(u1, P), stack_u2(ring, u2, s)).apply(G)
         assert sample.F == full
         assert is_left_invertible_form(s, len(G), P, u1, stack_u2(ring, u2, s))
 
@@ -116,7 +195,7 @@ def test_density_controls_fill_rate():
     draws = 40
     for _ in range(draws):
         m = sample_unimodular_upper(ring, size, spec, rng)
-        assert m.is_unimodular_upper()
+        assert is_unimodular_upper(m)
         filled += sum(
             1 for i in range(size) for j in range(i + 1, size) if m.entries[i][j]
         )
@@ -192,8 +271,8 @@ def test_transform_preserves_ideal():
 def test_structural_check_rejects_bad_factors():
     ring = PolyRing(F7, 2, lex(2))
     one, zero, x0 = ring.one(), ring.zero(), ring.parse("x0")
-    u1 = PolyMatrix.identity(ring, 3)
-    p = PolyMatrix.permutation(ring, [2, 0, 1])
+    u1 = identity(ring, 3)
+    p = permutation_matrix(ring, [2, 0, 1])
     u2 = PolyMatrix(ring, [[one, x0], [zero, one], [zero, zero]])
     assert is_left_invertible_form(3, 2, p, u1, u2)
 
@@ -221,21 +300,21 @@ def test_matrix_primitives():
         )
 
     a, b, c = rand_matrix(2, 3), rand_matrix(3, 2), rand_matrix(2, 2)
-    assert (a @ b) @ c == a @ (b @ c)
-    ident = PolyMatrix.identity(ring, 2)
-    assert ident @ c == c and c @ ident == c
+    assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
+    ident = identity(ring, 2)
+    assert matmul(ident, c) == c and matmul(c, ident) == c
 
     v = [ring.parse("x0 + 1"), ring.parse("x1^2"), ring.parse("3")]
-    p = PolyMatrix.permutation(ring, [2, 0, 1])
+    p = permutation_matrix(ring, [2, 0, 1])
     assert p.apply(v) == [v[2], v[0], v[1]]
-    assert p.is_permutation() and not p.is_unimodular_upper()
+    assert is_permutation(p) and not is_unimodular_upper(p)
 
     with pytest.raises(ValueError):
         PolyMatrix(ring, [[ring.one()], [ring.one(), ring.zero()]])
     with pytest.raises(ValueError):
-        PolyMatrix.permutation(ring, [0, 0, 1])
+        permutation_matrix(ring, [0, 0, 1])
     with pytest.raises(ValueError):
-        a @ c  # 2x3 times 2x2
+        matmul(a, c)  # 2x3 times 2x2
     with pytest.raises(ValueError):
         p.apply(v[:2])
 

@@ -1,12 +1,13 @@
 """End-to-end runs of every CLI subcommand against temp files."""
 
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
-from gbgen import GenerationConfig, read_jsonl
+from gbgen import GenerationConfig, JsonlError, backward_transform, dataset, read_jsonl
 from gbgen.cli import main, parse_field
 
 
@@ -79,10 +80,48 @@ def test_env_var_supplies_default_seed(tmp_path, monkeypatch):
     assert (tmp_path / "env.jsonl").read_text() == (tmp_path / "flag.jsonl").read_text()
 
 
+def test_malformed_env_seed_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GBGEN_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("generate", "--n", "2", "--field", "f7", "--m", "2", "--out", str(tmp_path / "env"))
+    assert exc.value.code == 2
+    assert "GBGEN_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "env.jsonl").exists()
+
+
 def test_generate_parallel_matches_serial(tmp_path):
     make_dataset(tmp_path, name="serial", m="12")
     make_dataset(tmp_path, name="parallel", m="12", extra=("--jobs", "2"))
-    assert (tmp_path / "serial.jsonl").read_text() == (tmp_path / "parallel.jsonl").read_text()
+    for suffix in (".jsonl", ".tokens.txt"):
+        assert (tmp_path / f"serial{suffix}").read_text() == (tmp_path / f"parallel{suffix}").read_text()
+
+
+def test_spot_check_timeout_is_reported_and_kept(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dataset, "SPOT_CHECK_TIMEOUT", 0)
+    prefix = make_dataset(tmp_path, m="4", extra=("--verify-fraction", "1"))
+    seeds = [p.seed_used for p in read_jsonl(f"{prefix}.jsonl")]
+    assert capsys.readouterr().err.splitlines() == [
+        f"TIMEOUT spot check of sample {i} (child_seed {s}): kept unchecked" for i, s in enumerate(seeds)
+    ]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_spot_check_mismatch_aborts(tmp_path, monkeypatch, capsys, jobs):
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched transform only when forked")
+
+    def wrong_system(basis, spec, rng):
+        sample = backward_transform(basis, spec, rng)
+        sample.F = [basis[0].ring.one()]  # generates the unit ideal, not <G>
+        return sample
+
+    monkeypatch.setattr(dataset, "backward_transform", wrong_system)
+    code = run_cli(
+        "generate", "--n", "2", "--field", "f7", "--m", "4", "--seed", "1",
+        "--verify-fraction", "1", "--jobs", jobs, "--out", str(tmp_path / "ds"),
+    )
+    assert code == 1
+    assert "generation aborted: sample 0: completion of F does not give G" in capsys.readouterr().err
 
 
 def test_verify_passes_on_generated_dataset(tmp_path, capsys):
@@ -100,10 +139,37 @@ def test_verify_flags_doctored_sample(tmp_path, capsys):
     record["G"] = ["x0", "x1"]
     lines[3] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
-    assert run_cli("verify", "--input", str(path)) == 1
-    out = capsys.readouterr().out
-    assert "FAIL sample 3" in out
-    assert "7 ok, 1 failed" in out
+    for jobs in ("1", "2"):
+        assert run_cli("verify", "--input", str(path), "--jobs", jobs) == 1
+        out = capsys.readouterr().out
+        assert "FAIL sample 3" in out
+        assert "7 ok, 1 failed" in out
+
+
+def test_verify_timeouts_are_named_and_match_across_jobs(tmp_path, capsys):
+    prefix = make_dataset(tmp_path, m="6")
+    capsys.readouterr()
+    outputs = []
+    for jobs in ("1", "2"):
+        assert run_cli("verify", "--input", f"{prefix}.jsonl", "--timeout", "0", "--jobs", jobs) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    seeds = [p.seed_used for p in read_jsonl(f"{prefix}.jsonl")]
+    assert outputs[0].splitlines() == [
+        *(f"TIMEOUT sample {i} (child_seed {s}): no basis within 0 s" for i, s in enumerate(seeds)),
+        "verified 6 samples: 0 ok, 6 failed",
+    ]
+
+
+def test_verify_jobs_reports_malformed_line(tmp_path):
+    prefix = make_dataset(tmp_path)
+    path = tmp_path / "ds.jsonl"
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5][:-1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(JsonlError) as exc:
+        run_cli("verify", "--input", str(path), "--jobs", "2")
+    assert exc.value.line_no == 6
 
 
 def test_profile_formats(tmp_path, capsys):

@@ -13,6 +13,7 @@ from gbgen import (
     RATIONALS,
     SamplePair,
     TokenError,
+    check_pair,
     child_seed,
     generate_dataset,
     generate_sample,
@@ -31,7 +32,6 @@ from gbgen import (
     write_meta,
     write_tokens,
 )
-from gbgen.dataset import _spot_verify, OracleMismatchError
 
 F7 = prime_field(7)
 
@@ -92,7 +92,7 @@ def test_zero_rows_kept_by_default_and_droppable():
 
 def test_spot_verification_runs_clean():
     config = small_config(num_samples=6, verify_fraction=1.0)
-    assert len(list(generate_dataset(config))) == 6
+    assert [p.spot_check for p in generate_dataset(config)] == ["ok"] * 6
 
 
 def test_spot_verification_catches_wrong_basis():
@@ -102,8 +102,9 @@ def test_spot_verification_catches_wrong_basis():
     doctored = SamplePair(
         index=0, F=pair.F, G=[ring.parse("x0"), ring.parse("x1")], s=pair.s, seed_used=0
     )
-    with pytest.raises(OracleMismatchError):
-        _spot_verify(doctored)
+    assert check_pair(pair) == "ok"
+    assert check_pair(doctored) == "mismatch"
+    assert check_pair(SamplePair(index=0, F=[ring.zero()], G=pair.G, s=1, seed_used=0)) == "mismatch"
 
 
 def test_nonlex_target_order():

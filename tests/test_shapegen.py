@@ -97,8 +97,8 @@ def test_seeded_determinism():
 
 
 def test_spec_seed_used_when_rng_omitted():
-    spec = ShapeBasisSpec(field=prime_field(7), nvars=2, rng_seed=11)
-    assert sample_shape_basis(spec) == sample_shape_basis(spec)
+    spec = ShapeBasisSpec(field=prime_field(7), nvars=2)
+    assert sample_shape_basis(spec, random.Random(11)) == sample_shape_basis(spec, random.Random(11))
 
 
 def test_single_variable_system():
