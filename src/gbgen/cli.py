@@ -19,11 +19,13 @@ status is 0 on success, 1 when verification or solving finds a failure,
 """
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 
 from . import __version__
@@ -119,16 +121,42 @@ def _config_from_args(args) -> GenerationConfig:
     )
 
 
+# Items handed to the worker pool at a time, in units of jobs * chunksize:
+# enough to keep the workers busy, few enough to never hold a long input whole
+_WINDOW_CHUNKS = 16
+
+
 def _ordered_map(fn, items, jobs: int, chunksize: int):
     """``map(fn, items)``, spread over ``jobs`` worker processes when jobs > 1."""
     if jobs <= 1:
         yield from map(fn, items)
         return
-    # Executor.map submits every item before it yields; reading them all first
-    # lets bad input fail before any worker starts
-    items = list(items)
+    # Executor.map submits every item it is given before it yields, so it
+    # only ever sees one window of them
+    items = iter(items)
+    window = _WINDOW_CHUNKS * jobs * chunksize
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, items, chunksize=chunksize)
+        while batch := list(itertools.islice(items, window)):
+            yield from pool.map(fn, batch, chunksize=chunksize)
+
+
+class _Abort(Exception):
+    """A command found a failure after it began writing; the message goes to stderr."""
+
+
+@contextmanager
+def _staged(*paths):
+    """Yield temporaries next to ``paths``: renamed onto them on success, removed on an exception."""
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield temps
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
+    for temp, path in zip(temps, paths):
+        os.replace(temp, path)
 
 
 def _render_sample(config: GenerationConfig, index: int):
@@ -141,17 +169,21 @@ def cmd_generate(args) -> int:
     jsonl_path = f"{args.out}.jsonl"
     rendered = _ordered_map(partial(_render_sample, config), range(config.num_samples), args.jobs, chunksize=32)
     try:
-        with open(jsonl_path, "w", encoding="utf-8") as records, \
-                open(f"{args.out}.tokens.txt", "w", encoding="utf-8") as tokens:
-            for index, seed, spot_check, record, token in rendered:
-                if spot_check == "timeout":
-                    print(f"TIMEOUT spot check of sample {index} (child_seed {seed}): kept unchecked", file=sys.stderr)
-                records.write(record + "\n")
-                tokens.write(token + "\n")
+        with _staged(jsonl_path, f"{args.out}.tokens.txt", f"{args.out}.meta.json") as (
+            jsonl_temp, tokens_temp, meta_temp
+        ):
+            with open(jsonl_temp, "w", encoding="utf-8") as records, \
+                    open(tokens_temp, "w", encoding="utf-8") as tokens:
+                for index, seed, spot_check, record, token in rendered:
+                    if spot_check == "timeout":
+                        print(f"TIMEOUT spot check of sample {index} (child_seed {seed}): kept unchecked",
+                              file=sys.stderr)
+                    records.write(record + "\n")
+                    tokens.write(token + "\n")
+            write_meta(meta_temp, config, extra=_generator_stamp())
     except OracleMismatchError as exc:
         print(f"generation aborted: {exc}", file=sys.stderr)
         return 1
-    write_meta(f"{args.out}.meta.json", config, extra=_generator_stamp())
     print(f"wrote {config.num_samples} samples to {jsonl_path}")
     return 0
 
@@ -207,49 +239,43 @@ def cmd_bench(args) -> int:
 
 def cmd_tokenize(args) -> int:
     count = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for pair in read_jsonl(args.input):
-            ring = (pair.G or pair.F)[0].ring
-            line = token_line(pair)
-            # cheap paranoia: the line must parse back to the input
-            left, right = (side.split(" ")[1:-1] for side in line.split("\t"))
-            if parse_prefix_tokens(left, ring) != pair.F or parse_prefix_tokens(right, ring) != pair.G:
-                print(f"FAIL sample {pair.index}: tokens do not round-trip", file=sys.stderr)
-                return 1
-            fh.write(line + "\n")
-            count += 1
+    try:
+        with _staged(args.out) as (temp,), open(temp, "w", encoding="utf-8") as fh:
+            for pair in read_jsonl(args.input):
+                ring = (pair.G or pair.F)[0].ring
+                line = token_line(pair)
+                # cheap paranoia: the line must parse back to the input
+                left, right = (side.split(" ")[1:-1] for side in line.split("\t"))
+                if parse_prefix_tokens(left, ring) != pair.F or parse_prefix_tokens(right, ring) != pair.G:
+                    raise _Abort(f"FAIL sample {pair.index}: tokens do not round-trip")
+                fh.write(line + "\n")
+                count += 1
+    except _Abort as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print(f"tokenized {count} samples into {args.out}")
     return 0
 
 
 def cmd_fglm(args) -> int:
-    converted = []
-    for pair in read_jsonl(args.input):
-        ring = pair.G[0].ring
-        if ring.order.name() != args.src_order:
-            print(f"sample {pair.index} is under {ring.order.name()}, not {args.src_order}", file=sys.stderr)
-            return 1
-        target = order_by_name(args.to_order, ring.nvars)
-        pair.G = fglm(pair.G, target)
-        pair.F = [f.resorted(target) for f in pair.F]
-        converted.append(pair)
-    # write with the target order stamped into each record
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for pair in converted:
-            record = {
-                "index": pair.index,
-                "field": pair.G[0].ring.field.to_dict(),
-                "nvars": pair.G[0].ring.nvars,
-                "order": args.to_order,
-                "s": pair.s,
-                "seed": pair.seed_used,
-                "F": [str(f) for f in pair.F],
-                "G": [str(g) for g in pair.G],
-                "contains_zero": pair.contains_zero,
-                "over_range": pair.over_range,
-            }
-            fh.write(json.dumps(record) + "\n")
-    print(f"converted {len(converted)} samples to {args.to_order} in {args.out}")
+    count = 0
+    try:
+        with _staged(args.out) as (temp,), open(temp, "w", encoding="utf-8") as fh:
+            for pair in read_jsonl(args.input):
+                ring = pair.G[0].ring
+                if ring.order.name() != args.src_order:
+                    raise _Abort(f"sample {pair.index} is under {ring.order.name()}, not {args.src_order}")
+                target = order_by_name(args.to_order, ring.nvars)
+                pair.G = fglm(pair.G, target)
+                pair.F = [f.resorted(target) for f in pair.F]
+                # the record is stamped with the target order
+                stamp = GenerationConfig(field=ring.field, nvars=ring.nvars, num_samples=0, order=args.to_order)
+                fh.write(record_line(pair, stamp) + "\n")
+                count += 1
+    except _Abort as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    print(f"converted {count} samples to {args.to_order} in {args.out}")
     return 0
 
 

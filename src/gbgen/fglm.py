@@ -102,9 +102,8 @@ def fglm(basis, target: TermOrder, cap: int = DEFAULT_DIMENSION_CAP) -> list:
 
     def nf_vector(term: Term) -> list:
         mono = source_ring.monomial(1, term)
-        remainder, _ = normal_form(mono, gens)
         vec = [field.zero()] * dim
-        for t, c in remainder.terms:
+        for t, c in normal_form(mono, gens).terms:
             vec[coord[t]] = c
         return vec
 

@@ -3,7 +3,8 @@
 The completion loop follows the classic textbook shape: keep a pair queue
 keyed by the total degree of the lcm of the leading terms (the "normal"
 selection strategy), discard pairs with coprime leading terms, reduce the
-S-polynomial against the whole working basis, and append nonzero remainders.
+S-polynomial against the whole working basis until its head is irreducible,
+and append nonzero remainders.
 The returned basis is always fully interreduced, monic and sorted ascending
 by leading term, so two runs over the same ideal agree member for member.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .orders import term_div, term_divides, term_lcm, total_degree
-from .poly import Polynomial, normal_form
+from .poly import Polynomial, _cleared, normal_form
 
 __all__ = [
     "GroebnerStats",
@@ -92,88 +93,11 @@ def _primitive(f: Polynomial) -> Polynomial:
     """
     if not f or f.ring.field.modulus is not None:
         return f
-    den_lcm = 1
-    for _, c in f.terms:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for _, c in f.terms:
-        num_gcd = gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
-    scale = Fraction(den_lcm, num_gcd)
+    den_lcm, cleared = _cleared(f.terms)
+    scale = Fraction(den_lcm, gcd(*(c for _, c in cleared)))
     if f.leading_coefficient < 0:
         scale = -scale
     return f.scaled(scale)
-
-
-def _int_form(g: Polynomial) -> list:
-    """Terms of a rational polynomial with denominators cleared, head first."""
-    den = 1
-    for _, c in g.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [(t, c.numerator * (den // c.denominator)) for t, c in g.terms]
-
-
-def _completion_reduce(f: Polynomial, divisors, int_divisors=None) -> Polynomial:
-    """Reduce until the head is irreducible; the result is only used up to scale.
-
-    Over prime fields this is the exact normal form.  Over the rationals it
-    is a fraction-free pseudo-reduction run on plain integers (multiply
-    through by the divisor's leading coefficient instead of dividing), with
-    the content stripped after every scaling step so coefficient growth
-    stays polynomial instead of compounding.  ``int_divisors`` carries the
-    precomputed integer terms of ``divisors`` so callers in a loop do not
-    re-clear denominators.
-    """
-    ring = f.ring
-    if ring.field.modulus is not None:
-        remainder, _ = normal_form(f, divisors)
-        return remainder
-    if int_divisors is None:
-        int_divisors = [_int_form(g) for g in divisors]
-    work = dict(_int_form(f))
-    key = ring.order.key
-    while work:
-        t = max(work, key=key)
-        c = work[t]
-        hit = None
-        for terms in int_divisors:
-            if term_divides(terms[0][0], t):
-                hit = terms
-                break
-        if hit is None:
-            break
-        (ht, hc), tail = hit[0], hit[1:]
-        d = gcd(c, hc)
-        a, b = hc // d, c // d
-        if a != 1:
-            work = {k: v * a for k, v in work.items()}
-        del work[t]  # heads cancel exactly by construction
-        shift = term_div(t, ht)
-        for gt, gc in tail:
-            k = tuple(x + y for x, y in zip(gt, shift))
-            v = work.get(k, 0) - b * gc
-            if v:
-                work[k] = v
-            else:
-                work.pop(k, None)
-        if a != 1 and work:
-            content = 0
-            for v in work.values():
-                content = gcd(content, v)
-                if content == 1:
-                    break
-            if content > 1:
-                work = {k: v // content for k, v in work.items()}
-    if not work:
-        return ring.zero()
-    content = 0
-    for v in work.values():
-        content = gcd(content, v)
-        if content == 1:
-            break
-    head = max(work, key=key)
-    if work[head] < 0:
-        content = -content
-    return ring.from_terms([(t, Fraction(v, content)) for t, v in work.items()])
 
 
 def buchberger(polys, timeout: float | None = None, chain_criterion: bool = False) -> GroebnerResult:
@@ -195,8 +119,6 @@ def buchberger(polys, timeout: float | None = None, chain_criterion: bool = Fals
     start = time.perf_counter()
     stats = GroebnerStats()
     basis = [_primitive(f) for f in gens]
-    rational = ring.field.modulus is None
-    int_basis = [_int_form(g) for g in basis] if rational else None
     order = ring.order
     queue: list = []
     done_pairs: set[tuple[int, int]] = set()
@@ -221,15 +143,15 @@ def buchberger(polys, timeout: float | None = None, chain_criterion: bool = Fals
             stats.pairs_skipped += 1
             done_pairs.add((i, j))
             continue
-        remainder = _completion_reduce(s_polynomial(fi, fj), basis, int_basis)
+        # only the head decides what happens next, and basis members matter
+        # only up to scale, so a top-reduced primitive remainder is enough
+        remainder = _primitive(normal_form(s_polynomial(fi, fj), basis, top_only=True))
         stats.pairs_processed += 1
         done_pairs.add((i, j))
         if not remainder:
             stats.zero_reductions += 1
             continue
         basis.append(remainder)
-        if rational:
-            int_basis.append(_int_form(remainder))
         stats.basis_additions += 1
         k = len(basis) - 1
         for m in range(k):
@@ -269,7 +191,7 @@ def reduce_basis(polys) -> list:
     reduced: list[Polynomial] = []
     for idx, f in enumerate(minimal):
         others = reduced[:idx] + minimal[idx + 1 :]
-        remainder, _ = normal_form(f, others) if others else (f, None)
+        remainder = normal_form(f, others) if others else f
         reduced.append(remainder.monic())
     reduced.sort(key=lambda f: order.key(f.leading_monomial))
     return reduced
@@ -285,8 +207,7 @@ def is_groebner(polys, timeout: float | None = None) -> bool:
         for j in range(i + 1, len(gens)):
             if timeout is not None and time.perf_counter() - start > timeout:
                 raise GroebnerTimeout(timeout, GroebnerStats())
-            remainder, _ = normal_form(s_polynomial(gens[i], gens[j]), gens)
-            if remainder:
+            if normal_form(s_polynomial(gens[i], gens[j]), gens, top_only=True):
                 return False
     return True
 

@@ -11,6 +11,7 @@ the arithmetic loops cheap.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .field import Coeff, FieldElement, FieldSpec
 from .orders import Term, TermOrder, term_divides, term_div
@@ -314,49 +315,95 @@ class Polynomial:
 # -- division ------------------------------------------------------------
 
 
-def normal_form(f: Polynomial, divisors) -> tuple[Polynomial, list[Polynomial]]:
-    """Multivariate division of ``f`` by an ordered list of divisors.
+def normal_form(f: Polynomial, divisors, *, top_only: bool = False) -> Polynomial:
+    """Remainder of ``f`` on division by an ordered list of divisors.
 
-    Returns ``(remainder, quotients)`` with
-    ``f == sum(q*d for q, d in zip(quotients, divisors)) + remainder`` and no
-    remainder term divisible by any divisor's leading term.  Ties go to the
-    first divisor in the list whose leading term divides, which makes the
-    result deterministic for a fixed list order.
+    Each step cancels the largest remaining term of a term->coefficient dict
+    by the first divisor whose leading monomial divides it; a term no head
+    divides moves to the remainder.  With ``top_only`` the loop stops at the
+    first such term and returns it with the rest unreduced: zero exactly when
+    the full remainder is, else with the same leading term.  Over GF(p) a
+    step multiplies by the inverse of the divisor's head coefficient.  Over
+    the rationals it runs fraction-free on integers, scaling by the divisor's
+    head instead of dividing by it and stripping the content after every
+    scaling; the scale is divided out at the end, so the result is exact.
     """
     divisors = list(divisors)
     if not divisors:
         raise ValueError("need at least one divisor")
     ring = f.ring
-    field = ring.field
     heads = []
     for d in divisors:
         if d.ring != ring:
             raise ValueError("divisors must share the dividend's ring")
         if not d:
             raise ValueError("zero polynomial among the divisors")
-        heads.append(d.leading_term)
-
-    quotients: list[dict[Term, Coeff]] = [{} for _ in divisors]
+        heads.append(d.leading_monomial)
+    mod = ring.field.modulus
+    key = None if ring.order.kind.value == "lex" else ring.order.key
+    if mod is None:
+        den, cleared = _cleared(f.terms)
+        work, scale = dict(cleared), Fraction(den)
+    else:
+        work = dict(f.terms)
+    ready: dict[int, tuple] = {}  # divisor index -> (head factor, tail terms)
     remainder: list[tuple[Term, Coeff]] = []
-    work = f
-    while work.terms:
-        lt, lc = work.terms[0]
-        for i, (ht, hc) in enumerate(heads):
-            if term_divides(ht, lt):
-                factor_t = term_div(lt, ht)
-                factor_c = field.div(lc, hc)
-                work = work - divisors[i].term_scaled(factor_c, factor_t)
-                q = quotients[i]
-                prev = q.get(factor_t)
-                q[factor_t] = factor_c if prev is None else field.add(prev, factor_c)
+    while work:
+        t = max(work) if key is None else max(work, key=key)
+        for i, h in enumerate(heads):
+            if term_divides(h, t):
                 break
         else:
-            # head is irreducible: it moves to the remainder, and every later
-            # head is strictly smaller, so appending keeps descending order
-            remainder.append((lt, lc))
-            work = Polynomial(ring, work.terms[1:])
-    rem = Polynomial(ring, tuple(remainder))
-    return rem, [Polynomial(ring, _canonical(ring, q)) for q in quotients]
+            if top_only:
+                break
+            # every later head is strictly smaller, so appending keeps order
+            c = work.pop(t)
+            remainder.append((t, c if mod is not None else c / scale))
+            continue
+        c = work.pop(t)
+        if i not in ready:
+            ready[i] = _divisor_form(divisors[i], mod)
+        lead, tail = ready[i]
+        if mod is None:
+            g = gcd(c, lead)
+            a, b = lead // g, c // g
+            if a != 1:
+                work = {k: v * a for k, v in work.items()}
+                scale *= a
+        else:
+            a, b = 1, c * lead % mod
+        shift = term_div(t, h)
+        for gt, gc in tail:
+            k = tuple(x + y for x, y in zip(gt, shift))
+            v = work.get(k, 0) - b * gc
+            if mod is not None:
+                v %= mod
+            if v:
+                work[k] = v
+            else:
+                work.pop(k, None)
+        if a != 1 and work:
+            content = gcd(*work.values())
+            if content > 1:
+                work = {k: v // content for k, v in work.items()}
+                scale /= content
+    if mod is None:
+        work = {t: v / scale for t, v in work.items()}
+    return Polynomial(ring, tuple(remainder) + _canonical(ring, work))
+
+
+def _cleared(terms) -> tuple[int, list]:
+    """(den, terms times den) for rational terms, den the lcm of their denominators."""
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, [(t, c.numerator * (den // c.denominator)) for t, c in terms]
+
+
+def _divisor_form(d: Polynomial, mod) -> tuple:
+    """(inverse head coefficient, tail) over GF(p); (head, tail) cleared of denominators over Q."""
+    if mod is not None:
+        return pow(d.leading_coefficient, -1, mod), d.terms[1:]
+    _, terms = _cleared(d.terms)
+    return terms[0][1], terms[1:]
 
 
 # -- parsing ---------------------------------------------------------------

@@ -73,7 +73,7 @@ def report(ok: bool, label: str, detail: str):
 
 
 def test_criterion_1_oracle_correctness():
-    start = time.monotonic()
+    start = time.perf_counter()
     checked = 0
     mismatches = 0
     for (n, (label, field)) in itertools.product((2, 3), FIELDS):
@@ -83,7 +83,7 @@ def test_criterion_1_oracle_correctness():
             if recovered != canon(pair.G):
                 mismatches += 1
             checked += 1
-    elapsed = time.monotonic() - start
+    elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 600
     report(
         ok,
@@ -112,13 +112,13 @@ def test_criterion_2_non_groebner_ratio():
 
 
 def test_criterion_3_profile_reproduction():
-    start = time.monotonic()
+    start = time.perf_counter()
     config = GenerationConfig(
         field=F7, nvars=2, num_samples=1000, density=1.0, seed=7, verify_fraction=0.0
     )
     samples = list(generate_dataset(config))
     profile = profile_dataset(samples, check_groebner=False)
-    elapsed = time.monotonic() - start
+    elapsed = time.perf_counter() - start
 
     mean_size = profile.metrics["F"]["size"][0]
     mean_terms = profile.metrics["F"]["num_terms"][0]
@@ -164,7 +164,7 @@ def test_criterion_4_speed_gap():
 
 
 def test_criterion_5_order_conversion():
-    start = time.monotonic()
+    start = time.perf_counter()
     rng = random.Random(55)
     failures = 0
     total = 0
@@ -179,7 +179,7 @@ def test_criterion_5_order_conversion():
             back = fglm(converted, lex(n))
             if not (is_reduced_groebner(converted) and converted == direct and back == canon(G)):
                 failures += 1
-    elapsed = time.monotonic() - start
+    elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 120
     report(
         ok,

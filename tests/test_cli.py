@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from gbgen import GenerationConfig, JsonlError, backward_transform, dataset, read_jsonl
+from gbgen import cli
 from gbgen.cli import main, parse_field
 
 
@@ -124,6 +125,39 @@ def test_spot_check_mismatch_aborts(tmp_path, monkeypatch, capsys, jobs):
     assert "generation aborted: sample 0: completion of F does not give G" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_generate_leaves_outputs_untouched(tmp_path, monkeypatch, capsys, jobs):
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched oracle only when forked")
+    argv = ["generate", "--n", "2", "--field", "f7", "--m", "40", "--seed", "1", "--verify-fraction", "1", "--jobs", jobs]
+    assert run_cli(*argv, "--out", str(tmp_path / "old")) == 0
+    suffixes = (".jsonl", ".tokens.txt", ".meta.json")
+    before = {suffix: (tmp_path / f"old{suffix}").read_bytes() for suffix in suffixes}
+
+    monkeypatch.setattr(dataset, "check_pair", lambda pair, timeout: "mismatch" if pair.index == 30 else "ok")
+    for name in ("old", "new"):
+        assert run_cli(*argv, "--out", str(tmp_path / name)) == 1
+        assert "generation aborted: sample 30" in capsys.readouterr().err
+    # the earlier run is intact, the new prefix got nothing, no temporary is left
+    assert {suffix: (tmp_path / f"old{suffix}").read_bytes() for suffix in suffixes} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"old{suffix}" for suffix in suffixes)
+
+
+def test_ordered_map_pulls_one_window_at_a_time():
+    pulled = 0
+
+    def items():
+        nonlocal pulled
+        for i in range(5000):
+            pulled += 1
+            yield -i
+
+    results = cli._ordered_map(abs, items(), jobs=2, chunksize=4)
+    assert next(results) == 0
+    assert pulled <= cli._WINDOW_CHUNKS * 2 * 4 < 5000
+    assert list(results) == list(range(1, 5000))
+
+
 def test_verify_passes_on_generated_dataset(tmp_path, capsys):
     prefix = make_dataset(tmp_path)
     assert run_cli("verify", "--input", f"{prefix}.jsonl") == 0
@@ -193,6 +227,19 @@ def test_tokenize_reproduces_token_file(tmp_path, capsys):
     assert out_path.read_text() == (tmp_path / "ds.tokens.txt").read_text()
 
 
+def test_failed_tokenize_leaves_no_file(tmp_path, monkeypatch, capsys):
+    prefix = make_dataset(tmp_path)
+    out_path = tmp_path / "retok.txt"
+    monkeypatch.setattr(cli, "parse_prefix_tokens", lambda tokens, ring: [])
+    assert run_cli("tokenize", "--input", f"{prefix}.jsonl", "--out", str(out_path)) == 1
+    assert "FAIL sample 0: tokens do not round-trip" in capsys.readouterr().err
+    monkeypatch.undo()
+    (tmp_path / "bad.jsonl").write_text((tmp_path / "ds.jsonl").read_text() + "{\n")
+    with pytest.raises(JsonlError):
+        run_cli("tokenize", "--input", str(tmp_path / "bad.jsonl"), "--out", str(out_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
+
+
 def test_fglm_conversion_round_trip(tmp_path, capsys):
     prefix = make_dataset(tmp_path, n="3", m="5")
     converted = tmp_path / "grev.jsonl"
@@ -219,6 +266,7 @@ def test_fglm_rejects_wrong_source_order(tmp_path, capsys):
     prefix = make_dataset(tmp_path)
     out = tmp_path / "x.jsonl"
     assert run_cli("fglm", "--input", f"{prefix}.jsonl", "--from", "grevlex", "--to", "lex", "--out", str(out)) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
 
 
 def test_solve_prime_field_dataset(tmp_path, capsys):

@@ -178,5 +178,5 @@ def test_grevlex_completion_matches_lex_ideal():
 
     probe = RQ.parse("x1^4 + x0^2 - 1") * RQ.parse("x0 + 3")
     member = RQ.parse("x0^2 + x1^2 - 1") * RQ.parse("x1 - 5")
-    assert normal_form(member, lex_basis)[0] == RQ.zero()
-    assert normal_form(member.resorted(grevlex(2)), grv_basis)[0].is_zero()
+    assert normal_form(member, lex_basis) == RQ.zero()
+    assert normal_form(member.resorted(grevlex(2)), grv_basis).is_zero()

@@ -127,29 +127,59 @@ def test_evaluate():
     assert g.evaluate([3, 5]).value == (9 + 5) % 7
 
 
+def divide(f, divisors):
+    """Reference textbook division: (remainder, quotients) with f == sum(q*d) + remainder.
+
+    Rebuilds the dividend with polynomial arithmetic on every step, first
+    divisor head that divides the leading term wins.
+    """
+    ring = f.ring
+    field = ring.field
+    quotients = [ring.zero() for _ in divisors]
+    remainder = ring.zero()
+    work = f
+    while work:
+        lt, lc = work.leading_term
+        for i, d in enumerate(divisors):
+            ht, hc = d.leading_term
+            if all(a <= b for a, b in zip(ht, lt)):
+                q = ring.monomial(field.div(lc, hc), tuple(a - b for a, b in zip(lt, ht)))
+                quotients[i] = quotients[i] + q
+                work = work - q * d
+                break
+        else:
+            head = ring.monomial(lc, lt)
+            remainder = remainder + head
+            work = work - head
+    return remainder, quotients
+
+
 def test_normal_form_hand_example():
     # divide x0^2*x1 by [x0 - x1, x1^2 - 1]: substitution gives x1^3 -> x1
     ring = RQ
     f = ring.parse("x0^2*x1")
     d1, d2 = ring.parse("x0 - x1"), ring.parse("x1^2 - 1")
-    remainder, quotients = normal_form(f, [d1, d2])
+    remainder, quotients = divide(f, [d1, d2])
     assert remainder == ring.parse("x1")
     assert f == quotients[0] * d1 + quotients[1] * d2 + remainder
+    assert normal_form(f, [d1, d2]) == remainder
 
 
 def test_normal_form_reexpansion_random():
     rng = random.Random(14)
-    for ring in (R7, RQ):
+    rings = (R7, RQ, PolyRing(prime_field(7), 3, grevlex(3)), PolyRing(RATIONALS, 3, grevlex(3)))
+    for ring in rings:
         for _ in range(80):
             f = random_poly(ring, rng)
             divisors = [g for g in (random_poly(ring, rng, max_terms=3) for _ in range(3)) if g]
             if not divisors:
                 continue
-            remainder, quotients = normal_form(f, divisors)
+            remainder, quotients = divide(f, divisors)
             total = remainder
             for q, d in zip(quotients, divisors):
                 total = total + q * d
             assert total == f
+            assert normal_form(f, divisors) == remainder
             # no remainder term is divisible by any divisor head
             for t, _ in remainder.terms:
                 for d in divisors:
@@ -157,14 +187,37 @@ def test_normal_form_reexpansion_random():
                     assert not all(a <= b for a, b in zip(h, t))
 
 
+def test_normal_form_top_only_keeps_zero_and_head():
+    rng = random.Random(16)
+    rings = (R7, RQ, RQ3, PolyRing(prime_field(7), 3, grevlex(3)), PolyRing(RATIONALS, 2, grevlex(2)))
+    zeros = 0
+    for ring in rings:
+        for _ in range(80):
+            divisors = [g for g in (random_poly(ring, rng, max_terms=3) for _ in range(3)) if g]
+            if not divisors:
+                continue
+            f = random_poly(ring, rng)
+            if rng.random() < 0.3:
+                f = f * divisors[0]  # lands in the ideal often enough to reach zero
+            full = normal_form(f, divisors)
+            top = normal_form(f, divisors, top_only=True)
+            assert bool(top) == bool(full)
+            if full:
+                assert top.leading_term == full.leading_term
+            else:
+                zeros += 1
+    assert zeros > 20
+
+
 def test_normal_form_first_divisor_wins():
     ring = RQ
     f = ring.parse("x0*x1")
-    a, b = ring.parse("x0"), ring.parse("x1")
-    _, quotients = normal_form(f, [a, b])
+    a, b = ring.parse("x0 + 1"), ring.parse("x0 + 2")
+    # both heads divide every step; the first divisor in the list takes it
+    assert normal_form(f, [a, b]) == ring.parse("-x1") == divide(f, [a, b])[0]
+    assert normal_form(f, [b, a]) == ring.parse("-2*x1") == divide(f, [b, a])[0]
+    _, quotients = divide(f, [a, b])
     assert quotients[0] == ring.parse("x1") and not quotients[1]
-    _, quotients = normal_form(f, [b, a])
-    assert quotients[0] == ring.parse("x0") and not quotients[1]
 
 
 def test_normal_form_zero_divisor_rejected():
