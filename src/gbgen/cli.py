@@ -262,6 +262,8 @@ def cmd_fglm(args) -> int:
     try:
         with _staged(args.out) as (temp,), open(temp, "w", encoding="utf-8") as fh:
             for pair in read_jsonl(args.input):
+                if not any(pair.G):
+                    raise _Abort(f"sample {pair.index}: cannot convert an empty basis")
                 ring = pair.G[0].ring
                 if ring.order.name() != args.src_order:
                     raise _Abort(f"sample {pair.index} is under {ring.order.name()}, not {args.src_order}")

@@ -269,11 +269,31 @@ def test_fglm_rejects_wrong_source_order(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
 
 
+def test_fglm_rejects_empty_basis(tmp_path, capsys):
+    prefix = make_dataset(tmp_path, m="3")
+    lines = (tmp_path / "ds.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["G"] = []
+    lines[1] = json.dumps(record)
+    (tmp_path / "ds.jsonl").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.jsonl"
+    assert run_cli("fglm", "--input", f"{prefix}.jsonl", "--to", "grevlex", "--out", str(out)) == 1
+    assert "sample 1: cannot convert an empty basis" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
+
+
 def test_solve_prime_field_dataset(tmp_path, capsys):
     prefix = make_dataset(tmp_path, m="6")
     assert run_cli("solve", "--input", f"{prefix}.jsonl") == 0
     out = capsys.readouterr().out
     assert "solved 6 samples, 0 failures" in out
+
+
+def test_solve_large_prime_dataset(tmp_path, capsys):
+    # scanning all 2^31 - 1 residues would not finish; root finding takes milliseconds
+    prefix = make_dataset(tmp_path, field="f2147483647", n="3", m="5")
+    assert run_cli("solve", "--input", f"{prefix}.jsonl") == 0
+    assert capsys.readouterr().out.endswith("solved 5 samples, 0 failures\n")
 
 
 def test_solve_rejects_rational_dataset(tmp_path, capsys):

@@ -14,9 +14,9 @@ F31 = prime_field(31)
 
 
 def test_prime_validation():
-    for p in (2, 3, 5, 7, 31, 101):
+    for p in (2, 3, 5, 7, 31, 101, 2**61 - 1):
         assert prime_field(p).modulus == p
-    for bad in (0, 1, 4, 6, 9, 15, 100):
+    for bad in (0, 1, 4, 6, 9, 15, 100, 561):
         with pytest.raises(ValueError):
             prime_field(bad)
 
@@ -31,6 +31,17 @@ def test_is_prime_against_sieve():
                 sieve[j] = False
     for n in range(limit + 1):
         assert is_prime(n) == sieve[n]
+
+
+def test_is_prime_pseudoprimes_and_large_primes():
+    # Carmichael numbers and strong pseudoprimes to the smallest bases: 561
+    # and 3215031751 fool Fermat tests, 2047 is a strong pseudoprime to base
+    # 2, 1373653 to bases 2 and 3, and 3825123056546413051 to every prime
+    # base up to 31, so only base 37 exposes it
+    for composite in (561, 2047, 1373653, 3215031751, 3825123056546413051, (2**31 - 1) * (2**61 - 1)):
+        assert not is_prime(composite)
+    for prime in (2**31 - 1, 2**61 - 1, 1000000007):
+        assert is_prime(prime)
 
 
 def test_rationals_take_no_modulus():

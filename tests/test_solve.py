@@ -51,6 +51,49 @@ def test_roots_quadratic_and_constant():
     assert univariate_roots_fp(R.parse("3")) == []
 
 
+def scanned_roots(h):
+    return [r for (r,) in brute_force_variety([h])]
+
+
+def irreducible_quadratic(ring):
+    # a quadratic without roots in GF(p) has no factors
+    for b, c in itertools.product(range(ring.field.modulus), repeat=2):
+        q = ring.parse(f"x0^2 + {b}*x0 + {c}")
+        if not scanned_roots(q):
+            return q
+
+
+def test_roots_match_scan_on_random_polynomials():
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7, 31, 101):
+        ring = PolyRing(prime_field(p), 1, lex(1))
+        x = ring.variable(0)
+        quad = irreducible_quadratic(ring)
+        for _ in range(60):
+            # dense random polynomials of degree up to 12, constants included
+            h = ring.from_terms(((i,), rng.randrange(p)) for i in range(rng.randint(1, 13)))
+            if h:
+                assert [r.value for r in univariate_roots_fp(h)] == scanned_roots(h)
+            # products of repeated linear factors, an irreducible factor and a unit
+            h = ring.monomial(rng.randrange(1, p), (0,))
+            for _ in range(rng.randint(0, 5)):
+                h = h * (x - ring.monomial(rng.randrange(p), (0,))) ** rng.randint(1, 3)
+            if rng.random() < 0.5:
+                h = h * quad
+            assert [r.value for r in univariate_roots_fp(h)] == scanned_roots(h)
+
+
+def test_roots_at_a_large_prime():
+    p = 2**31 - 1
+    ring = PolyRing(prime_field(p), 2, lex(2))
+    rng = random.Random(5)
+    roots = [rng.randrange(p) for _ in range(7)] + [0, p - 1]
+    h = ring.parse("x1^2 + 1")  # irreducible: -1 is not a square since p = 3 mod 4
+    for r in roots:
+        h = h * ring.parse(f"x1 - {r}")
+    assert [r.value for r in univariate_roots_fp(h)] == sorted(roots)
+
+
 def test_roots_input_validation():
     with pytest.raises(ValueError):
         univariate_roots_fp(R.zero())
