@@ -242,7 +242,7 @@ def cmd_tokenize(args) -> int:
     try:
         with _staged(args.out) as (temp,), open(temp, "w", encoding="utf-8") as fh:
             for pair in read_jsonl(args.input):
-                ring = (pair.G or pair.F)[0].ring
+                ring = pair.ring
                 line = token_line(pair)
                 # cheap paranoia: the line must parse back to the input
                 left, right = (side.split(" ")[1:-1] for side in line.split("\t"))
@@ -264,7 +264,7 @@ def cmd_fglm(args) -> int:
             for pair in read_jsonl(args.input):
                 if not any(pair.G):
                     raise _Abort(f"sample {pair.index}: cannot convert an empty basis")
-                ring = pair.G[0].ring
+                ring = pair.ring
                 if ring.order.name() != args.src_order:
                     raise _Abort(f"sample {pair.index} is under {ring.order.name()}, not {args.src_order}")
                 target = order_by_name(args.to_order, ring.nvars)

@@ -153,6 +153,9 @@ class SamplePair:
     seed_used: int
     contains_zero: bool = False
     over_range: bool = False
+    # the ring of F and G, named by the config or the record header; it is
+    # the only one there is when both lists are empty
+    ring: PolyRing | None = dataclass_field(default=None, compare=False, repr=False)
     # outcome of the inline spot check: None when the coin flip skipped it,
     # else "ok" or "timeout" (a mismatch raises OracleMismatchError instead)
     spot_check: str | None = dataclass_field(default=None, compare=False)
@@ -232,6 +235,7 @@ def generate_sample(config: GenerationConfig, index: int) -> SamplePair:
         seed_used=seed,
         contains_zero=contains_zero,
         over_range=sample.over_range,
+        ring=G[0].ring,
     )
     if config.verify_fraction > 0 and rng.random() < config.verify_fraction:
         pair.spot_check = check_pair(pair, SPOT_CHECK_TIMEOUT)
@@ -482,8 +486,30 @@ def record_line(pair: SamplePair, config: GenerationConfig) -> str:
     return json.dumps(sample_to_record(pair, config))
 
 
-def sample_from_record(record: dict) -> SamplePair:
-    ring = ring_for(FieldSpec.from_dict(record["field"]), record["nvars"], record["order"])
+# the JSON type of each field a record must carry (a bool is no int here)
+_RECORD_TYPES = {"index": int, "field": dict, "nvars": int, "order": str, "s": int, "seed": int, "F": list, "G": list}
+
+
+def sample_from_record(record: dict, rings: dict | None = None) -> SamplePair:
+    """Decode one dataset record.
+
+    ``rings`` maps each header (field, nvars, order) decoded so far to its
+    ring, so that a reader passing the same dict builds each ring once.
+    """
+    if not isinstance(record, dict):
+        raise ValueError(f"record must be a JSON object, got {type(record).__name__}")
+    for key, kind in _RECORD_TYPES.items():
+        value = record[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {type(value).__name__}")
+    for key in ("F", "G"):
+        if not all(isinstance(text, str) for text in record[key]):
+            raise ValueError(f"{key!r} must list polynomials as strings")
+    rings = {} if rings is None else rings
+    header = (repr(record["field"]), record["nvars"], record["order"])
+    if header not in rings:
+        rings[header] = ring_for(FieldSpec.from_dict(record["field"]), record["nvars"], record["order"])
+    ring = rings[header]
     return SamplePair(
         index=record["index"],
         F=[ring.parse(text) for text in record["F"]],
@@ -492,6 +518,7 @@ def sample_from_record(record: dict) -> SamplePair:
         seed_used=record["seed"],
         contains_zero=record.get("contains_zero", False),
         over_range=record.get("over_range", False),
+        ring=ring,
     )
 
 
@@ -507,6 +534,7 @@ def write_jsonl(samples: Iterable[SamplePair], path, config: GenerationConfig) -
 
 def read_jsonl(path) -> Iterator[SamplePair]:
     """Lazily parse a dataset file, raising JsonlError with the line number."""
+    rings: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -516,7 +544,7 @@ def read_jsonl(path) -> Iterator[SamplePair]:
             except json.JSONDecodeError as exc:
                 raise JsonlError(path, line_no, f"bad JSON: {exc}") from None
             try:
-                yield sample_from_record(record)
+                yield sample_from_record(record, rings)
             except (KeyError, ValueError) as exc:
                 raise JsonlError(path, line_no, str(exc)) from None
 

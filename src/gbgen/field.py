@@ -67,7 +67,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.kind is FieldKind.PRIME:
-            if self.modulus is None or not is_prime(self.modulus):
+            if not isinstance(self.modulus, int) or not is_prime(self.modulus):
                 raise ValueError(f"modulus must be a prime, got {self.modulus!r}")
         else:
             if self.modulus is not None:

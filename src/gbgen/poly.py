@@ -408,108 +408,103 @@ def _divisor_form(d: Polynomial, mod) -> tuple:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|x(\d+)|(\^)|(\*)|(/)|(\+)|(-))")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ParseError(text, pos, f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        if m.group(1) is not None:
-            out.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            out.append(("var", int(m.group(2)), m.start(2)))
-        elif m.group(3):
-            out.append(("pow", None, m.start(3)))
-        elif m.group(4):
-            out.append(("mul", None, m.start(4)))
-        elif m.group(5):
-            out.append(("div", None, m.start(5)))
-        elif m.group(6):
-            out.append(("plus", None, m.start(6)))
-        else:
-            out.append(("minus", None, m.start(7)))
-        pos = m.end()
-    return out
+# One signed term of the renderer's grammar: a sign, then coefficient (n or
+# n/d) and variable (xi or xi^e) factors joined by '*', blanks free between
+# tokens.  A character no token can start with, or an 'x' without an index,
+# is out of the grammar wherever it stands.
+_FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|x\d+(?:\s*\^\s*\d+)?)"
+_TERM_RE = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
+_STRAY_RE = re.compile(r"[^\d\s^*/+\-x]|x(?!\d)")
 
 
 def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    """Parse the renderer's grammar: signed *-separated coefficient/monomial terms."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError(text, 0, "empty input")
-    field = ring.field
-    acc: dict[Term, Coeff] = {}
-    i = 0
-    n = len(tokens)
-    first = True
-    while i < n:
-        sign = 1
-        kind, _, pos = tokens[i]
-        if kind == "plus":
-            if first:
-                raise ParseError(text, pos, "leading '+' is not part of the grammar")
-            i += 1
-        elif kind == "minus":
-            sign = -1
-            i += 1
-        elif not first:
-            raise ParseError(text, pos, "expected '+' or '-' between terms")
-        first = False
-        if i >= n:
-            raise ParseError(text, len(text), "dangling sign")
+    """Parse the renderer's grammar: signed *-separated coefficient/monomial terms.
 
-        coeff = None
-        exps = [0] * ring.nvars
-        saw_factor = False
-        while True:
-            kind, val, pos = tokens[i]
-            if kind == "int":
-                num = val
-                den = 1
-                if i + 1 < n and tokens[i + 1][0] == "div":
-                    if field.modulus is not None:
-                        raise ParseError(text, tokens[i + 1][2], "fractions only make sense over the rationals")
-                    if i + 2 >= n or tokens[i + 2][0] != "int":
-                        raise ParseError(text, tokens[i + 1][2], "expected an integer denominator")
-                    den = tokens[i + 2][1]
-                    if den == 0:
-                        raise ParseError(text, tokens[i + 2][2], "zero denominator")
-                    i += 2
-                value = Fraction(num, den) if field.modulus is None else num
-                coeff = value if coeff is None else field.mul(field.canon(coeff), field.canon(value))
-                i += 1
-            elif kind == "var":
-                if val >= ring.nvars:
-                    raise ParseError(text, pos, f"variable x{val} out of range for {ring.nvars} variables")
-                e = 1
-                if i + 1 < n and tokens[i + 1][0] == "pow":
-                    if i + 2 >= n or tokens[i + 2][0] != "int":
-                        raise ParseError(text, tokens[i + 1][2], "expected an integer exponent after '^'")
-                    e = tokens[i + 2][1]
-                    i += 2
-                exps[val] += e
-                i += 1
-            else:
-                raise ParseError(text, pos, "expected a coefficient or variable")
-            saw_factor = True
-            if i < n and tokens[i][0] == "mul":
-                i += 1
-                if i >= n:
-                    raise ParseError(text, len(text), "dangling '*'")
+    One regex match per term; its factors are read with ``str.partition`` and
+    ``int``.  A ``ParseError`` names the first token the grammar rejects, and
+    a stray character anywhere in the text takes precedence over the rest.
+    """
+
+    def fail(pos: int, message: str):
+        stray = _STRAY_RE.search(text)
+        if stray:
+            at = stray.start()
+            pos, message = len(text[:at].rstrip()), f"unexpected character {text[at]!r}"
+        raise ParseError(text, pos, message)
+
+    def located(f: str, offset: int) -> int:
+        # text position of character ``offset`` of factor ``f`` of the blank-free
+        # body; an earlier factor equal to f would have failed first
+        parts = body.split("*")
+        k = parts.index(f)
+        j = sum(map(len, parts[:k])) + k + offset
+        return [at for at in range(m.start(2), m.end(2)) if not text[at].isspace()][j]
+
+    mod = ring.field.modulus
+    nvars = ring.nvars
+    acc: dict[Term, Coeff] = {}
+    pos, end = 0, len(text)
+    body = None
+    while True:
+        m = _TERM_RE.match(text, pos)
+        if m is not None:
+            sign, term = m.groups()
+        if m is None or (sign == "+" if body is None else not sign):
+            # no valid term starts here (a first term takes no '+', a later
+            # one needs a sign): the next token, read against the end of the
+            # previous body, names the error
+            rest = text[pos:].lstrip()
+            if not rest:
+                fail(0, "empty input")
+            at, c = end - len(rest), rest[0]
+            after = rest[1:].lstrip()
+            if c == "-" or c == "+" and body is not None:
+                fail(end - len(after), "expected a coefficient or variable" if after else "dangling sign")
+            if body is None:
+                fail(at, "leading '+' is not part of the grammar" if c == "+"
+                     else "expected a coefficient or variable")
+            if c == "*":
+                fail(end - len(after), "expected a coefficient or variable" if after else "dangling '*'")
+            # '/' after a bare integer or '^' after a bare variable lacks its operand
+            last = body.rpartition("*")[2]
+            if c == "/" and "x" not in last and "/" not in last:
+                fail(at, "expected an integer denominator" if mod is None
+                     else "fractions only make sense over the rationals")
+            if c == "^" and "x" in last and "^" not in last:
+                fail(at, "expected an integer exponent after '^'")
+            # a variable's error position is that of its index
+            fail(at + (c == "x"), "expected '+' or '-' between terms")
+        # blanks only separate tokens, and int() rejects some of them
+        body = "".join(term.split())
+        exps = [0] * nvars
+        num = den = 1
+        for f in body.split("*"):
+            if f[0] == "x":
+                var, _, e = f.partition("^")
+                i = int(var[1:])
+                if i >= nvars:
+                    fail(located(f, 1), f"variable x{i} out of range for {nvars} variables")
+                exps[i] += int(e) if e else 1
                 continue
-            break
-        if not saw_factor:
-            raise ParseError(text, len(text), "empty term")
-        c = field.canon(coeff if coeff is not None else 1)
-        if sign < 0:
-            c = field.neg(c)
+            n, slash, d = f.partition("/")
+            num *= int(n)
+            if slash:
+                if mod is not None:
+                    fail(located(f, len(n)), "fractions only make sense over the rationals")
+                q = int(d)
+                if not q:
+                    fail(located(f, len(n) + 1), "zero denominator")
+                den *= q
+        if sign == "-":
+            num = -num
         t = tuple(exps)
-        prev = acc.get(t)
-        acc[t] = c if prev is None else field.add(prev, c)
-    return Polynomial(ring, _canonical(ring, acc))
+        if mod is None:
+            c = Fraction(num, den)
+            prev = acc.get(t)
+            acc[t] = c if prev is None else prev + c
+        else:
+            prev = acc.get(t, 0)
+            acc[t] = (prev + num) % mod
+        pos = m.end()
+        if pos == end:
+            return Polynomial(ring, _canonical(ring, acc))

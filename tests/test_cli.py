@@ -269,6 +269,19 @@ def test_fglm_rejects_wrong_source_order(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
 
 
+def test_tokenize_record_with_empty_lists(tmp_path, capsys):
+    prefix = make_dataset(tmp_path, m="2")
+    lines = (tmp_path / "ds.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["F"] = record["G"] = []
+    lines[1] = json.dumps(record)
+    (tmp_path / "ds.jsonl").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "retok.txt"
+    assert run_cli("tokenize", "--input", f"{prefix}.jsonl", "--out", str(out)) == 0
+    assert "tokenized 2 samples" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1] == "BOS EOS\tBOS EOS"
+
+
 def test_fglm_rejects_empty_basis(tmp_path, capsys):
     prefix = make_dataset(tmp_path, m="3")
     lines = (tmp_path / "ds.jsonl").read_text().splitlines()

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from gbgen import field as field_module
 from gbgen import (
     GenerationConfig,
     JsonlError,
@@ -238,6 +239,39 @@ def test_jsonl_error_carries_line_number(tmp_path):
     with pytest.raises(JsonlError) as exc:
         list(read_jsonl(path))
     assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda record: [1, 2],
+        lambda record: {**record, "field": 7},
+        lambda record: {**record, "nvars": "2"},
+        lambda record: {**record, "F": [3]},
+        lambda record: {**record, "field": {"kind": "prime", "modulus": "7"}},
+    ],
+    ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus"],
+)
+def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle):
+    config = small_config(num_samples=2)
+    records = [sample_to_record(p, config) for p in generate_dataset(config)]
+    path = tmp_path / "typed.jsonl"
+    path.write_text(json.dumps(records[0]) + "\n" + json.dumps(mangle(records[1])) + "\n")
+    with pytest.raises(JsonlError) as exc:
+        list(read_jsonl(path))
+    assert exc.value.line_no == 2
+
+
+def test_read_jsonl_builds_each_ring_once(tmp_path, monkeypatch):
+    config = small_config(field=prime_field(31), num_samples=100)
+    path = tmp_path / "f31.jsonl"
+    write_jsonl(generate_dataset(config), path, config)
+    calls = []
+    real = field_module.is_prime
+    monkeypatch.setattr(field_module, "is_prime", lambda p: calls.append(p) or real(p))
+    pairs = list(read_jsonl(path))
+    assert len(pairs) == 100 and calls == [31]
+    assert all(pair.ring is pairs[0].ring == ring_for(prime_field(31), 2, "lex") for pair in pairs)
 
 
 def test_meta_sidecar_round_trips_config(tmp_path):

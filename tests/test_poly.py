@@ -1,13 +1,25 @@
 """Polynomial arithmetic, division, rendering and parsing."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbgen import ParseError, PolyRing, RATIONALS, grevlex, grlex, lex, normal_form, prime_field
+from gbgen import (
+    GenerationConfig,
+    ParseError,
+    PolyRing,
+    RATIONALS,
+    generate_dataset,
+    grevlex,
+    grlex,
+    lex,
+    normal_form,
+    prime_field,
+)
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
@@ -234,21 +246,189 @@ def test_render_examples():
     assert str(RQ.parse("x1^2")) == "x1^2"
 
 
+# -- parsing -----------------------------------------------------------------
+
+# The token-by-token lexer and walk that ``PolyRing.parse`` replaced, kept as
+# the reference for the grammar's language, values and error positions.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|x(\d+)|(\^)|(\*)|(/)|(\+)|(-))")
+
+
+def reference_tokenize(text):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip():
+                raise ParseError(text, pos, f"unexpected character {text[pos:].strip()[0]!r}")
+            break
+        if m.group(1) is not None:
+            out.append(("int", int(m.group(1)), m.start(1)))
+        elif m.group(2) is not None:
+            out.append(("var", int(m.group(2)), m.start(2)))
+        elif m.group(3):
+            out.append(("pow", None, m.start(3)))
+        elif m.group(4):
+            out.append(("mul", None, m.start(4)))
+        elif m.group(5):
+            out.append(("div", None, m.start(5)))
+        elif m.group(6):
+            out.append(("plus", None, m.start(6)))
+        else:
+            out.append(("minus", None, m.start(7)))
+        pos = m.end()
+    return out
+
+
+def reference_parse(ring, text):
+    tokens = reference_tokenize(text)
+    if not tokens:
+        raise ParseError(text, 0, "empty input")
+    field = ring.field
+    acc = {}
+    i = 0
+    n = len(tokens)
+    first = True
+    while i < n:
+        sign = 1
+        kind, _, pos = tokens[i]
+        if kind == "plus":
+            if first:
+                raise ParseError(text, pos, "leading '+' is not part of the grammar")
+            i += 1
+        elif kind == "minus":
+            sign = -1
+            i += 1
+        elif not first:
+            raise ParseError(text, pos, "expected '+' or '-' between terms")
+        first = False
+        if i >= n:
+            raise ParseError(text, len(text), "dangling sign")
+
+        coeff = None
+        exps = [0] * ring.nvars
+        while True:
+            kind, val, pos = tokens[i]
+            if kind == "int":
+                num = val
+                den = 1
+                if i + 1 < n and tokens[i + 1][0] == "div":
+                    if field.modulus is not None:
+                        raise ParseError(text, tokens[i + 1][2], "fractions only make sense over the rationals")
+                    if i + 2 >= n or tokens[i + 2][0] != "int":
+                        raise ParseError(text, tokens[i + 1][2], "expected an integer denominator")
+                    den = tokens[i + 2][1]
+                    if den == 0:
+                        raise ParseError(text, tokens[i + 2][2], "zero denominator")
+                    i += 2
+                value = Fraction(num, den) if field.modulus is None else num
+                coeff = value if coeff is None else field.mul(field.canon(coeff), field.canon(value))
+                i += 1
+            elif kind == "var":
+                if val >= ring.nvars:
+                    raise ParseError(text, pos, f"variable x{val} out of range for {ring.nvars} variables")
+                e = 1
+                if i + 1 < n and tokens[i + 1][0] == "pow":
+                    if i + 2 >= n or tokens[i + 2][0] != "int":
+                        raise ParseError(text, tokens[i + 1][2], "expected an integer exponent after '^'")
+                    e = tokens[i + 2][1]
+                    i += 2
+                exps[val] += e
+                i += 1
+            else:
+                raise ParseError(text, pos, "expected a coefficient or variable")
+            if i < n and tokens[i][0] == "mul":
+                i += 1
+                if i >= n:
+                    raise ParseError(text, len(text), "dangling '*'")
+                continue
+            break
+        c = field.canon(coeff if coeff is not None else 1)
+        if sign < 0:
+            c = field.neg(c)
+        t = tuple(exps)
+        prev = acc.get(t)
+        acc[t] = c if prev is None else field.add(prev, c)
+    return ring.from_terms(acc.items())
+
+
+def parse_outcome(parse, ring, text):
+    """The terms with their coefficient types, or the error's position and message."""
+    try:
+        f = parse(ring, text)
+    except ParseError as exc:
+        return "error", exc.pos, str(exc)
+    return "ok", tuple((t, type(c), c) for t, c in f.terms)
+
+
+def assert_parses_like_reference(ring, text):
+    assert parse_outcome(PolyRing.parse, ring, text) == parse_outcome(reference_parse, ring, text), text
+
+
+PARSE_ERRORS = [
+    (RQ, "", 0, "empty input"),
+    (RQ, "x0 + + x1", 5, "expected a coefficient or variable"),
+    (RQ, "x5", 1, "variable x5 out of range for 2 variables"),
+    (RQ, "x0 ^ y", 4, "unexpected character 'y'"),
+    (R7, "1/2*x0", 1, "fractions only make sense over the rationals"),
+    (RQ, "x0 +", 4, "dangling sign"),
+    (RQ, "2 ** x0", 3, "expected a coefficient or variable"),
+    (RQ, "+x0", 0, "leading '+' is not part of the grammar"),
+    (RQ, "x0 x1", 4, "expected '+' or '-' between terms"),
+    (RQ, "x0*", 3, "dangling '*'"),
+    (RQ, "1/0", 2, "zero denominator"),
+    (RQ, "1/x0", 1, "expected an integer denominator"),
+    (RQ, "x0^-1", 2, "expected an integer exponent after '^'"),
+    (RQ, "-", 1, "dangling sign"),
+    (RQ, "x0 + x1 $", 7, "unexpected character '$'"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        RQ.parse("")
-    with pytest.raises(ParseError):
-        RQ.parse("x0 + + x1")
-    with pytest.raises(ParseError):
-        RQ.parse("x5")  # out of range
-    with pytest.raises(ParseError):
-        RQ.parse("x0 ^ y")
-    with pytest.raises(ParseError):
-        R7.parse("1/2*x0")  # fractions only over the rationals
-    with pytest.raises(ParseError):
-        RQ.parse("x0 +")
-    with pytest.raises(ParseError):
-        RQ.parse("2 ** x0")
+    for ring, text, pos, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            ring.parse(text)
+        assert (exc.value.pos, str(exc.value)) == (pos, f"at position {pos} in {text!r}: {message}")
+        assert_parses_like_reference(ring, text)
+
+
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+@pytest.mark.parametrize(
+    "field, nvars", [(prime_field(7), 2), (prime_field(31), 4), (prime_field(7919), 3), (RATIONALS, 3)]
+)
+def test_parse_matches_reference_on_corpora(field, nvars, order):
+    config = GenerationConfig(field=field, nvars=nvars, num_samples=40, seed=17, order=order, verify_fraction=0.0)
+    for pair in generate_dataset(config):
+        for f in pair.F + pair.G:
+            assert_parses_like_reference(f.ring, str(f))
+
+
+PARSE_VARIANTS = [
+    "  x0 +x0", "x0\t-\nx0", " - 3 * x0 ^ 2 * x1 + 1 / 2 ", "x0*x0", "2*3*x0", "x0*2", "x0*2*x0^0*x1",
+    "3/6", "-4/8*x1 + 1/2*x1", "x0^00 + 007", "0", "0*x0 - 0", "x1^2*x0^3", "x0\u00a0+\u3000x1", "x\u0663",
+]
+
+
+@pytest.mark.parametrize("ring", [RQ, R7, RQ3, PolyRing(prime_field(31), 2, grevlex(2))], ids=str)
+def test_parse_matches_reference_on_variants(ring):
+    for text in PARSE_VARIANTS:
+        assert_parses_like_reference(ring, text)
+    assert RQ.parse(" - 3 * x0 ^ 2 * x1 + 1 / 2 ") == RQ.parse("-3*x0^2*x1 + 1/2")
+    assert RQ.parse("3/6") == RQ.parse("1/2")
+    assert R7.parse("2*3*x0 + x0*2") == R7.parse("x0")
+
+
+_PIECES = list("x0123456789^*/+- \t") + [
+    "x0", "x1", "x2", "x5", " + ", " - ", " * ", "3/6", "1/0", "^2", "^-1", "00", "x", "y", "$",
+    "\u00a0", "\x1c", "\u0663",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_parse_matches_reference_on_random_text(text):
+    for ring in (RQ, R7, RQ3):
+        assert_parses_like_reference(ring, text)
 
 
 def test_parse_accepts_merged_terms():
