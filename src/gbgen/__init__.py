@@ -11,7 +11,6 @@ from .field import (
     Coeff,
     FieldElement,
     FieldKind,
-    FieldMismatchError,
     FieldSpec,
     RATIONALS,
     prime_field,
@@ -33,8 +32,6 @@ from .groebner import (
     GroebnerStats,
     GroebnerTimeout,
     buchberger,
-    ideal_equal,
-    is_groebner,
     is_reduced_groebner,
     reduce_basis,
     s_polynomial,

@@ -20,11 +20,10 @@ count, then exponents, then coefficients.
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .field import FieldSpec
 from .poly import Polynomial, PolyRing
+from .shapegen import sample_nonzero_coeff
 
 __all__ = [
     "BackwardSpec",
@@ -116,18 +115,10 @@ def sample_entry(ring: PolyRing, spec: BackwardSpec, rng: random.Random) -> Poly
     """One nonzero matrix entry: bounded degree, 1..max_entry_terms terms."""
     count = rng.randint(1, spec.max_entry_terms)
     terms = rng.sample(_monomials_up_to(ring.nvars, spec.max_entry_degree), count)
-    pairs = []
-    for t in sorted(terms, reverse=True):
-        if ring.field.modulus is not None:
-            c = rng.randrange(1, ring.field.modulus)
-        else:
-            lo, hi = spec.num_range
-            num = 0
-            while num == 0:
-                num = rng.randint(lo, hi)
-            c = Fraction(num, rng.randint(*spec.den_range))
-        pairs.append((t, c))
-    return ring.from_terms(pairs)
+    return ring.from_terms(
+        (t, sample_nonzero_coeff(ring.field, spec.num_range, spec.den_range, rng))
+        for t in sorted(terms, reverse=True)
+    )
 
 
 def sample_unimodular_upper(ring: PolyRing, size: int, spec: BackwardSpec, rng: random.Random) -> PolyMatrix:

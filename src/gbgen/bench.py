@@ -8,7 +8,7 @@ floor on the true gap.  Timing loops are single-threaded on purpose.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .dataset import GenerationConfig, generate_sample
 from .groebner import GroebnerTimeout, buchberger
@@ -30,16 +30,7 @@ class BenchReport:
     speedup: float
 
     def to_dict(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "field": self.field,
-            "num_samples": self.num_samples,
-            "backward_seconds": self.backward_seconds,
-            "forward_seconds": self.forward_seconds,
-            "timeouts": self.timeouts,
-            "success_rate": self.success_rate,
-            "speedup": self.speedup,
-        }
+        return asdict(self)
 
     @staticmethod
     def table_header() -> str:

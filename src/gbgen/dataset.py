@@ -183,12 +183,13 @@ def check_pair(pair: SamplePair, timeout: float | None = None) -> str:
     """The oracle: complete F afresh and compare the result with G.
 
     Returns "ok" when the reduced basis of the nonzero members of F equals G
-    (sorted by the order key), "mismatch" when it differs or F has no nonzero
-    member, and "timeout" when the completion runs past ``timeout`` seconds.
-    Only F and G are consulted, never the transform that built F.
+    (sorted by the order key), "mismatch" when it differs, F has no nonzero
+    member or G has a zero one (a reduced basis never does), and "timeout"
+    when the completion runs past ``timeout`` seconds.  Only F and G are
+    consulted, never the transform that built F.
     """
     gens = [f for f in pair.F if f]
-    if not gens:
+    if not gens or not all(pair.G):
         return "mismatch"
     try:
         recovered = buchberger(gens, timeout=timeout, chain_criterion=True).basis

@@ -3,9 +3,10 @@
 Coefficients are stored as plain Python values: ``fractions.Fraction`` for the
 rationals (always in lowest terms with positive denominator, which Fraction
 guarantees by construction) and ``int`` residues in ``0..p-1`` for a prime
-field.  ``FieldSpec`` carries the arithmetic on those raw values; the
-``FieldElement`` wrapper pairs a value with its field and overloads the usual
-operators for code that wants scalars as objects.
+field.  ``FieldSpec`` carries the arithmetic on those raw values, and every
+polynomial, completion and conversion routine works on them directly.
+``FieldElement`` only tags a value with its field, for the coordinates of
+the points ``solve_shape`` returns; it has no arithmetic of its own.
 """
 
 import enum
@@ -18,10 +19,6 @@ Coeff = int | Fraction
 class FieldKind(enum.Enum):
     RATIONALS = "rationals"
     PRIME = "prime"
-
-
-class FieldMismatchError(ValueError):
-    """Raised when an operation mixes scalars from different fields."""
 
 
 # the first twelve primes: as Miller-Rabin bases they decide every n below
@@ -66,16 +63,14 @@ class FieldSpec:
     modulus: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, FieldKind):
+            raise ValueError(f"field kind must be a FieldKind, got {self.kind!r}")
         if self.kind is FieldKind.PRIME:
             if not isinstance(self.modulus, int) or not is_prime(self.modulus):
                 raise ValueError(f"modulus must be a prime, got {self.modulus!r}")
         else:
             if self.modulus is not None:
                 raise ValueError("the rationals take no modulus")
-
-    @property
-    def is_rationals(self) -> bool:
-        return self.kind is FieldKind.RATIONALS
 
     def zero(self) -> Coeff:
         return Fraction(0) if self.modulus is None else 0
@@ -116,9 +111,6 @@ class FieldSpec:
             return 1 / a
         return pow(a, -1, self.modulus)
 
-    def div(self, a: Coeff, b: Coeff) -> Coeff:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: Coeff, e: int) -> Coeff:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -146,9 +138,6 @@ class FieldSpec:
         sign, mag = self.sign_magnitude(a)
         return mag if sign > 0 else "-" + mag
 
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.canon(value))
-
     def to_dict(self) -> dict:
         if self.modulus is None:
             return {"kind": "rationals"}
@@ -156,9 +145,8 @@ class FieldSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "FieldSpec":
-        if d["kind"] == "rationals":
-            return RATIONALS
-        return FieldSpec(FieldKind.PRIME, d["modulus"])
+        kind = FieldKind(d["kind"])
+        return RATIONALS if kind is FieldKind.RATIONALS else FieldSpec(kind, d["modulus"])
 
     def __str__(self):
         return "QQ" if self.modulus is None else f"GF({self.modulus})"
@@ -171,96 +159,20 @@ def prime_field(p: int) -> FieldSpec:
     return FieldSpec(FieldKind.PRIME, p)
 
 
+@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """An exact scalar tagged with its field.
+    """A solution coordinate: a raw value tagged with its field.
 
-    Instances are treated as immutable.  Arithmetic between elements of
-    different fields raises FieldMismatchError; plain ints (and Fractions,
-    over the rationals) are coerced as a convenience.
+    ``solve_shape`` returns its points as tuples of these; ``value`` is the
+    raw residue (or Fraction), ``str`` prints it balanced, and an element is
+    truthy when nonzero.
     """
 
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: Coeff):
-        self.spec = spec
-        self.value = value
-
-    def _coerce(self, other) -> Coeff:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise FieldMismatchError(f"cannot combine {self.spec} with {other.spec}")
-            return other.value
-        if isinstance(other, int) or (self.spec.modulus is None and isinstance(other, Fraction)):
-            return self.spec.canon(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(v, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.value, e))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
+    spec: FieldSpec
+    value: Coeff
 
     def __bool__(self):
         return bool(self.value)
 
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            try:
-                return self.value == self.spec.canon(other)
-            except ValueError:
-                return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
-
     def __str__(self):
         return self.spec.render(self.value)
-
-    def __repr__(self):
-        return f"FieldElement({self.spec}, {self.value!r})"

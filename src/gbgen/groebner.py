@@ -11,7 +11,7 @@ by leading term, so two runs over the same ideal agree member for member.
 
 import heapq
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd
 
@@ -25,9 +25,7 @@ __all__ = [
     "s_polynomial",
     "buchberger",
     "reduce_basis",
-    "is_groebner",
     "is_reduced_groebner",
-    "ideal_equal",
 ]
 
 
@@ -40,13 +38,7 @@ class GroebnerStats:
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "pairs_processed": self.pairs_processed,
-            "zero_reductions": self.zero_reductions,
-            "pairs_skipped": self.pairs_skipped,
-            "basis_additions": self.basis_additions,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -77,6 +69,11 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     left = f.term_scaled(field.inv(cf), term_div(lcm, tf))
     right = g.term_scaled(field.inv(cg), term_div(lcm, tg))
     return left - right
+
+
+def _coprime(s, t) -> bool:
+    """Whether two monomials share no variable; then S(f, g) reduces to zero [Buchberger 1979]."""
+    return not any(a and b for a, b in zip(s, t))
 
 
 def _pair_key(order, basis, i, j):
@@ -134,8 +131,7 @@ def buchberger(polys, timeout: float | None = None, chain_criterion: bool = Fals
         fi, fj = basis[i], basis[j]
         ti, tj = fi.leading_monomial, fj.leading_monomial
         lcm = term_lcm(ti, tj)
-        if lcm == tuple(a + b for a, b in zip(ti, tj)):
-            # coprime leading terms: the S-polynomial always drops to zero
+        if _coprime(ti, tj):
             stats.pairs_skipped += 1
             done_pairs.add((i, j))
             continue
@@ -197,26 +193,13 @@ def reduce_basis(polys) -> list:
     return reduced
 
 
-def is_groebner(polys, timeout: float | None = None) -> bool:
-    """Buchberger's criterion: every S-polynomial reduces to zero."""
-    gens = [f for f in polys if f]
-    if not gens:
-        raise ValueError("need at least one nonzero polynomial")
-    start = time.perf_counter()
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if timeout is not None and time.perf_counter() - start > timeout:
-                raise GroebnerTimeout(timeout, GroebnerStats())
-            if normal_form(s_polynomial(gens[i], gens[j]), gens, top_only=True):
-                return False
-    return True
-
-
 def is_reduced_groebner(polys) -> bool:
     """True when ``polys`` is exactly a reduced Groebner basis.
 
     Requires: no zero member, every member monic, no term of one member
-    divisible by another member's leading term, and the Buchberger criterion.
+    divisible by another member's leading term, and Buchberger's criterion:
+    the S-polynomial of every pair whose heads share a variable reduces to
+    zero (a coprime pair's always does).
     """
     polys = list(polys)
     if not polys or any(not f for f in polys):
@@ -231,11 +214,10 @@ def is_reduced_groebner(polys) -> bool:
                 continue
             if any(term_divides(h, t) for t, _ in f.terms):
                 return False
-    return is_groebner(polys)
-
-
-def ideal_equal(F, G, timeout: float | None = None) -> bool:
-    """Whether two generating sets span the same ideal (via reduced bases)."""
-    bf = buchberger(F, timeout=timeout, chain_criterion=True).basis
-    bg = buchberger(G, timeout=timeout, chain_criterion=True).basis
-    return bf == bg
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if _coprime(heads[i], heads[j]):
+                continue
+            if normal_form(s_polynomial(polys[i], polys[j]), polys, top_only=True):
+                return False
+    return True

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .field import Coeff, FieldElement, FieldSpec
+from .field import Coeff, FieldSpec
 from .orders import Term, TermOrder, term_divides, term_div
 
 __all__ = [
@@ -59,7 +59,7 @@ class PolyRing:
         return Polynomial(self, ((exps, self.field.one()),))
 
     def monomial(self, coeff, term: Term) -> "Polynomial":
-        c = self.field.canon(coeff.value if isinstance(coeff, FieldElement) else coeff)
+        c = self.field.canon(coeff)
         if not c:
             return self.zero()
         if len(term) != self.nvars or any(e < 0 for e in term):
@@ -77,7 +77,7 @@ class PolyRing:
             term = tuple(term)
             if len(term) != self.nvars or any(e < 0 for e in term):
                 raise ValueError(f"bad exponent vector {term!r}")
-            c = field.canon(coeff.value if isinstance(coeff, FieldElement) else coeff)
+            c = field.canon(coeff)
             if term in acc:
                 c = field.add(acc[term], c)
             acc[term] = c
@@ -118,9 +118,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def leading_term(self) -> tuple[Term, Coeff]:
         """The (exponents, coefficient) pair largest under the ring order."""
@@ -143,13 +140,6 @@ class Polynomial:
 
     def num_terms(self) -> int:
         return len(self.terms)
-
-    def coefficient(self, term: Term) -> Coeff:
-        term = tuple(term)
-        for t, c in self.terms:
-            if t == term:
-                return c
-        return self.ring.field.zero()
 
     def variables_used(self) -> set[int]:
         used = set()
@@ -192,7 +182,7 @@ class Polynomial:
         return Polynomial(self.ring, tuple((t, neg(c)) for t, c in self.terms))
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -225,7 +215,7 @@ class Polynomial:
     def scaled(self, coeff) -> "Polynomial":
         """Multiply by a scalar."""
         field = self.ring.field
-        c = field.canon(coeff.value if isinstance(coeff, FieldElement) else coeff)
+        c = field.canon(coeff)
         if not c:
             return self.ring.zero()
         mul = field.mul
@@ -259,10 +249,10 @@ class Polynomial:
         ring = self.ring.with_order(order)
         return Polynomial(ring, _canonical(ring, dict(self.terms)))
 
-    def evaluate(self, point) -> FieldElement:
-        """Evaluate at a point given as a sequence of scalars."""
+    def evaluate(self, point) -> Coeff:
+        """The value at a point given as a sequence of raw scalars."""
         field = self.ring.field
-        values = [v.value if isinstance(v, FieldElement) else field.canon(v) for v in point]
+        values = list(point)
         if len(values) != self.ring.nvars:
             raise ValueError(f"expected {self.ring.nvars} coordinates, got {len(values)}")
         total = field.zero()
@@ -272,7 +262,7 @@ class Polynomial:
                 if e:
                     v = field.mul(v, field.pow(x, e))
             total = field.add(total, v)
-        return FieldElement(field, total)
+        return total
 
     # -- comparisons and hashing ----------------------------------------
 

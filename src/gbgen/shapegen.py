@@ -48,15 +48,14 @@ class ShapeBasisSpec:
         return PolyRing(self.field, self.nvars, lex(self.nvars))
 
 
-def sample_nonzero_coeff(spec: ShapeBasisSpec, rng: random.Random):
-    """One nonzero coefficient; zero draws are rejected and redrawn."""
-    if spec.field.modulus is not None:
-        return rng.randrange(1, spec.field.modulus)
-    lo, hi = spec.num_range
+def sample_nonzero_coeff(field: FieldSpec, num_range, den_range, rng: random.Random):
+    """One nonzero coefficient: a residue in 1..p-1, or num/den from the ranges with num != 0 redrawn."""
+    if field.modulus is not None:
+        return rng.randrange(1, field.modulus)
     num = 0
     while num == 0:
-        num = rng.randint(lo, hi)
-    return Fraction(num, rng.randint(*spec.den_range))
+        num = rng.randint(*num_range)
+    return Fraction(num, rng.randint(*den_range))
 
 
 def sample_univariate(spec: ShapeBasisSpec, max_degree: int, monic: bool, rng: random.Random) -> Polynomial:
@@ -85,7 +84,10 @@ def sample_univariate(spec: ShapeBasisSpec, max_degree: int, monic: bool, rng: r
         count = rng.randint(1, min(spec.max_terms, max_degree + 1))
         exponents = rng.sample(range(max_degree + 1), count)
         pairs = []
-    pairs.extend((term(e), sample_nonzero_coeff(spec, rng)) for e in sorted(exponents, reverse=True))
+    pairs.extend(
+        (term(e), sample_nonzero_coeff(spec.field, spec.num_range, spec.den_range, rng))
+        for e in sorted(exponents, reverse=True)
+    )
     return ring.from_terms(pairs)
 
 

@@ -187,13 +187,11 @@ def solve_shape(basis) -> SolutionSet:
     for root in univariate_roots_fp(univariate):
         coords = [field.zero()] * n
         coords[last] = root.value
-        base = [0] * n
-        base[last] = root.value
+        # each offset uses only the last variable
         for i in range(n - 1):
-            coords[i] = offsets[i].evaluate(base).value if offsets[i] else field.zero()
-        point = tuple(FieldElement(field, v) for v in coords)
+            coords[i] = offsets[i].evaluate(coords) if offsets[i] else field.zero()
         for g in members:
-            if g.evaluate([c.value for c in point]):
-                raise RuntimeError(f"internal error: candidate {point} fails {g}")
-        points.append(point)
+            if g.evaluate(coords):
+                raise RuntimeError(f"internal error: candidate {coords} fails {g}")
+        points.append(tuple(FieldElement(field, v) for v in coords))
     return SolutionSet(points=points, complete=True)

@@ -180,6 +180,24 @@ def test_verify_flags_doctored_sample(tmp_path, capsys):
         assert "7 ok, 1 failed" in out
 
 
+def test_verify_fails_on_zero_member_of_G(tmp_path, capsys):
+    # a reduced basis never holds 0, so the record fails instead of crashing
+    prefix = make_dataset(tmp_path)
+    path = tmp_path / "ds.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[3])
+    record["G"].append("0")
+    lines[3] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for jobs in ("1", "2"):
+        assert run_cli("verify", "--input", str(path), "--jobs", jobs) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL sample 3: completion of F does not give G",
+            "verified 8 samples: 7 ok, 1 failed",
+        ]
+
+
 def test_verify_timeouts_are_named_and_match_across_jobs(tmp_path, capsys):
     prefix = make_dataset(tmp_path, m="6")
     capsys.readouterr()

@@ -242,17 +242,18 @@ def test_jsonl_error_carries_line_number(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mangle",
+    "mangle, message",
     [
-        lambda record: [1, 2],
-        lambda record: {**record, "field": 7},
-        lambda record: {**record, "nvars": "2"},
-        lambda record: {**record, "F": [3]},
-        lambda record: {**record, "field": {"kind": "prime", "modulus": "7"}},
+        (lambda record: [1, 2], "record must be a JSON object, got list"),
+        (lambda record: {**record, "field": 7}, "'field' must be a JSON dict, got int"),
+        (lambda record: {**record, "nvars": "2"}, "'nvars' must be a JSON int, got str"),
+        (lambda record: {**record, "F": [3]}, "'F' must list polynomials as strings"),
+        (lambda record: {**record, "field": {"kind": "prime", "modulus": "7"}}, "modulus must be a prime, got '7'"),
+        (lambda record: {**record, "field": {"kind": "rational"}}, "'rational' is not a valid FieldKind"),
     ],
-    ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus"],
+    ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus", "bad-kind"],
 )
-def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle):
+def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle, message):
     config = small_config(num_samples=2)
     records = [sample_to_record(p, config) for p in generate_dataset(config)]
     path = tmp_path / "typed.jsonl"
@@ -260,6 +261,7 @@ def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle):
     with pytest.raises(JsonlError) as exc:
         list(read_jsonl(path))
     assert exc.value.line_no == 2
+    assert str(exc.value) == f"{path}:2: {message}"
 
 
 def test_read_jsonl_builds_each_ring_once(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gbgen import FieldElement, FieldMismatchError, FieldSpec, RATIONALS, prime_field
+from gbgen import FieldElement, FieldSpec, RATIONALS, prime_field
 from gbgen.field import is_prime
 
 F7 = prime_field(7)
@@ -113,27 +113,6 @@ def test_field_axioms_rationals(a, b, c):
         assert f.mul(a, f.inv(a)) == 1
 
 
-def test_element_operators():
-    x = F7.element(3)
-    y = F7.element(5)
-    assert (x + y).value == 1
-    assert (x - y).value == 5
-    assert (x * y).value == 1
-    assert (x / y).value == 3 * F7.inv(5) % 7
-    assert (-x).value == 4
-    assert (x**3).value == 6
-    assert x.inv().value == 5
-    assert x + 4 == 0
-    assert bool(x) and not bool(F7.element(0))
-
-
-def test_element_mismatch():
-    with pytest.raises(FieldMismatchError):
-        F7.element(1) + F31.element(1)
-    with pytest.raises(FieldMismatchError):
-        RATIONALS.element(1) * F7.element(1)
-
-
 def test_balanced_rendering():
     assert F7.render(4) == "-3"
     assert F7.render(3) == "3"
@@ -146,9 +125,21 @@ def test_balanced_rendering():
 
 
 def test_element_hash_and_eq():
-    seen = {F7.element(2), F7.element(9)}
-    assert len(seen) == 1
-    assert F7.element(2) != F31.element(2)
+    seen = {FieldElement(F7, 2), FieldElement(F7, 2), FieldElement(F7, 4)}
+    assert len(seen) == 2
+    assert FieldElement(F7, 2) != FieldElement(F31, 2)
+    assert FieldElement(F7, 4).value == 4 and str(FieldElement(F7, 4)) == "-3"
+    assert str(FieldElement(RATIONALS, Fraction(-1, 2))) == "-1/2"
+    assert FieldElement(F7, 4) and not FieldElement(F7, 0)
+
+
+def test_field_kind_is_validated():
+    # a kind that is not a FieldKind once passed for the rationals
+    with pytest.raises(ValueError, match="7"):
+        FieldSpec(7)
+    for bad in ("rational", 7, None):
+        with pytest.raises(ValueError, match=repr(bad)):
+            FieldSpec.from_dict({"kind": bad})
 
 
 def test_spec_serialization_round_trip():

@@ -8,10 +8,11 @@ from gbgen import (
     GroebnerTimeout,
     PolyRing,
     RATIONALS,
+    SamplePair,
     buchberger,
+    check_pair,
+    fglm,
     grevlex,
-    ideal_equal,
-    is_groebner,
     is_reduced_groebner,
     lex,
     prime_field,
@@ -25,6 +26,10 @@ RQ = PolyRing(RATIONALS, 2, lex(2))
 
 def canon(basis):
     return sorted(basis, key=lambda g: g.ring.order.key(g.leading_monomial))
+
+
+def as_pair(F, G):
+    return SamplePair(index=0, F=F, G=G, s=len(F), seed_used=0)
 
 
 def test_s_polynomial_hand_value():
@@ -74,22 +79,38 @@ def test_buchberger_textbook_lift():
     basis = buchberger(F).basis
     assert is_reduced_groebner(basis)
     # x1 elimination: x0*x1 - x0 and x1^2 - x1 style members must appear
-    assert ideal_equal(F, basis)
+    assert check_pair(as_pair(F, basis)) == "ok"
+    # completing a reduced basis gives it back
+    assert buchberger(basis).basis == basis
 
 
 def test_known_non_basis_detected():
     # common factor blocks the pair from reducing to zero
     F = [R7.parse("x0*x1 + x1"), R7.parse("x0*x1 + x1^2")]
-    assert not is_groebner(F)
     assert not is_reduced_groebner(F)
     basis = buchberger(F).basis
     assert is_reduced_groebner(basis)
 
 
-def test_is_groebner_on_known_pairs(known_pairs):
+def test_is_reduced_groebner_on_known_pairs(known_pairs):
     for pair_id, ring, F, G in known_pairs:
-        assert is_groebner(G), pair_id
-        assert not is_groebner(F), pair_id
+        assert is_reduced_groebner(G), pair_id
+        assert not is_reduced_groebner([f for f in F if f]), pair_id
+
+
+def test_is_reduced_rejects_interreduced_non_basis():
+    # monic, and no term of one member is divisible by the other's head, but
+    # the heads share x0 and the S-polynomial x0 - x1^2 does not reduce
+    G = [R7.parse("x0^2 - x1"), R7.parse("x0*x1 - 1")]
+    assert not is_reduced_groebner(G)
+
+
+def test_is_reduced_accepts_basis_with_overlapping_heads():
+    # a reduced grevlex basis whose heads share variables, so the criterion
+    # must reduce those S-polynomials rather than skip them as coprime
+    G = fglm([R7.parse("x0 + x1^2"), R7.parse("x1^3 + x1")], grevlex(2))
+    assert [str(g) for g in G] == ["x1^2 + x0", "x0*x1 - x1", "x0^2 - x0"]
+    assert is_reduced_groebner(G)
 
 
 def test_is_reduced_rejects_non_monic():
@@ -100,7 +121,7 @@ def test_is_reduced_rejects_non_monic():
 
 def test_is_reduced_rejects_redundant_member():
     G = [RQ.parse("x0"), RQ.parse("x1"), RQ.parse("x0 + x1")]
-    assert is_groebner(G)
+    assert is_reduced_groebner(G[:2])
     assert not is_reduced_groebner(G)
 
 
@@ -159,11 +180,11 @@ def test_timeout_raises_with_stats():
     assert exc.value.timeout == 0.0
 
 
-def test_ideal_equal_on_known_pairs(known_pairs):
+def test_check_pair_on_known_pairs(known_pairs):
     for pair_id, ring, F, G in known_pairs:
-        assert ideal_equal(F, G), pair_id
+        assert check_pair(as_pair(F, G)) == "ok", pair_id
     # and a negative case
-    assert not ideal_equal([R7.parse("x0")], [R7.parse("x1")])
+    assert check_pair(as_pair([R7.parse("x0")], [R7.parse("x1")])) == "mismatch"
 
 
 def test_grevlex_completion_matches_lex_ideal():
@@ -179,4 +200,4 @@ def test_grevlex_completion_matches_lex_ideal():
     probe = RQ.parse("x1^4 + x0^2 - 1") * RQ.parse("x0 + 3")
     member = RQ.parse("x0^2 + x1^2 - 1") * RQ.parse("x1 - 5")
     assert normal_form(member, lex_basis) == RQ.zero()
-    assert normal_form(member.resorted(grevlex(2)), grv_basis).is_zero()
+    assert not normal_form(member.resorted(grevlex(2)), grv_basis)
