@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, _sum_of_products
 from .shapegen import sample_nonzero_coeff
 
 __all__ = [
@@ -76,19 +76,21 @@ class PolyMatrix:
                     raise ValueError("entries must be polynomials over the matrix ring")
 
     def apply(self, polys) -> list:
-        """Matrix-vector product against a list of polynomials."""
+        """Matrix-vector product against a list of polynomials.
+
+        Each output row accumulates all of its entry-times-member products
+        into one dict and is sorted once.
+        """
         polys = list(polys)
         if len(polys) != self.cols:
             raise ValueError(f"expected {self.cols} polynomials, got {len(polys)}")
-        out = []
-        for i in range(self.rows):
-            acc = self.ring.zero()
-            for k, g in enumerate(polys):
-                e = self.entries[i][k]
-                if e and g:
-                    acc = acc + e * g
-            out.append(acc)
-        return out
+        ring = self.ring
+        if any(g.ring != ring for g in polys):
+            raise ValueError("polynomials must share the matrix ring")
+        return [
+            Polynomial(ring, _sum_of_products(ring, [(e.terms, g.terms) for e, g in zip(row, polys)]))
+            for row in self.entries
+        ]
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

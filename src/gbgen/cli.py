@@ -14,8 +14,9 @@ Subcommands:
 
 All sampling is deterministic given --seed; when the flag is omitted the
 GBGEN_SEED environment variable supplies the default (0 if unset).  Exit
-status is 0 on success, 1 when verification or solving finds a failure,
-2 on bad arguments (a GBGEN_SEED that is not an integer included).
+status is 0 on success, 1 when verification or solving finds a failure or
+an input file has a malformed line, 2 on bad arguments (a GBGEN_SEED that
+is not an integer included).
 """
 
 import argparse
@@ -32,7 +33,9 @@ from . import __version__
 
 from .bench import DEFAULT_TIMEOUT, BenchReport, run_bench
 from .dataset import (
+    SPOT_CHECK_TIMEOUT,
     GenerationConfig,
+    JsonlError,
     OracleMismatchError,
     check_pair,
     generate_sample,
@@ -319,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the completion oracle over a dataset")
     p.add_argument("--input", required=True, help="dataset .jsonl path")
-    p.add_argument("--timeout", type=float, default=None, help="per-sample seconds (default none)")
+    p.add_argument("--timeout", type=float, default=SPOT_CHECK_TIMEOUT,
+                   help=f"per-sample seconds for the oracle (default {SPOT_CHECK_TIMEOUT:g}; inf for no cap)")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
@@ -362,7 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except JsonlError as exc:
+        print(f"gbgen: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

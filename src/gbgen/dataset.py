@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .backward import BackwardSpec, backward_transform
@@ -19,7 +20,7 @@ from .field import FieldSpec
 from .fglm import fglm
 from .groebner import GroebnerTimeout, buchberger
 from .orders import OrderKind, TermOrder, order_by_name
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, _MONOMIAL_CACHE_SIZE
 from .shapegen import ShapeBasisSpec, sample_shape_basis
 
 __all__ = [
@@ -335,6 +336,16 @@ class TokenError(ValueError):
         self.pos = pos
 
 
+@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
+def _monomial_tokens(term: tuple) -> tuple[str, ...]:
+    """The '^ xi Ei' triples of a monomial; empty for the constant one."""
+    out = []
+    for i, e in enumerate(term):
+        if e:
+            out.extend(("^", f"x{i}", f"E{e}"))
+    return tuple(out)
+
+
 def _poly_tokens(f: Polynomial) -> list[str]:
     if not f:
         return ["C0"]
@@ -350,9 +361,7 @@ def _poly_tokens(f: Polynomial) -> list[str]:
             out.append("+")
             out.append("*")
             out.append(f"C{coeff}")
-        for i, e in enumerate(term):
-            if e:
-                out.extend(("^", f"x{i}", f"E{e}"))
+        out.extend(_monomial_tokens(term))
     return out
 
 
@@ -500,6 +509,8 @@ def sample_from_record(record: dict, rings: dict | None = None) -> SamplePair:
     if not isinstance(record, dict):
         raise ValueError(f"record must be a JSON object, got {type(record).__name__}")
     for key, kind in _RECORD_TYPES.items():
+        if key not in record:
+            raise ValueError(f"missing key {key!r}")
         value = record[key]
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {type(value).__name__}")
@@ -546,7 +557,7 @@ def read_jsonl(path) -> Iterator[SamplePair]:
                 raise JsonlError(path, line_no, f"bad JSON: {exc}") from None
             try:
                 yield sample_from_record(record, rings)
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise JsonlError(path, line_no, str(exc)) from None
 
 

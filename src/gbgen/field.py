@@ -145,8 +145,14 @@ class FieldSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "FieldSpec":
+        if "kind" not in d:
+            raise ValueError("field is missing key 'kind'")
         kind = FieldKind(d["kind"])
-        return RATIONALS if kind is FieldKind.RATIONALS else FieldSpec(kind, d["modulus"])
+        if kind is FieldKind.RATIONALS:
+            return RATIONALS
+        if "modulus" not in d:
+            raise ValueError("field is missing key 'modulus'")
+        return FieldSpec(kind, d["modulus"])
 
     def __str__(self):
         return "QQ" if self.modulus is None else f"GF({self.modulus})"

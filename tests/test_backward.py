@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbgen import (
     BackwardSpec,
@@ -15,6 +16,7 @@ from gbgen import (
     ShapeBasisSpec,
     backward_transform,
     buchberger,
+    grevlex,
     lex,
     prime_field,
     sample_entry,
@@ -143,6 +145,40 @@ def test_fast_path_matches_full_matrix_product():
         full = matmul(matmul(u1, P), stack_u2(ring, u2, s)).apply(G)
         assert sample.F == full
         assert is_left_invertible_form(s, len(G), P, u1, stack_u2(ring, u2, s))
+
+
+def reference_apply(matrix, polys):
+    """The matrix-vector product as a sum of entry * member through Polynomial.__add__."""
+    out = []
+    for row in matrix.entries:
+        acc = matrix.ring.zero()
+        for e, g in zip(row, polys):
+            acc = acc + e * g
+        out.append(acc)
+    return out
+
+
+@st.composite
+def matrix_and_vector(draw):
+    field = draw(st.sampled_from([F7, prime_field(31), RATIONALS]))
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(field, nvars, draw(st.sampled_from([lex, grevlex]))(nvars))
+    if field.modulus is None:
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    else:
+        coeff = st.integers(0, field.modulus - 1)
+    term = st.tuples(*[st.integers(0, 4)] * nvars)
+    poly = st.one_of(st.just(ring.zero()), st.lists(st.tuples(term, coeff), max_size=5).map(ring.from_terms))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    matrix = PolyMatrix(ring, [[draw(poly) for _ in range(cols)] for _ in range(rows)])
+    return matrix, [draw(poly) for _ in range(cols)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_and_vector())
+def test_apply_matches_reference(case):
+    matrix, vector = case
+    assert matrix.apply(vector) == reference_apply(matrix, vector)
 
 
 def test_row_count_bounds_and_coverage():
@@ -317,6 +353,8 @@ def test_matrix_primitives():
         matmul(a, c)  # 2x3 times 2x2
     with pytest.raises(ValueError):
         p.apply(v[:2])
+    with pytest.raises(ValueError):
+        p.apply([f.resorted(grevlex(2)) for f in v])  # ring mismatch
 
 
 def test_transform_input_validation():

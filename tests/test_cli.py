@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gbgen import GenerationConfig, JsonlError, backward_transform, dataset, read_jsonl
+from gbgen import GenerationConfig, backward_transform, dataset, read_jsonl
 from gbgen import cli
 from gbgen.cli import main, parse_field
 
@@ -213,15 +213,32 @@ def test_verify_timeouts_are_named_and_match_across_jobs(tmp_path, capsys):
     ]
 
 
-def test_verify_jobs_reports_malformed_line(tmp_path):
+def test_verify_jobs_reports_malformed_line(tmp_path, capsys):
     prefix = make_dataset(tmp_path)
     path = tmp_path / "ds.jsonl"
     lines = path.read_text().splitlines()
     lines[5] = lines[5][:-1]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(JsonlError) as exc:
-        run_cli("verify", "--input", str(path), "--jobs", "2")
-    assert exc.value.line_no == 6
+    capsys.readouterr()
+    assert run_cli("verify", "--input", str(path), "--jobs", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gbgen: {path}:6: bad JSON: ") and err.count("\n") == 1
+
+
+def test_verify_caps_the_oracle_by_default(tmp_path, monkeypatch, capsys):
+    prefix = make_dataset(tmp_path, m="3")
+    seen = []
+
+    def recording_check(pair, timeout=None):
+        seen.append(timeout)
+        return "ok"
+
+    monkeypatch.setattr(cli, "check_pair", recording_check)
+    assert run_cli("verify", "--input", f"{prefix}.jsonl") == 0
+    assert seen == [dataset.SPOT_CHECK_TIMEOUT] * 3 and dataset.SPOT_CHECK_TIMEOUT == 5.0
+    seen.clear()
+    assert run_cli("verify", "--input", f"{prefix}.jsonl", "--timeout", "inf") == 0
+    assert seen == [float("inf")] * 3
 
 
 def test_profile_formats(tmp_path, capsys):
@@ -252,9 +269,11 @@ def test_failed_tokenize_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert run_cli("tokenize", "--input", f"{prefix}.jsonl", "--out", str(out_path)) == 1
     assert "FAIL sample 0: tokens do not round-trip" in capsys.readouterr().err
     monkeypatch.undo()
-    (tmp_path / "bad.jsonl").write_text((tmp_path / "ds.jsonl").read_text() + "{\n")
-    with pytest.raises(JsonlError):
-        run_cli("tokenize", "--input", str(tmp_path / "bad.jsonl"), "--out", str(out_path))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text((tmp_path / "ds.jsonl").read_text() + "{\n")
+    assert run_cli("tokenize", "--input", str(bad), "--out", str(out_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gbgen: {bad}:9: bad JSON: ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
 
 

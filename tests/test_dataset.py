@@ -1,11 +1,15 @@
 """Dataset pipeline: seeding, statistics, token and JSONL round-trips."""
 
+import hashlib
 import itertools
 import json
+import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
+from gbgen import dataset, poly
 from gbgen import field as field_module
 from gbgen import (
     GenerationConfig,
@@ -19,6 +23,7 @@ from gbgen import (
     generate_dataset,
     generate_sample,
     grevlex,
+    grlex,
     is_reduced_groebner,
     lex,
     parse_prefix_tokens,
@@ -163,6 +168,106 @@ def test_token_round_trip_random():
             assert parse_prefix_tokens(to_prefix_tokens(pair.G), ring) == pair.G
 
 
+# The renderers as they were before their monomial parts were cached: the
+# reference the cached ones must match.
+
+
+def reference_str(f):
+    if not f.terms:
+        return "0"
+    chunks = []
+    for idx, (term, coeff) in enumerate(f.terms):
+        sign, mag = f.ring.field.sign_magnitude(coeff)
+        mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(term) if e)
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+        if idx == 0:
+            chunks.append(body if sign > 0 else "-" + body)
+        else:
+            chunks.append((" + " if sign > 0 else " - ") + body)
+    return "".join(chunks)
+
+
+def reference_tokens(polys):
+    out = []
+    for idx, f in enumerate(polys):
+        if idx:
+            out.append("SEP")
+        if not f:
+            out.append("C0")
+        for term, coeff in f.terms:
+            if f.ring.field.modulus is None:
+                out += ["+" if coeff > 0 else "-", "*", f"N{abs(coeff.numerator)}", f"D{coeff.denominator}"]
+            else:
+                out += ["+", "*", f"C{coeff}"]
+            for i, e in enumerate(term):
+                if e:
+                    out += ["^", f"x{i}", f"E{e}"]
+    return out
+
+
+def test_rendering_matches_uncached_reference():
+    rng = random.Random(29)
+    for field, nvars, order in itertools.product((F7, prime_field(31), RATIONALS), range(1, 6), (lex, grlex, grevlex)):
+        ring = PolyRing(field, nvars, order(nvars))
+        polys = []
+        for _ in range(12):
+            pairs = [((0,) * nvars, rng.randint(1, 30))]
+            for _ in range(rng.randint(0, 6)):
+                term = tuple(rng.randint(0, 40) for _ in range(nvars))
+                pairs.append((term, Fraction(rng.randint(-40, 40), rng.randint(1, 9)) if field.modulus is None
+                              else rng.randint(0, field.modulus - 1)))
+            polys.append(ring.from_terms(pairs))
+        for f in polys:
+            assert str(f) == reference_str(f)
+        assert to_prefix_tokens(polys) == reference_tokens(polys)
+
+
+def test_rendering_caches_stay_bounded():
+    caches = (poly._monomial_text, dataset._monomial_tokens)
+    for cache in caches:
+        cache.cache_clear()
+    ring = PolyRing(F7, 2, lex(2))
+    side = 130  # 130^2 distinct monomials, more than either cache keeps
+    assert side * side > max(cache.cache_info().maxsize for cache in caches)
+    for i in range(side):
+        f = ring.from_terms(((i, j), 1 + j % 6) for j in range(side))
+        assert str(f) == reference_str(f)
+        assert to_prefix_tokens([f]) == reference_tokens([f])
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize
+
+
+# sha256 of generate_dataset's .jsonl and .tokens.txt bytes: the determinism
+# contract pinned to the bytes themselves, not to two runs agreeing
+GOLDEN_DIGESTS = [
+    ("f7", 3, "lex", 11,
+     "1b5ab9f2fcafdbf77a11b936afbdb0107d5d0a9415eac438cb6f5f346c8fbfee",
+     "132bbf87996fefa4e78d316651db22050c097561cc87532e7670fc8d267bbab7"),
+    ("f31", 3, "grevlex", 12,
+     "2a35544682f80781d99b61c1c56e5379e3307aa37b805222107c7b5b9b59cac0",
+     "6167b0d6d10552256cc5cc47168e4bfff282dce9acbaada93a6705c7b8cf8322"),
+    ("q", 2, "lex", 13,
+     "f4326b1003e8256a2c65017b0345390bcfab81339ba278b4c9698e979957a513",
+     "d0d34d8d5e00398ad41c659c490e688b2f7c65e05f8b704f42a27a48da6922fb"),
+    ("f7", 5, "lex", 14,
+     "9ee6244822559df3f99c73c61248340da0635f5e31286cbfebe0799c7a9ba58a",
+     "ff8c646b81597d9981428ce3dbad94348489459507fb19b79bf9b76c2d1b1e7e"),
+]
+
+
+@pytest.mark.parametrize("field, nvars, order, seed, jsonl_sha, tokens_sha", GOLDEN_DIGESTS,
+                         ids=[f"{f}-n{n}-{o}" for f, n, o, *_ in GOLDEN_DIGESTS])
+def test_dataset_bytes_are_pinned(field, nvars, order, seed, jsonl_sha, tokens_sha):
+    field = RATIONALS if field == "q" else prime_field(int(field[1:]))
+    config = GenerationConfig(field=field, nvars=nvars, num_samples=50, order=order, seed=seed, verify_fraction=0.0)
+    records, tokens = hashlib.sha256(), hashlib.sha256()
+    for pair in generate_dataset(config):
+        records.update((dataset.record_line(pair, config) + "\n").encode())
+        tokens.update((dataset.token_line(pair) + "\n").encode())
+    assert (records.hexdigest(), tokens.hexdigest()) == (jsonl_sha, tokens_sha)
+
+
 def test_token_parse_empty_and_errors():
     ring = PolyRing(F7, 2, lex(2))
     assert parse_prefix_tokens([], ring) == []
@@ -250,8 +355,12 @@ def test_jsonl_error_carries_line_number(tmp_path):
         (lambda record: {**record, "F": [3]}, "'F' must list polynomials as strings"),
         (lambda record: {**record, "field": {"kind": "prime", "modulus": "7"}}, "modulus must be a prime, got '7'"),
         (lambda record: {**record, "field": {"kind": "rational"}}, "'rational' is not a valid FieldKind"),
+        (lambda record: {k: v for k, v in record.items() if k != "seed"}, "missing key 'seed'"),
+        (lambda record: {**record, "field": {"modulus": 7}}, "field is missing key 'kind'"),
+        (lambda record: {**record, "field": {"kind": "prime"}}, "field is missing key 'modulus'"),
     ],
-    ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus", "bad-kind"],
+    ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus", "bad-kind",
+         "no-seed", "no-kind", "no-modulus"],
 )
 def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle, message):
     config = small_config(num_samples=2)
