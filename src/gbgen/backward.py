@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import Polynomial, PolyRing, _sum_of_products
+from .poly import Polynomial, PolyRing, _combination
 from .shapegen import sample_nonzero_coeff
 
 __all__ = [
@@ -52,6 +52,8 @@ class BackwardSpec:
     def __post_init__(self):
         if self.s_max < 1:
             raise ValueError("s_max must be at least 1")
+        if self.max_entry_degree < 0:
+            raise ValueError("max_entry_degree must be non-negative")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError("density must lie in [0, 1]")
         if self.max_entry_terms < 1:
@@ -88,7 +90,7 @@ class PolyMatrix:
         if any(g.ring != ring for g in polys):
             raise ValueError("polynomials must share the matrix ring")
         return [
-            Polynomial(ring, _sum_of_products(ring, [(e.terms, g.terms) for e, g in zip(row, polys)]))
+            Polynomial(ring, _combination(ring, [(c, t, g.terms) for e, g in zip(row, polys) for t, c in e.terms]))
             for row in self.entries
         ]
 

@@ -16,7 +16,8 @@ All sampling is deterministic given --seed; when the flag is omitted the
 GBGEN_SEED environment variable supplies the default (0 if unset).  Exit
 status is 0 on success, 1 when verification or solving finds a failure or
 an input file has a malformed line, 2 on bad arguments (a GBGEN_SEED that
-is not an integer included).
+is not an integer, and generation values that cannot work together, such
+as --s-max below --n, included).
 """
 
 import argparse
@@ -73,6 +74,18 @@ def _seed(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer (--seed and GBGEN_SEED take integers)") from None
+
+
+def _timeout(text: str) -> float:
+    """Seconds for the completion oracle: a number >= 0, or inf for no cap."""
+    try:
+        value = float(text)
+        ok = value >= 0  # false for nan
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number of seconds >= 0 (or inf)")
+    return value
 
 
 def _generator_stamp() -> dict:
@@ -167,8 +180,17 @@ def _render_sample(config: GenerationConfig, index: int):
     return index, pair.seed_used, pair.spot_check, record_line(pair, config), token_line(pair)
 
 
+def _bad_values(args, exc: ValueError) -> int:
+    """Report values argparse accepted but the command cannot use, as argparse would; exit 2."""
+    print(f"gbgen {args.command}: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_generate(args) -> int:
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        return _bad_values(args, exc)
     jsonl_path = f"{args.out}.jsonl"
     rendered = _ordered_map(partial(_render_sample, config), range(config.num_samples), args.jobs, chunksize=32)
     try:
@@ -220,17 +242,15 @@ def cmd_profile(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    reports = []
-    for n in args.n:
-        config = GenerationConfig(
-            field=args.field,
-            nvars=n,
-            num_samples=args.m,
-            s_max=args.s_max,
-            density=args.sigma,
-            seed=args.seed,
-        )
-        reports.append(run_bench(config, timeout=args.timeout))
+    try:
+        configs = [
+            GenerationConfig(field=args.field, nvars=n, num_samples=args.m, s_max=args.s_max, density=args.sigma,
+                             seed=args.seed)
+            for n in args.n
+        ]
+    except ValueError as exc:
+        return _bad_values(args, exc)
+    reports = [run_bench(config, timeout=args.timeout) for config in configs]
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -322,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the completion oracle over a dataset")
     p.add_argument("--input", required=True, help="dataset .jsonl path")
-    p.add_argument("--timeout", type=float, default=SPOT_CHECK_TIMEOUT,
+    p.add_argument("--timeout", type=_timeout, default=SPOT_CHECK_TIMEOUT,
                    help=f"per-sample seconds for the oracle (default {SPOT_CHECK_TIMEOUT:g}; inf for no cap)")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
@@ -341,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, default=None)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=_seed, default=os.environ.get("GBGEN_SEED", "0"))
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=_timeout, default=DEFAULT_TIMEOUT)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(fn=cmd_bench)
 

@@ -83,6 +83,11 @@ class GenerationConfig:
         if not 0.0 <= self.verify_fraction <= 1.0:
             raise ValueError("verify_fraction must lie in [0, 1]")
         OrderKind(self.order)  # validates the name early
+        # the samplers' own checks, run once here rather than at the first sample
+        self.shape_spec()
+        self.backward_spec()
+        if self.effective_s_max < self.nvars:
+            raise ValueError(f"s_max {self.effective_s_max} below the basis size {self.nvars}")
 
     @property
     def effective_s_max(self) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .orders import term_div, term_divides, term_lcm, total_degree
-from .poly import Polynomial, _cleared, normal_form
+from .poly import Polynomial, _cleared, _combination, normal_form
 
 __all__ = [
     "GroebnerStats",
@@ -62,13 +62,16 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("S-polynomials need nonzero inputs")
     if f.ring != g.ring:
         raise ValueError("ring mismatch")
-    field = f.ring.field
+    ring = f.ring
     tf, cf = f.leading_term
     tg, cg = g.leading_term
     lcm = term_lcm(tf, tg)
-    left = f.term_scaled(field.inv(cf), term_div(lcm, tf))
-    right = g.term_scaled(field.inv(cg), term_div(lcm, tg))
-    return left - right
+    # the two heads cancel by construction, so only the tails are combined
+    parts = [
+        (ring.field.inv(cf), term_div(lcm, tf), f.terms[1:]),
+        (-ring.field.inv(cg), term_div(lcm, tg), g.terms[1:]),
+    ]
+    return Polynomial(ring, _combination(ring, parts))
 
 
 def _coprime(s, t) -> bool:

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 Term = tuple[int, ...]
 
 
-def term_mul(a: Term, b: Term) -> Term:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def term_div(a: Term, b: Term) -> Term:
     """Componentwise difference a - b; caller guarantees divisibility."""
     return tuple(x - y for x, y in zip(a, b))

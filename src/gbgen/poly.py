@@ -73,17 +73,14 @@ class PolyRing:
 
         Repeated terms are accumulated; zero coefficients drop out.
         """
-        acc: dict[Term, Coeff] = {}
-        field = self.field
-        for term, coeff in dict(pairs).items() if isinstance(pairs, dict) else pairs:
+        canon = self.field.canon
+        checked = []
+        for term, coeff in pairs.items() if isinstance(pairs, dict) else pairs:
             term = tuple(term)
             if len(term) != self.nvars or any(e < 0 for e in term):
                 raise ValueError(f"bad exponent vector {term!r}")
-            c = field.canon(coeff)
-            if term in acc:
-                c = field.add(acc[term], c)
-            acc[term] = c
-        return Polynomial(self, _canonical(self, acc))
+            checked.append((term, canon(coeff)))
+        return Polynomial(self, _combination(self, [(1, None, checked)]))
 
     def with_order(self, order: TermOrder) -> "PolyRing":
         return PolyRing(self.field, self.nvars, order)
@@ -95,9 +92,8 @@ class PolyRing:
         return f"{self.field}[{', '.join(f'x{i}' for i in range(self.nvars))}]/{self.order.name()}"
 
 
-def _canonical(ring: PolyRing, acc: dict) -> tuple:
-    """Sort a term->coeff dict descending and drop zeros."""
-    items = [(t, c) for t, c in acc.items() if c]
+def _descending(ring: PolyRing, items: list) -> tuple:
+    """Sort nonzero (term, coeff) pairs descending under the ring order."""
     if ring.order.kind.value == "lex":
         items.sort(reverse=True)
     else:
@@ -106,23 +102,32 @@ def _canonical(ring: PolyRing, acc: dict) -> tuple:
     return tuple(items)
 
 
-def _sum_of_products(ring: PolyRing, pairs) -> tuple:
-    """Canonical terms of the sum of a*b over (a terms, b terms) pairs.
+def _combination(ring: PolyRing, parts) -> tuple:
+    """Canonical terms of the sum of c * x^s * p over (c, s, p terms) parts.
 
-    Every product lands in one term->coefficient dict; over GF(p) each sum is
-    reduced once at the end, over Q the Fractions are exact throughout.
+    ``s`` is an exponent vector, or None for no shift.  Every contribution
+    lands in one term->coefficient dict; over GF(p) each sum is reduced once
+    at the end, over Q the Fractions are exact throughout.
     """
     acc: dict[Term, Coeff] = {}
     get = acc.get
-    for a, b in pairs:
-        for ta, ca in a:
-            for tb, cb in b:
-                t = tuple(map(add, ta, tb))
-                acc[t] = get(t, 0) + ca * cb
+    for c, s, terms in parts:
+        if s is None:
+            # over Q `1 * x` and `0 + x` each cost a Fraction operation: a unit
+            # part skips the product, and a new term is stored as it is
+            if c != 1:
+                terms = [(t, c * x) for t, x in terms]
+            for t, x in terms:
+                prev = get(t)
+                acc[t] = x if prev is None else prev + x
+        else:
+            for t, x in terms:
+                t = tuple(map(add, t, s))
+                acc[t] = get(t, 0) + c * x
     mod = ring.field.modulus
-    if mod is not None:
-        acc = {t: c % mod for t, c in acc.items()}
-    return _canonical(ring, acc)
+    if mod is None:
+        return _descending(ring, [(t, x) for t, x in acc.items() if x])
+    return _descending(ring, [(t, r) for t, x in acc.items() if (r := x % mod)])
 
 
 # Distinct monomials each rendering cache keeps.  A dataset only meets the
@@ -192,27 +197,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        field = self.ring.field
-        acc = dict(self.terms)
-        for t, c in other.terms:
-            prev = acc.get(t)
-            acc[t] = c if prev is None else field.add(prev, c)
-        return Polynomial(self.ring, _canonical(self.ring, acc))
+        return Polynomial(self.ring, _combination(self.ring, [(1, None, self.terms), (1, None, other.terms)]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        field = self.ring.field
-        acc = dict(self.terms)
-        for t, c in other.terms:
-            prev = acc.get(t)
-            acc[t] = field.neg(c) if prev is None else field.sub(prev, c)
-        return Polynomial(self.ring, _canonical(self.ring, acc))
+        return Polynomial(self.ring, _combination(self.ring, [(1, None, self.terms), (-1, None, other.terms)]))
 
     def __neg__(self) -> "Polynomial":
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, tuple((t, neg(c)) for t, c in self.terms))
+        return self.scaled(-1)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -220,7 +214,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        return Polynomial(self.ring, _sum_of_products(self.ring, [(self.terms, other.terms)]))
+        return Polynomial(self.ring, _combination(self.ring, [(c, t, other.terms) for t, c in self.terms]))
 
     __rmul__ = __mul__
 
@@ -241,21 +235,6 @@ class Polynomial:
         mul = field.mul
         return Polynomial(self.ring, tuple((t, mul(x, c)) for t, x in self.terms))
 
-    def term_scaled(self, coeff: Coeff, term: Term) -> "Polynomial":
-        """Multiply by coeff * x^term.  Order-preserving, so no re-sort."""
-        if not coeff:
-            return self.ring.zero()
-        mod = self.ring.field.modulus
-        if mod is None:
-            return Polynomial(
-                self.ring,
-                tuple((tuple(x + y for x, y in zip(t, term)), c * coeff) for t, c in self.terms),
-            )
-        return Polynomial(
-            self.ring,
-            tuple((tuple(x + y for x, y in zip(t, term)), (c * coeff) % mod) for t, c in self.terms),
-        )
-
     def monic(self) -> "Polynomial":
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
@@ -267,7 +246,7 @@ class Polynomial:
     def resorted(self, order: TermOrder) -> "Polynomial":
         """The same polynomial viewed in the ring with ``order``."""
         ring = self.ring.with_order(order)
-        return Polynomial(ring, _canonical(ring, dict(self.terms)))
+        return Polynomial(ring, _descending(ring, list(self.terms)))
 
     def evaluate(self, point) -> Coeff:
         """The value at a point given as a sequence of raw scalars."""
@@ -382,7 +361,7 @@ def normal_form(f: Polynomial, divisors, *, top_only: bool = False) -> Polynomia
             a, b = 1, c * lead % mod
         shift = term_div(t, h)
         for gt, gc in tail:
-            k = tuple(x + y for x, y in zip(gt, shift))
+            k = tuple(map(add, gt, shift))
             v = work.get(k, 0) - b * gc
             if mod is not None:
                 v %= mod
@@ -397,7 +376,7 @@ def normal_form(f: Polynomial, divisors, *, top_only: bool = False) -> Polynomia
                 scale /= content
     if mod is None:
         work = {t: v / scale for t, v in work.items()}
-    return Polynomial(ring, tuple(remainder) + _canonical(ring, work))
+    return Polynomial(ring, tuple(remainder) + _descending(ring, [(t, v) for t, v in work.items() if v]))
 
 
 def _cleared(terms) -> tuple[int, list]:
@@ -450,7 +429,7 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 
     mod = ring.field.modulus
     nvars = ring.nvars
-    acc: dict[Term, Coeff] = {}
+    terms: list[tuple[Term, Coeff]] = []
     pos, end = 0, len(text)
     body = None
     while True:
@@ -505,14 +484,7 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 den *= q
         if sign == "-":
             num = -num
-        t = tuple(exps)
-        if mod is None:
-            c = Fraction(num, den)
-            prev = acc.get(t)
-            acc[t] = c if prev is None else prev + c
-        else:
-            prev = acc.get(t, 0)
-            acc[t] = (prev + num) % mod
+        terms.append((tuple(exps), num if mod is not None else Fraction(num, den)))
         pos = m.end()
         if pos == end:
-            return Polynomial(ring, _canonical(ring, acc))
+            return Polynomial(ring, _combination(ring, [(1, None, terms)]))

@@ -367,3 +367,5 @@ def test_transform_input_validation():
         backward_transform([], BackwardSpec(s_max=3), rng)
     with pytest.raises(ValueError):
         BackwardSpec(s_max=3, density=1.5)
+    with pytest.raises(ValueError):
+        BackwardSpec(s_max=3, max_entry_degree=-1)

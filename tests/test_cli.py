@@ -90,6 +90,39 @@ def test_malformed_env_seed_is_rejected(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "env.jsonl").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--s-max", "2", "s_max 2 below the basis size 3"),
+    ("--d", "0", "max_degree"),
+    ("--sigma", "1.5", "density"),
+    ("--m", "-1", "num_samples"),
+    ("--verify-fraction", "2", "verify_fraction"),
+    ("--n", "0", "variable"),
+    ("--d-prime", "-1", "max_entry_degree"),
+])
+def test_generate_rejects_bad_values(tmp_path, capsys, flag, value, message):
+    argv = {"--n": "3", "--field": "f7", "--m": "2", "--out": str(tmp_path / "bad"), flag: value}
+    assert run_cli("generate", *(x for pair in argv.items() for x in pair)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gbgen generate: error: ") and message in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_rejects_bad_values(capsys):
+    assert run_cli("bench", "--n", "3,2", "--field", "f7", "--m", "1", "--s-max", "2") == 2
+    assert capsys.readouterr() == ("", "gbgen bench: error: s_max 2 below the basis size 3\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_timeout_rejects_nonsense(tmp_path, capsys, command, value):
+    argv = {"verify": ["--input", str(tmp_path / "none.jsonl")],
+            "bench": ["--n", "2", "--field", "f7", "--m", "1"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *argv, "--timeout", value)
+    assert exc.value.code == 2
+    assert f"argument --timeout: {value!r}" in capsys.readouterr().err
+
+
 def test_generate_parallel_matches_serial(tmp_path):
     make_dataset(tmp_path, name="serial", m="12")
     make_dataset(tmp_path, name="parallel", m="12", extra=("--jobs", "2"))

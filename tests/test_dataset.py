@@ -131,6 +131,10 @@ def test_config_round_trip_and_validation():
         small_config(verify_fraction=1.5)
     with pytest.raises(ValueError):
         small_config(order="degrevlex")
+    # the samplers' checks run when the config is built, not at the first sample
+    for bad in ({"s_max": 1}, {"max_degree": 0}, {"density": 1.5}, {"max_entry_degree": -1}, {"num_samples": -1}):
+        with pytest.raises(ValueError):
+            small_config(**bad)
 
 
 # -- prefix tokens -----------------------------------------------------------

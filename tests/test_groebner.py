@@ -13,12 +13,14 @@ from gbgen import (
     check_pair,
     fglm,
     grevlex,
+    grlex,
     is_reduced_groebner,
     lex,
     prime_field,
     reduce_basis,
     s_polynomial,
 )
+from gbgen.orders import term_div, term_lcm
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
@@ -37,19 +39,30 @@ def test_s_polynomial_hand_value():
     assert s == R7.parse("-3*x1^4")
 
 
-def test_s_polynomial_cancels_heads():
+def test_s_polynomial_cancels_heads(assert_canonical):
     rng = random.Random(3)
-    for _ in range(100):
-        f = RQ.from_terms([((rng.randint(0, 4), rng.randint(0, 4)), rng.randint(1, 5)) for _ in range(3)])
-        g = RQ.from_terms([((rng.randint(0, 4), rng.randint(0, 4)), rng.randint(1, 5)) for _ in range(3)])
-        if not f or not g:
-            continue
-        s = s_polynomial(f, g)
-        from gbgen.orders import term_lcm
-
-        lcm = term_lcm(f.leading_monomial, g.leading_monomial)
-        if s:
-            assert RQ.order.compare(s.leading_monomial, lcm) == -1
+    for field in (prime_field(7), prime_field(31), RATIONALS):
+        for order in (lex, grlex, grevlex):
+            ring = PolyRing(field, 3, order(3))
+            checked = 0
+            for _ in range(60):
+                f, g = (
+                    ring.from_terms([(tuple(rng.randint(0, 4) for _ in range(3)), rng.randint(1, 5)) for _ in range(4)])
+                    for _ in range(2)
+                )
+                if not f or not g:
+                    continue
+                s = s_polynomial(f, g)
+                assert_canonical(s)
+                # test-local reference: (1/lc f) x^(L - lt f) f - (1/lc g) x^(L - lt g) g
+                lcm = term_lcm(f.leading_monomial, g.leading_monomial)
+                left = ring.monomial(field.inv(f.leading_coefficient), term_div(lcm, f.leading_monomial)) * f
+                right = ring.monomial(field.inv(g.leading_coefficient), term_div(lcm, g.leading_monomial)) * g
+                assert s == left - right, (field, order)
+                if s:
+                    assert ring.order.compare(s.leading_monomial, lcm) == -1
+                checked += 1
+            assert checked > 50, (field, order)
 
 
 def test_s_polynomial_rejects_zero():

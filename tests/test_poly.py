@@ -24,6 +24,13 @@ from gbgen import (
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
 RQ3 = PolyRing(RATIONALS, 3, lex(3))
+# every field and order the arithmetic kernel distinguishes
+MIXED_RINGS = (
+    R7, RQ, RQ3,
+    PolyRing(prime_field(31), 3, grlex(3)),
+    PolyRing(prime_field(7), 3, grevlex(3)),
+    PolyRing(RATIONALS, 3, grevlex(3)),
+)
 
 
 def random_poly(ring, rng, max_terms=6, max_exp=4):
@@ -49,11 +56,16 @@ def naive_mul(ring, f, g):
     return ring.from_terms({t: c % ring.field.modulus for t, c in acc.items()})
 
 
-def test_canonical_form():
+def test_canonical_form(assert_canonical):
     f = R7.from_terms([((0, 1), 3), ((1, 0), 2), ((0, 1), 4)])
     # x1 terms merge to 0 and vanish
     assert f.terms == (((1, 0), 2),)
     assert not R7.from_terms([((2, 2), 7)])  # coefficient 0 mod 7
+    # repeated terms and zero coefficients, in any order, under every ring
+    rng = random.Random(10)
+    for ring in MIXED_RINGS:
+        for _ in range(100):
+            assert_canonical(random_poly(ring, rng, max_terms=12, max_exp=2))
 
 
 def test_terms_sorted_descending():
@@ -80,22 +92,26 @@ def test_zero_has_no_leading_term():
         R7.zero().total_degree()
 
 
-def test_add_sub_neg():
+def test_add_sub_neg(assert_canonical):
     rng = random.Random(11)
-    for ring in (R7, RQ):
+    for ring in MIXED_RINGS:
         for _ in range(200):
             f, g = random_poly(ring, rng), random_poly(ring, rng)
+            for h in (f + g, f - g, -f):
+                assert_canonical(h)
             assert f + g == g + f
             assert (f + g) - g == f
+            assert f - g == f + (-g)
             assert f + (-f) == ring.zero()
             assert f - f == ring.zero()
 
 
-def test_mul_against_naive_convolution():
+def test_mul_against_naive_convolution(assert_canonical):
     rng = random.Random(12)
-    for ring in (R7, RQ, RQ3):
+    for ring in MIXED_RINGS:
         for _ in range(150):
             f, g = random_poly(ring, rng), random_poly(ring, rng)
+            assert_canonical(f * g)
             assert f * g == naive_mul(ring, f, g)
 
 
