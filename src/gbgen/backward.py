@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import Polynomial, PolyRing, _combination
+from .poly import Polynomial, PolyRing, _combination, _descending
 from .shapegen import sample_nonzero_coeff
 
 __all__ = [
@@ -116,13 +116,19 @@ def _monomials_up_to(nvars: int, max_degree: int) -> tuple:
 
 
 def sample_entry(ring: PolyRing, spec: BackwardSpec, rng: random.Random) -> Polynomial:
-    """One nonzero matrix entry: bounded degree, 1..max_entry_terms terms."""
+    """One nonzero matrix entry: bounded degree, 1..max_entry_terms terms.
+
+    The draws are canonical as they stand (distinct monomials, nonzero
+    coefficients in range, descending lex order), so the entry is built
+    without ``from_terms``; ``_descending`` re-sorts for a non-lex ring.
+    """
     count = rng.randint(1, spec.max_entry_terms)
     terms = rng.sample(_monomials_up_to(ring.nvars, spec.max_entry_degree), count)
-    return ring.from_terms(
+    pairs = [
         (t, sample_nonzero_coeff(ring.field, spec.num_range, spec.den_range, rng))
         for t in sorted(terms, reverse=True)
-    )
+    ]
+    return Polynomial(ring, _descending(ring, pairs))
 
 
 def sample_unimodular_upper(ring: PolyRing, size: int, spec: BackwardSpec, rng: random.Random) -> PolyMatrix:

@@ -28,7 +28,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 
@@ -88,8 +88,13 @@ def _timeout(text: str) -> float:
     return value
 
 
+@cache
 def _generator_stamp() -> dict:
-    """Version record for the meta sidecar; adds the git revision when available."""
+    """Version record for the meta sidecar; adds the git revision when available.
+
+    Computed once per process, as loaded code keeps its revision; callers
+    pass on a copy, so the cached record stays as it is.
+    """
     stamp = {"generator": f"gbgen {__version__}"}
     try:
         proc = subprocess.run(
@@ -180,9 +185,19 @@ def _render_sample(config: GenerationConfig, index: int):
     return index, pair.seed_used, pair.spot_check, record_line(pair, config), token_line(pair)
 
 
+# The flag that sets each config field.  A config value error opens with the
+# field's name, and the report names the flag the user typed instead.
+_FLAG_OF_FIELD = {"nvars": "--n", "num_samples": "--m", "max_degree": "--d", "max_entry_degree": "--d-prime",
+                  "s_max": "--s-max", "density": "--sigma", "verify_fraction": "--verify-fraction"}
+
+
 def _bad_values(args, exc: ValueError) -> int:
     """Report values argparse accepted but the command cannot use, as argparse would; exit 2."""
-    print(f"gbgen {args.command}: error: {exc}", file=sys.stderr)
+    message = str(exc)
+    name, _, rest = message.partition(" ")
+    if name in _FLAG_OF_FIELD:
+        message = f"{_FLAG_OF_FIELD[name]} {rest}"
+    print(f"gbgen {args.command}: error: {message}", file=sys.stderr)
     return 2
 
 
@@ -205,7 +220,7 @@ def cmd_generate(args) -> int:
                               file=sys.stderr)
                     records.write(record + "\n")
                     tokens.write(token + "\n")
-            write_meta(meta_temp, config, extra=_generator_stamp())
+            write_meta(meta_temp, config, extra=dict(_generator_stamp()))
     except OracleMismatchError as exc:
         print(f"generation aborted: {exc}", file=sys.stderr)
         return 1

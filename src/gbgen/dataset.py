@@ -77,37 +77,25 @@ class GenerationConfig:
 
     def __post_init__(self):
         if self.nvars < 1:
-            raise ValueError("need at least one variable")
+            raise ValueError("nvars must be at least 1")
         if self.num_samples < 0:
             raise ValueError("num_samples must be non-negative")
         if not 0.0 <= self.verify_fraction <= 1.0:
             raise ValueError("verify_fraction must lie in [0, 1]")
-        OrderKind(self.order)  # validates the name early
-        # the samplers' own checks, run once here rather than at the first sample
-        self.shape_spec()
-        self.backward_spec()
-        if self.effective_s_max < self.nvars:
-            raise ValueError(f"s_max {self.effective_s_max} below the basis size {self.nvars}")
-
-    @property
-    def effective_s_max(self) -> int:
-        return self.nvars + 2 if self.s_max is None else self.s_max
-
-    def target_order(self) -> TermOrder:
-        return order_by_name(self.order, self.nvars)
-
-    def shape_spec(self) -> ShapeBasisSpec:
-        return ShapeBasisSpec(
+        # The target order and the samplers' specs are built once, here, which
+        # also runs their checks before the first sample.  They are plain
+        # attributes, not fields, so that equality, hashing, repr and to_dict
+        # see only the knobs.
+        object.__setattr__(self, "_target_order", order_by_name(self.order, self.nvars))
+        object.__setattr__(self, "_shape_spec", ShapeBasisSpec(
             field=self.field,
             nvars=self.nvars,
             max_degree=self.max_degree,
             max_terms=self.uni_max_terms,
             num_range=self.num_range,
             den_range=self.den_range,
-        )
-
-    def backward_spec(self) -> BackwardSpec:
-        return BackwardSpec(
+        ))
+        object.__setattr__(self, "_backward_spec", BackwardSpec(
             s_max=self.effective_s_max,
             max_entry_degree=self.max_entry_degree,
             density=self.density,
@@ -116,7 +104,22 @@ class GenerationConfig:
             den_range=self.den_range,
             coeff_limit=self.coeff_limit,
             max_retries=self.max_retries,
-        )
+        ))
+        if self.effective_s_max < self.nvars:
+            raise ValueError(f"s_max {self.effective_s_max} below the basis size {self.nvars}")
+
+    @property
+    def effective_s_max(self) -> int:
+        return self.nvars + 2 if self.s_max is None else self.s_max
+
+    def target_order(self) -> TermOrder:
+        return self._target_order
+
+    def shape_spec(self) -> ShapeBasisSpec:
+        return self._shape_spec
+
+    def backward_spec(self) -> BackwardSpec:
+        return self._backward_spec
 
     def to_dict(self) -> dict:
         return {

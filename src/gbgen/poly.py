@@ -112,9 +112,15 @@ def _combination(ring: PolyRing, parts) -> tuple:
     acc: dict[Term, Coeff] = {}
     get = acc.get
     for c, s, terms in parts:
+        # over Q `1 * x`, `-1 * x` and `0 + x` each cost a Fraction operation:
+        # a unit part skips the product, a negated one subtracts, and a new
+        # term is stored as it is (or negated, or scaled)
         if s is None:
-            # over Q `1 * x` and `0 + x` each cost a Fraction operation: a unit
-            # part skips the product, and a new term is stored as it is
+            if c == -1:
+                for t, x in terms:
+                    prev = get(t)
+                    acc[t] = -x if prev is None else prev - x
+                continue
             if c != 1:
                 terms = [(t, c * x) for t, x in terms]
             for t, x in terms:
@@ -123,7 +129,8 @@ def _combination(ring: PolyRing, parts) -> tuple:
         else:
             for t, x in terms:
                 t = tuple(map(add, t, s))
-                acc[t] = get(t, 0) + c * x
+                prev = get(t)
+                acc[t] = c * x if prev is None else prev + c * x
     mod = ring.field.modulus
     if mod is None:
         return _descending(ring, [(t, x) for t, x in acc.items() if x])

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .field import FieldSpec
 from .orders import lex
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, _descending
 
 __all__ = ["ShapeBasisSpec", "sample_nonzero_coeff", "sample_univariate", "sample_shape_basis"]
 
@@ -43,9 +43,12 @@ class ShapeBasisSpec:
             raise ValueError("max_degree must be at least 1")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
+        # one ring for every draw, kept out of the fields so that equality,
+        # hashing and repr see only the knobs
+        object.__setattr__(self, "_ring", PolyRing(self.field, self.nvars, lex(self.nvars)))
 
     def ring(self) -> PolyRing:
-        return PolyRing(self.field, self.nvars, lex(self.nvars))
+        return self._ring
 
 
 def sample_nonzero_coeff(field: FieldSpec, num_range, den_range, rng: random.Random):
@@ -64,17 +67,19 @@ def sample_univariate(spec: ShapeBasisSpec, max_degree: int, monic: bool, rng: r
     The term count is uniform on [1, min(max_terms, max_degree + 1)] and the
     realized count always equals the drawn one.  With ``monic`` the exponent
     max_degree is always present with coefficient 1 (so the degree is exactly
-    max_degree) and the remaining terms sit strictly below it.
+    max_degree) and the remaining terms sit strictly below it.  The draws are
+    canonical as they stand (distinct exponents, nonzero coefficients in
+    range), so the polynomial is built from them without ``from_terms``.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if monic and max_degree < 1:
         raise ValueError("a monic draw here means non-constant, so max_degree >= 1")
     ring = spec.ring()
-    last = spec.nvars - 1
+    zeros = (0,) * (spec.nvars - 1)
 
     def term(e: int):
-        return tuple(e if i == last else 0 for i in range(spec.nvars))
+        return zeros + (e,)
 
     if monic:
         count = rng.randint(1, min(spec.max_terms, max_degree + 1))
@@ -88,7 +93,7 @@ def sample_univariate(spec: ShapeBasisSpec, max_degree: int, monic: bool, rng: r
         (term(e), sample_nonzero_coeff(spec.field, spec.num_range, spec.den_range, rng))
         for e in sorted(exponents, reverse=True)
     )
-    return ring.from_terms(pairs)
+    return Polynomial(ring, _descending(ring, pairs))
 
 
 def sample_shape_basis(spec: ShapeBasisSpec, rng: random.Random) -> list:

@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from gbgen import (
     backward_transform,
     buchberger,
     grevlex,
+    grlex,
     lex,
     prime_field,
     sample_entry,
@@ -259,6 +261,25 @@ def test_entry_sampler_bounds():
         assert 1 <= e.num_terms() <= 2
         for _, c in e.terms:
             assert isinstance(c, Fraction) and c != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([F7, prime_field(31), RATIONALS]),
+    st.sampled_from([lex, grlex, grevlex]),
+    st.integers(1, 4),
+    st.integers(0, 4),
+    st.integers(1, 5),
+    st.integers(0, 2**32),
+)
+def test_sampled_entries_are_canonical(assert_canonical, field, order, nvars, degree, max_terms, seed):
+    # the sampler builds its polynomial without from_terms' checks
+    ring = PolyRing(field, nvars, order(nvars))
+    max_terms = min(max_terms, comb(nvars + degree, nvars))  # no more terms than monomials
+    spec = BackwardSpec(s_max=2, max_entry_degree=degree, max_entry_terms=max_terms)
+    rng = random.Random(seed)
+    for _ in range(20):
+        assert_canonical(sample_entry(ring, spec, rng))
 
 
 def test_rational_rejection_flags_and_retries():

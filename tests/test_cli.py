@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import gbgen
 from gbgen import GenerationConfig, backward_transform, dataset, read_jsonl
 from gbgen import cli
 from gbgen.cli import main, parse_field
@@ -90,26 +91,53 @@ def test_malformed_env_seed_is_rejected(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "env.jsonl").exists()
 
 
+# explicit ids keep each case's name stable when its message changes
 @pytest.mark.parametrize("flag, value, message", [
-    ("--s-max", "2", "s_max 2 below the basis size 3"),
-    ("--d", "0", "max_degree"),
-    ("--sigma", "1.5", "density"),
-    ("--m", "-1", "num_samples"),
-    ("--verify-fraction", "2", "verify_fraction"),
-    ("--n", "0", "variable"),
-    ("--d-prime", "-1", "max_entry_degree"),
+    pytest.param("--s-max", "2", "--s-max 2 below the basis size 3", id="--s-max-2-s_max 2 below the basis size 3"),
+    pytest.param("--s-max", "0", "--s-max must be at least 1", id="--s-max-0-s_max"),
+    pytest.param("--d", "0", "--d must be at least 1", id="--d-0-max_degree"),
+    pytest.param("--sigma", "1.5", "--sigma must lie in [0, 1]", id="--sigma-1.5-density"),
+    pytest.param("--m", "-1", "--m must be non-negative", id="--m--1-num_samples"),
+    pytest.param("--verify-fraction", "2", "--verify-fraction must lie in [0, 1]",
+                 id="--verify-fraction-2-verify_fraction"),
+    pytest.param("--n", "0", "--n must be at least 1", id="--n-0-variable"),
+    pytest.param("--d-prime", "-1", "--d-prime must be non-negative", id="--d-prime--1-max_entry_degree"),
 ])
 def test_generate_rejects_bad_values(tmp_path, capsys, flag, value, message):
     argv = {"--n": "3", "--field": "f7", "--m": "2", "--out": str(tmp_path / "bad"), flag: value}
     assert run_cli("generate", *(x for pair in argv.items() for x in pair)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("gbgen generate: error: ") and message in err and err.count("\n") == 1
+    assert capsys.readouterr() == ("", f"gbgen generate: error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_rejects_bad_values(capsys):
     assert run_cli("bench", "--n", "3,2", "--field", "f7", "--m", "1", "--s-max", "2") == 2
-    assert capsys.readouterr() == ("", "gbgen bench: error: s_max 2 below the basis size 3\n")
+    assert capsys.readouterr() == ("", "gbgen bench: error: --s-max 2 below the basis size 3\n")
+
+
+def test_generator_stamp_runs_git_once_per_process(tmp_path, monkeypatch):
+    git_calls = []
+    real_run, real_write_meta = subprocess.run, cli.write_meta
+
+    def counting_run(cmd, *args, **kwargs):
+        git_calls.append(cmd)
+        return real_run(cmd, *args, **kwargs)
+
+    def mutating_write_meta(path, config, extra=None):
+        real_write_meta(path, config, extra)
+        extra["generator"] = "mutated after writing"
+
+    monkeypatch.setattr(cli.subprocess, "run", counting_run)
+    monkeypatch.setattr(cli, "write_meta", mutating_write_meta)
+    cli._generator_stamp.cache_clear()
+    metas = []
+    for name in ("first", "second"):
+        make_dataset(tmp_path, name=name, m="2")
+        metas.append(json.loads((tmp_path / f"{name}.meta.json").read_text()))
+    assert len(git_calls) == 1 and git_calls[0][0] == "git"
+    first, second = metas
+    assert first["generator"] == second["generator"] == f"gbgen {gbgen.__version__}"
+    assert first.get("generator_revision") == second.get("generator_revision")
 
 
 @pytest.mark.parametrize("command", ["verify", "bench"])

@@ -137,6 +137,24 @@ def test_config_round_trip_and_validation():
             small_config(**bad)
 
 
+def test_config_builds_its_specs_and_ring_once(tmp_path):
+    config = small_config(nvars=3, num_samples=2)
+    assert config.shape_spec() is config.shape_spec()
+    assert config.backward_spec() is config.backward_spec()
+    assert config.target_order() is config.target_order()
+    ring = config.shape_spec().ring()
+    assert ring is config.shape_spec().ring()
+    pair = generate_sample(config, 0)
+    assert pair.ring is ring and all(p.ring is ring for p in pair.F + pair.G)
+    # the built objects are no part of the config's value
+    twin = GenerationConfig.from_dict(config.to_dict())
+    assert twin.shape_spec() is not config.shape_spec()
+    assert twin == config and hash(twin) == hash(config) and repr(twin) == repr(config)
+    assert twin.shape_spec() == config.shape_spec() and hash(twin.shape_spec()) == hash(config.shape_spec())
+    write_meta(tmp_path / "meta.json", config)
+    assert json.loads((tmp_path / "meta.json").read_text()) == {"config": config.to_dict()}
+
+
 # -- prefix tokens -----------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbgen import (
     RATIONALS,
@@ -87,6 +88,25 @@ def test_rational_coefficients_within_ranges():
                 assert c != 0
                 assert abs(c.numerator) <= 5  # reduction never grows the numerator
                 assert 1 <= c.denominator <= 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([prime_field(7), prime_field(31), RATIONALS]),
+    st.integers(1, 4),
+    st.integers(0, 6),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_sampled_polynomials_are_canonical(assert_canonical, field, nvars, degree, max_terms, monic, seed):
+    # the samplers build their polynomials without from_terms' checks
+    spec = ShapeBasisSpec(field=field, nvars=nvars, max_degree=max(degree, 1), max_terms=max_terms)
+    rng = random.Random(seed)
+    for _ in range(10):
+        assert_canonical(sample_univariate(spec, max(degree, 1) if monic else degree, monic, rng))
+        for g in sample_shape_basis(spec, rng):
+            assert_canonical(g)
 
 
 def test_seeded_determinism():
