@@ -74,7 +74,7 @@ class PolyMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
             for p in row:
-                if not isinstance(p, Polynomial) or p.ring != ring:
+                if not isinstance(p, Polynomial) or p.ring is not ring and p.ring != ring:
                     raise ValueError("entries must be polynomials over the matrix ring")
 
     def apply(self, polys) -> list:
@@ -87,7 +87,7 @@ class PolyMatrix:
         if len(polys) != self.cols:
             raise ValueError(f"expected {self.cols} polynomials, got {len(polys)}")
         ring = self.ring
-        if any(g.ring != ring for g in polys):
+        if any(g.ring is not ring and g.ring != ring for g in polys):
             raise ValueError("polynomials must share the matrix ring")
         return [
             Polynomial(ring, _combination(ring, [(c, t, g.terms) for e, g in zip(row, polys) for t, c in e.terms]))

@@ -20,7 +20,7 @@ from .field import FieldSpec
 from .fglm import fglm
 from .groebner import GroebnerTimeout, buchberger
 from .orders import OrderKind, TermOrder, order_by_name
-from .poly import Polynomial, PolyRing, _MONOMIAL_CACHE_SIZE
+from .poly import Polynomial, PolyRing, _MONOMIAL_CACHE_SIZE, _combination
 from .shapegen import ShapeBasisSpec, sample_shape_basis
 
 __all__ = [
@@ -391,7 +391,12 @@ def to_prefix_tokens(polys) -> list[str]:
 
 
 def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
-    """Invert :func:`to_prefix_tokens` over the given ring."""
+    """Invert :func:`to_prefix_tokens` over the given ring.
+
+    The token loop checks each variable index, exponent and residue, so the
+    terms go to the combination kernel as they are: it merges repeated
+    monomials, drops vanishing sums and sorts into ring order.
+    """
     tokens = list(tokens)
     if not tokens:
         return []
@@ -402,7 +407,7 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
     n = len(tokens)
 
     def flush():
-        polys.append(ring.from_terms(pending))
+        polys.append(Polynomial(ring, _combination(ring, [(1, None, pending)])))
         pending.clear()
 
     while pos < n:
@@ -506,6 +511,8 @@ def record_line(pair: SamplePair, config: GenerationConfig) -> str:
 
 # the JSON type of each field a record must carry (a bool is no int here)
 _RECORD_TYPES = {"index": int, "field": dict, "nvars": int, "order": str, "s": int, "seed": int, "F": list, "G": list}
+# the flags a record may carry; an absent one is false
+_RECORD_FLAGS = ("contains_zero", "over_range")
 
 
 def sample_from_record(record: dict, rings: dict | None = None) -> SamplePair:
@@ -525,6 +532,9 @@ def sample_from_record(record: dict, rings: dict | None = None) -> SamplePair:
     for key in ("F", "G"):
         if not all(isinstance(text, str) for text in record[key]):
             raise ValueError(f"{key!r} must list polynomials as strings")
+    for key in _RECORD_FLAGS:
+        if not isinstance(record.get(key, False), bool):
+            raise ValueError(f"{key!r} must be a JSON bool, got {type(record[key]).__name__}")
     rings = {} if rings is None else rings
     header = (repr(record["field"]), record["nvars"], record["order"])
     if header not in rings:

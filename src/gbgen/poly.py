@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
+from typing import NoReturn
 
 from .field import Coeff, FieldSpec
 from .orders import Term, TermOrder, term_divides, term_div
@@ -83,13 +84,21 @@ class PolyRing:
         return Polynomial(self, _combination(self, [(1, None, checked)]))
 
     def with_order(self, order: TermOrder) -> "PolyRing":
-        return PolyRing(self.field, self.nvars, order)
+        """The ring with ``order``, one shared object per (field, nvars, order)."""
+        return _shared_ring(self.field, self.nvars, order)
 
     def parse(self, text: str) -> "Polynomial":
         return _parse_polynomial(self, text)
 
     def __str__(self):
         return f"{self.field}[{', '.join(f'x{i}' for i in range(self.nvars))}]/{self.order.name()}"
+
+
+# A process meets a handful of (field, nvars, order) triples; the bound only
+# caps what unusual callers can hold.
+@lru_cache(maxsize=256)
+def _shared_ring(field: FieldSpec, nvars: int, order: TermOrder) -> PolyRing:
+    return PolyRing(field, nvars, order)
 
 
 def _descending(ring: PolyRing, items: list) -> tuple:
@@ -197,7 +206,7 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------
 
     def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -328,7 +337,7 @@ def normal_form(f: Polynomial, divisors, *, top_only: bool = False) -> Polynomia
     ring = f.ring
     heads = []
     for d in divisors:
-        if d.ring != ring:
+        if d.ring is not ring and d.ring != ring:
             raise ValueError("divisors must share the dividend's ring")
         if not d:
             raise ValueError("zero polynomial among the divisors")
@@ -407,16 +416,89 @@ def _divisor_form(d: Polynomial, mod) -> tuple:
 # tokens.  A character no token can start with, or an 'x' without an index,
 # is out of the grammar wherever it stands.
 _FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|x\d+(?:\s*\^\s*\d+)?)"
-_TERM_RE = re.compile(rf"\s*([+-]?)\s*({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
+_PRODUCT = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_TERM_RE = re.compile(rf"\s*([+-]?)\s*({_PRODUCT})\s*")
+# the whole grammar: a first term signed '-' or not at all, later ones '+' or '-'
+_POLYNOMIAL_RE = re.compile(rf"\s*-?\s*{_PRODUCT}(?:\s*[+-]\s*{_PRODUCT})*\s*")
+# a signed term of blank-free text that matched the grammar
+_SIGNED_RE = re.compile(r"([+-]?)([^+-]+)")
 _STRAY_RE = re.compile(r"[^\d\s^*/+\-x]|x(?!\d)")
+
+
+@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
+def _monomial_exponents(text: str, nvars: int):
+    """(exponents, factor) of the blank-free factors after a term's leading coefficient.
+
+    The inverse of :func:`_monomial_text`: ``x0^2*x1`` gives ((2, 1), None).
+    ``factor`` is None when the text has no coefficient factor, as rendered
+    text never does, else their product (a Fraction once one holds a '/').
+    None for a variable out of range or a zero denominator.
+    """
+    exps = [0] * nvars
+    factor = None
+    for f in text.split("*") if text else ():
+        if f[0] == "x":
+            var, _, e = f.partition("^")
+            i = int(var[1:])
+            if i >= nvars:
+                return None
+            exps[i] += int(e) if e else 1
+            continue
+        n, slash, d = f.partition("/")
+        factor = int(n) if factor is None else factor * int(n)
+        if slash:
+            if not int(d):
+                return None
+            factor = Fraction(factor, int(d))
+    return tuple(exps), factor
 
 
 def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     """Parse the renderer's grammar: signed *-separated coefficient/monomial terms.
 
-    One regex match per term; its factors are read with ``str.partition`` and
-    ``int``.  A ``ParseError`` names the first token the grammar rejects, and
-    a stray character anywhere in the text takes precedence over the rest.
+    Valid text costs one match of the whole grammar and, per term, a
+    partition of its leading coefficient and a lookup of the rest in the
+    monomial table.  Text that fails any check goes to
+    :func:`_raise_parse_error`, which locates the error.
+    """
+    if _POLYNOMIAL_RE.fullmatch(text) is None:
+        _raise_parse_error(ring, text)
+    mod = ring.field.modulus
+    nvars = ring.nvars
+    terms: list[tuple[Term, Coeff]] = []
+    # blanks only separate tokens, and int() rejects some of them
+    for sign, body in _SIGNED_RE.findall("".join(text.split())):
+        if body[0] == "x":
+            num, den, mono = 1, 1, body
+        else:
+            coeff, _, mono = body.partition("*")
+            n, slash, d = coeff.partition("/")
+            num = int(n)
+            den = 1
+            if slash:
+                den = int(d)
+                if mod is not None or not den:
+                    _raise_parse_error(ring, text)
+        entry = _monomial_exponents(mono, nvars)
+        if entry is None:
+            _raise_parse_error(ring, text)
+        exps, factor = entry
+        if factor is not None:
+            if mod is not None and isinstance(factor, Fraction):
+                _raise_parse_error(ring, text)
+            num *= factor
+        if sign == "-":
+            num = -num
+        terms.append((exps, num if mod is not None else Fraction(num, den)))
+    return Polynomial(ring, _combination(ring, [(1, None, terms)]))
+
+
+def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
+    """Raise the ``ParseError`` of text the parser rejected.
+
+    A term-by-term walk: one regex match per term, its factors read with
+    ``str.partition``.  The error names the first token the grammar rejects,
+    and a stray character anywhere in the text takes precedence over the rest.
     """
 
     def fail(pos: int, message: str):
@@ -436,10 +518,9 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 
     mod = ring.field.modulus
     nvars = ring.nvars
-    terms: list[tuple[Term, Coeff]] = []
     pos, end = 0, len(text)
     body = None
-    while True:
+    while pos < end or body is None:
         m = _TERM_RE.match(text, pos)
         if m is not None:
             sign, term = m.groups()
@@ -468,30 +549,18 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 fail(at, "expected an integer exponent after '^'")
             # a variable's error position is that of its index
             fail(at + (c == "x"), "expected '+' or '-' between terms")
-        # blanks only separate tokens, and int() rejects some of them
         body = "".join(term.split())
-        exps = [0] * nvars
-        num = den = 1
         for f in body.split("*"):
             if f[0] == "x":
-                var, _, e = f.partition("^")
-                i = int(var[1:])
+                i = int(f.partition("^")[0][1:])
                 if i >= nvars:
                     fail(located(f, 1), f"variable x{i} out of range for {nvars} variables")
-                exps[i] += int(e) if e else 1
                 continue
             n, slash, d = f.partition("/")
-            num *= int(n)
             if slash:
                 if mod is not None:
                     fail(located(f, len(n)), "fractions only make sense over the rationals")
-                q = int(d)
-                if not q:
+                if not int(d):
                     fail(located(f, len(n) + 1), "zero denominator")
-                den *= q
-        if sign == "-":
-            num = -num
-        terms.append((tuple(exps), num if mod is not None else Fraction(num, den)))
         pos = m.end()
-        if pos == end:
-            return Polynomial(ring, _combination(ring, [(1, None, terms)]))
+    raise AssertionError(f"the grammar match and the term walk disagree on {text!r}")

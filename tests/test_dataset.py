@@ -118,6 +118,8 @@ def test_nonlex_target_order():
     for pair in generate_dataset(config):
         for poly in pair.F + pair.G:
             assert poly.ring.order == grevlex(3)
+            # the re-sorted F and the converted G share one ring object
+            assert poly.ring is pair.ring
         assert is_reduced_groebner(pair.G)
 
 
@@ -245,7 +247,7 @@ def test_rendering_matches_uncached_reference():
 
 
 def test_rendering_caches_stay_bounded():
-    caches = (poly._monomial_text, dataset._monomial_tokens)
+    caches = (poly._monomial_text, dataset._monomial_tokens, poly._monomial_exponents)
     for cache in caches:
         cache.cache_clear()
     ring = PolyRing(F7, 2, lex(2))
@@ -255,6 +257,7 @@ def test_rendering_caches_stay_bounded():
         f = ring.from_terms(((i, j), 1 + j % 6) for j in range(side))
         assert str(f) == reference_str(f)
         assert to_prefix_tokens([f]) == reference_tokens([f])
+        assert ring.parse(str(f)) == f
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize == info.maxsize
@@ -313,6 +316,23 @@ def test_token_parse_empty_and_errors():
         parse_prefix_tokens(["+", "*", "N1"], rq)
     with pytest.raises(TokenError):
         parse_prefix_tokens(["+", "*", "N1", "D0"], rq)
+
+
+def test_token_parse_merges_and_sorts_terms(assert_canonical):
+    ring = PolyRing(F7, 2, lex(2))
+    x0 = ["^", "x0", "E1"]
+    x1 = ["^", "x1", "E1"]
+    # a repeated power triple adds its exponents
+    assert parse_prefix_tokens(["+", "*", "C1", *x0, *x0], ring) == [ring.parse("x0^2")]
+    # a repeated monomial adds its coefficients, and a sum that vanishes drops out
+    assert parse_prefix_tokens(["+", "*", "C3", *x0, "+", "*", "C2", *x0], ring) == [ring.parse("5*x0")]
+    assert parse_prefix_tokens(["+", "*", "C3", *x0, "+", "*", "C4", *x0], ring) == [ring.zero()]
+    # terms out of order come back in ring order
+    rq = PolyRing(RATIONALS, 2, grevlex(2))
+    for r, coeff, text in ((ring, ["C2"], "2*x0*x1 + 2*x1^2 + 2"), (rq, ["N2", "D3"], "2/3*x0*x1 + 2/3*x1^2 + 2/3")):
+        [f] = parse_prefix_tokens(["+", "*", *coeff, "+", "*", *coeff, *x1, *x1, "+", "*", *coeff, *x0, *x1], r)
+        assert_canonical(f)
+        assert f == r.parse(text)
 
 
 def test_token_error_reports_position():
@@ -380,9 +400,12 @@ def test_jsonl_error_carries_line_number(tmp_path):
         (lambda record: {k: v for k, v in record.items() if k != "seed"}, "missing key 'seed'"),
         (lambda record: {**record, "field": {"modulus": 7}}, "field is missing key 'kind'"),
         (lambda record: {**record, "field": {"kind": "prime"}}, "field is missing key 'modulus'"),
+        (lambda record: {**record, "contains_zero": "no"}, "'contains_zero' must be a JSON bool, got str"),
+        (lambda record: {**record, "over_range": [1]}, "'over_range' must be a JSON bool, got list"),
+        (lambda record: {**record, "over_range": 0}, "'over_range' must be a JSON bool, got int"),
     ],
     ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus", "bad-kind",
-         "no-seed", "no-kind", "no-modulus"],
+         "no-seed", "no-kind", "no-modulus", "str-contains-zero", "list-over-range", "int-over-range"],
 )
 def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle, message):
     config = small_config(num_samples=2)
@@ -393,6 +416,17 @@ def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle, message):
         list(read_jsonl(path))
     assert exc.value.line_no == 2
     assert str(exc.value) == f"{path}:2: {message}"
+
+
+def test_absent_record_flags_read_false():
+    config = small_config(num_samples=1)
+    record = sample_to_record(next(generate_dataset(config)), config)
+    record["contains_zero"] = record["over_range"] = True
+    pair = sample_from_record(record)
+    assert pair.contains_zero is True and pair.over_range is True
+    del record["contains_zero"], record["over_range"]
+    pair = sample_from_record(record)
+    assert pair.contains_zero is False and pair.over_range is False
 
 
 def test_read_jsonl_builds_each_ring_once(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbgen import poly
 from gbgen import (
     GenerationConfig,
     ParseError,
@@ -132,6 +133,13 @@ def test_ring_mismatch_raises():
         R7.one() + RQ.one()
     with pytest.raises(ValueError):
         R7.one() * PolyRing(prime_field(7), 2, grlex(2)).one()
+
+
+def test_resorted_rings_are_shared():
+    order = grevlex(2)
+    f, g = R7.parse("x0 + 1"), PolyRing(prime_field(7), 2, lex(2)).parse("x1")
+    assert f.ring is not g.ring
+    assert f.resorted(order).ring is g.resorted(order).ring == PolyRing(prime_field(7), 2, order)
 
 
 def test_scaling_and_monic():
@@ -445,6 +453,23 @@ _PIECES = list("x0123456789^*/+- \t") + [
 def test_parse_matches_reference_on_random_text(text):
     for ring in (RQ, R7, RQ3):
         assert_parses_like_reference(ring, text)
+
+
+def test_monomial_table_is_keyed_by_arity():
+    assert PolyRing(RATIONALS, 4, lex(4)).parse("x3").terms == (((0, 0, 0, 1), 1),)
+    with pytest.raises(ParseError) as exc:
+        RQ.parse("x3")
+    assert (exc.value.pos, str(exc.value)) == (1, "at position 1 in 'x3': variable x3 out of range for 2 variables")
+    assert poly._monomial_exponents.cache_info().maxsize == poly._MONOMIAL_CACHE_SIZE
+
+
+def test_parse_reads_later_coefficient_factors_like_reference():
+    # rendered text never puts a coefficient after a variable, so the table's
+    # factor product, its '/' over GF(p) and its zero denominator meet only these
+    for text in ("x0*1/2", "2*x1*3/4*x0 - x1*x0*2", "x0*1/0", "x1*2/1", "x0*3*x1^2*0", "x1 + x0*x5"):
+        for ring in (RQ, R7):
+            assert_parses_like_reference(ring, text)
+    assert RQ.parse("2*x1*3/4*x0") == RQ.parse("3/2*x0*x1")
 
 
 def test_parse_accepts_merged_terms():
