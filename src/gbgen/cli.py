@@ -44,12 +44,12 @@ from .dataset import (
     profile_dataset,
     read_jsonl,
     record_line,
+    sample_lines,
     token_line,
     write_meta,
 )
 from .field import FieldSpec, RATIONALS, prime_field
 from .fglm import fglm
-from .orders import order_by_name
 from .solve import ShapeError, solve_shape
 
 __all__ = ["main", "build_parser"]
@@ -60,11 +60,13 @@ def parse_field(text: str) -> FieldSpec:
     t = text.strip().lower()
     if t in ("q", "qq", "rationals"):
         return RATIONALS
-    for prefix in ("gf", "f"):
-        if t.startswith(prefix) and t[len(prefix) :].isdigit():
-            return prime_field(int(t[len(prefix) :]))
-    if t.isdigit():
-        return prime_field(int(t))
+    for prefix in ("gf", "f", ""):
+        digits = t[len(prefix):]
+        if t.startswith(prefix) and digits.isdigit():
+            try:
+                return prime_field(int(digits))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"the modulus {int(digits)} of {text!r} is not a prime") from None
     raise argparse.ArgumentTypeError(f"cannot read field {text!r}; try q, f7, f31 or gf101")
 
 
@@ -74,6 +76,16 @@ def _seed(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer (--seed and GBGEN_SEED take integers)") from None
+
+
+def _jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a worker count >= 1")
+    return value
 
 
 def _timeout(text: str) -> float:
@@ -182,7 +194,7 @@ def _staged(*paths):
 
 def _render_sample(config: GenerationConfig, index: int):
     pair = generate_sample(config, index)
-    return index, pair.seed_used, pair.spot_check, record_line(pair, config), token_line(pair)
+    return index, pair.seed_used, pair.spot_check, *sample_lines(pair, config)
 
 
 # The flag that sets each config field.  A config value error opens with the
@@ -297,6 +309,7 @@ def cmd_tokenize(args) -> int:
 
 def cmd_fglm(args) -> int:
     count = 0
+    stamps = {}  # ring -> the config a record is stamped with: its field, nvars and the target order
     try:
         with _staged(args.out) as (temp,), open(temp, "w", encoding="utf-8") as fh:
             for pair in read_jsonl(args.input):
@@ -305,11 +318,13 @@ def cmd_fglm(args) -> int:
                 ring = pair.ring
                 if ring.order.name() != args.src_order:
                     raise _Abort(f"sample {pair.index} is under {ring.order.name()}, not {args.src_order}")
-                target = order_by_name(args.to_order, ring.nvars)
+                if ring not in stamps:
+                    stamps[ring] = GenerationConfig(field=ring.field, nvars=ring.nvars, num_samples=0,
+                                                    order=args.to_order)
+                stamp = stamps[ring]
+                target = stamp.target_order()
                 pair.G = fglm(pair.G, target)
                 pair.F = [f.resorted(target) for f in pair.F]
-                # the record is stamped with the target order
-                stamp = GenerationConfig(field=ring.field, nvars=ring.nvars, num_samples=0, order=args.to_order)
                 fh.write(record_line(pair, stamp) + "\n")
                 count += 1
     except _Abort as exc:
@@ -352,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample (F, G) pairs into dataset files")
     _add_generation_flags(p)
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker processes (default 1)")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="run the completion oracle over a dataset")
     p.add_argument("--input", required=True, help="dataset .jsonl path")
     p.add_argument("--timeout", type=_timeout, default=SPOT_CHECK_TIMEOUT,
                    help=f"per-sample seconds for the oracle (default {SPOT_CHECK_TIMEOUT:g}; inf for no cap)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("profile", help="dataset statistics")

@@ -12,7 +12,6 @@ import json
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .backward import BackwardSpec, backward_transform
@@ -20,7 +19,7 @@ from .field import FieldSpec
 from .fglm import fglm
 from .groebner import GroebnerTimeout, buchberger
 from .orders import OrderKind, TermOrder, order_by_name
-from .poly import Polynomial, PolyRing, _MONOMIAL_CACHE_SIZE, _combination
+from .poly import Polynomial, PolyRing, _combination, _render
 from .shapegen import ShapeBasisSpec, sample_shape_basis
 
 __all__ = [
@@ -46,6 +45,7 @@ __all__ = [
     "write_tokens",
     "record_line",
     "token_line",
+    "sample_lines",
     "JsonlError",
     "BOS",
     "EOS",
@@ -344,35 +344,6 @@ class TokenError(ValueError):
         self.pos = pos
 
 
-@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
-def _monomial_tokens(term: tuple) -> tuple[str, ...]:
-    """The '^ xi Ei' triples of a monomial; empty for the constant one."""
-    out = []
-    for i, e in enumerate(term):
-        if e:
-            out.extend(("^", f"x{i}", f"E{e}"))
-    return tuple(out)
-
-
-def _poly_tokens(f: Polynomial) -> list[str]:
-    if not f:
-        return ["C0"]
-    rational = f.ring.field.modulus is None
-    out = []
-    for term, coeff in f.terms:
-        if rational:
-            out.append("+" if coeff > 0 else "-")
-            out.append("*")
-            out.append(f"N{abs(coeff.numerator)}")
-            out.append(f"D{coeff.denominator}")
-        else:
-            out.append("+")
-            out.append("*")
-            out.append(f"C{coeff}")
-        out.extend(_monomial_tokens(term))
-    return out
-
-
 def to_prefix_tokens(polys) -> list[str]:
     """Flatten a polynomial list into prefix tokens, SEP between members.
 
@@ -381,13 +352,15 @@ def to_prefix_tokens(polys) -> list[str]:
     single residue tokens C0..C{p-1}; rational ones split into sign,
     numerator and denominator tokens.  A zero polynomial is the lone C0.
     """
-    polys = list(polys)
-    out = []
-    for idx, f in enumerate(polys):
-        if idx:
-            out.append(SEP)
-        out.extend(_poly_tokens(f))
-    return out
+    text = f" {SEP} ".join([_render(f)[1] for f in polys])
+    return text.split(" ") if text else []
+
+
+def _framed(token_texts: list[str]) -> str:
+    """The token texts of a polynomial list between BOS and EOS, SEP between members."""
+    if not token_texts:
+        return f"{BOS} {EOS}"
+    return f"{BOS} {f' {SEP} '.join(token_texts)} {EOS}"
 
 
 def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
@@ -489,7 +462,8 @@ def ring_for(field: FieldSpec, nvars: int, order_name: str) -> PolyRing:
     return PolyRing(field, nvars, order_by_name(order_name, nvars))
 
 
-def sample_to_record(pair: SamplePair, config: GenerationConfig) -> dict:
+def _record(pair: SamplePair, config: GenerationConfig, F: list[str], G: list[str]) -> dict:
+    """A sample's record, given the texts of its F and G."""
     return {
         "index": pair.index,
         "field": config.field.to_dict(),
@@ -497,16 +471,28 @@ def sample_to_record(pair: SamplePair, config: GenerationConfig) -> dict:
         "order": config.order,
         "s": pair.s,
         "seed": pair.seed_used,
-        "F": [str(f) for f in pair.F],
-        "G": [str(g) for g in pair.G],
+        "F": F,
+        "G": G,
         "contains_zero": pair.contains_zero,
         "over_range": pair.over_range,
     }
 
 
+def sample_to_record(pair: SamplePair, config: GenerationConfig) -> dict:
+    return _record(pair, config, [str(f) for f in pair.F], [str(g) for g in pair.G])
+
+
 def record_line(pair: SamplePair, config: GenerationConfig) -> str:
     """A sample's JSONL line, without the newline."""
     return json.dumps(sample_to_record(pair, config))
+
+
+def sample_lines(pair: SamplePair, config: GenerationConfig) -> tuple[str, str]:
+    """:func:`record_line` and :func:`token_line` of a sample, from one render walk per polynomial."""
+    F = [_render(f) for f in pair.F]
+    G = [_render(g) for g in pair.G]
+    record = _record(pair, config, [text for text, _ in F], [text for text, _ in G])
+    return json.dumps(record), f"{_framed([tokens for _, tokens in F])}\t{_framed([tokens for _, tokens in G])}"
 
 
 # the JSON type of each field a record must carry (a bool is no int here)
@@ -590,9 +576,7 @@ def write_meta(path, config: GenerationConfig, extra: dict | None = None):
 
 def token_line(pair: SamplePair) -> str:
     """A sample's token-file line, without the newline: framed F tokens, a tab, framed G tokens."""
-    left = " ".join([BOS, *to_prefix_tokens(pair.F), EOS])
-    right = " ".join([BOS, *to_prefix_tokens(pair.G), EOS])
-    return f"{left}\t{right}"
+    return f"{_framed([_render(f)[1] for f in pair.F])}\t{_framed([_render(g)[1] for g in pair.G])}"
 
 
 def write_tokens(samples: Iterable[SamplePair], path) -> int:

@@ -12,6 +12,7 @@ the points ``solve_shape`` returns; it has no arithmetic of its own.
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 Coeff = int | Fraction
 
@@ -118,25 +119,18 @@ class FieldSpec:
             return a**e
         return pow(a, e, self.modulus)
 
-    def sign_magnitude(self, a: Coeff) -> tuple[int, str]:
-        """Split a nonzero value into (sign, magnitude string) for printing.
-
-        Prime-field residues above p/2 print as their negative balanced
-        representative, so 4 mod 7 shows up as ``-3``.
-        """
+    @property
+    def forms(self):
+        """This field's coefficient formatter: ``forms(modulus, a)`` gives the four strings of :func:`residue_forms`."""
         if self.modulus is None:
-            mag = abs(a)
-            text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            return (1 if a >= 0 else -1), text
-        if a > self.modulus // 2:
-            return -1, str(self.modulus - a)
-        return 1, str(a)
+            return rational_forms
+        return _residue_cache if self.modulus <= _RESIDUE_CACHE_SIZE else residue_forms
 
     def render(self, a: Coeff) -> str:
         if not a:
             return "0"
-        sign, mag = self.sign_magnitude(a)
-        return mag if sign > 0 else "-" + mag
+        sign, alone, _, _ = self.forms(self.modulus, a)
+        return sign + alone[3:]
 
     def to_dict(self) -> dict:
         if self.modulus is None:
@@ -159,6 +153,45 @@ class FieldSpec:
 
 
 RATIONALS = FieldSpec(FieldKind.RATIONALS)
+
+
+# A GF(p) field with at most this many nonzero residues keeps their formats
+# in one bounded cache, the whole field at once.  A larger field formats each
+# residue afresh: a GF(7919) corpus of 600 samples meets each residue about
+# four times, so caching all 7918 of them held about 3 MB and saved no time.
+_RESIDUE_CACHE_SIZE = 1 << 10
+
+
+def residue_forms(p: int, r: int) -> tuple[str, str, str, str]:
+    """How the nonzero residue ``r`` of GF(p) prints, as four strings.
+
+    They are its sign as a polynomial's first term, a later constant term,
+    a later term up to its monomial, and its prefix token.  Residues above
+    p/2 print as their negative balanced representative, so 4 mod 7 gives
+    ("-", " - 3", " - 3*", "+ * C4") and 6 mod 7 gives ("-", " - 1", " - ", "+ * C6").
+    """
+    if r > p // 2:
+        sign, sep, mag = "-", " - ", str(p - r)
+    else:
+        sign, sep, mag = "", " + ", str(r)
+    # a later term opens with a three-character separator; a unit factor is not printed
+    return sign, sep + mag, sep if mag == "1" else f"{sep}{mag}*", f"+ * C{r}"
+
+
+_residue_cache = lru_cache(maxsize=_RESIDUE_CACHE_SIZE)(residue_forms)
+
+
+def rational_forms(p: None, a: Fraction) -> tuple[str, str, str, str]:
+    """The four strings of :func:`residue_forms` for a nonzero rational.
+
+    ``p`` is the rationals' modulus None, taken so that a caller holds one
+    formatter per field.  -5/4 gives ("-", " - 5/4", " - 5/4*", "- * N5 D4").
+    """
+    num, den = a.numerator, a.denominator
+    sign, sep, token_sign = ("-", " - ", "-") if num < 0 else ("", " + ", "+")
+    num = abs(num)
+    mag = str(num) if den == 1 else f"{num}/{den}"
+    return sign, sep + mag, sep if mag == "1" else f"{sep}{mag}*", f"{token_sign} * N{num} D{den}"
 
 
 def prime_field(p: int) -> FieldSpec:

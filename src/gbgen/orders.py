@@ -9,6 +9,7 @@ key tuple is smaller, which keeps comparison allocation-light and lets
 
 import enum
 from dataclasses import dataclass
+from operator import neg
 
 Term = tuple[int, ...]
 
@@ -48,7 +49,7 @@ def _grlex_key(t: Term):
 def _grevlex_key(t: Term):
     # graded, ties broken by the reversed exponent vector compared negatively:
     # among equal-degree terms the one with the smaller trailing exponent wins
-    return (sum(t), tuple(-e for e in reversed(t)))
+    return (sum(t), tuple(map(neg, t[::-1])))
 
 
 _KEY_FNS = {

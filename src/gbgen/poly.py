@@ -146,16 +146,44 @@ def _combination(ring: PolyRing, parts) -> tuple:
     return _descending(ring, [(t, r) for t, x in acc.items() if (r := x % mod)])
 
 
-# Distinct monomials each rendering cache keeps.  A dataset only meets the
+# Distinct monomials each monomial cache keeps.  A dataset only meets the
 # monomials under its degree bound (364 at n=3 and total degree 11, 4368 at
 # n=5), so the bound caps what unusual inputs can hold, not a normal run.
 _MONOMIAL_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
-def _monomial_text(term: Term) -> str:
-    """``x0^2*x1`` for (2, 1); the empty string for the constant monomial."""
-    return "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(term) if e)
+def _monomial_forms(term: Term) -> tuple[str, str]:
+    """(text, tokens) of a monomial: ``x0^2*x1`` and `` ^ x0 E2 ^ x1 E1`` for (2, 1).
+
+    Both are empty for the constant monomial.
+    """
+    used = [(i, e) for i, e in enumerate(term) if e]
+    text = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in used)
+    return text, "".join(f" ^ x{i} E{e}" for i, e in used)
+
+
+def _render(f: "Polynomial") -> tuple[str, str]:
+    """The text of ``f`` and its prefix-token text, from one walk over its terms.
+
+    Each term costs a lookup of its monomial's two strings and of its
+    coefficient's four (see :func:`gbgen.field.residue_forms`), which a
+    large prime field formats afresh instead.  The zero polynomial is "0"
+    and the lone token C0.
+    """
+    terms = f.terms
+    if not terms:
+        return "0", "C0"
+    field = f.ring.field
+    mod, forms = field.modulus, field.forms
+    text, tokens = [], []
+    for term, coeff in terms:
+        _, alone, factor, token = forms(mod, coeff)
+        mono, mono_tokens = _monomial_forms(term)
+        text.append(factor + mono if mono else alone)
+        tokens.append(token + mono_tokens)
+    # every term opens with a three-character separator; the first takes its sign instead
+    return forms(mod, terms[0][1])[0] + "".join(text)[3:], " ".join(tokens)
 
 
 class Polynomial:
@@ -292,24 +320,7 @@ class Polynomial:
     # -- rendering -------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        field = self.ring.field
-        chunks = []
-        for idx, (term, coeff) in enumerate(self.terms):
-            sign, mag = field.sign_magnitude(coeff)
-            mono = _monomial_text(term)
-            if not mono:
-                body = mag
-            elif mag == "1":
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if idx == 0:
-                chunks.append(body if sign > 0 else "-" + body)
-            else:
-                chunks.append((" + " if sign > 0 else " - ") + body)
-        return "".join(chunks)
+        return _render(self)[0]
 
     def __repr__(self):
         return f"<{self} over {self.ring}>"
@@ -429,7 +440,7 @@ _STRAY_RE = re.compile(r"[^\d\s^*/+\-x]|x(?!\d)")
 def _monomial_exponents(text: str, nvars: int):
     """(exponents, factor) of the blank-free factors after a term's leading coefficient.
 
-    The inverse of :func:`_monomial_text`: ``x0^2*x1`` gives ((2, 1), None).
+    The inverse of the text of :func:`_monomial_forms`: ``x0^2*x1`` gives ((2, 1), None).
     ``factor`` is None when the text has no coefficient factor, as rendered
     text never does, else their product (a Fraction once one holds a '/').
     None for a variable out of range or a zero denominator.

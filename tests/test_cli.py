@@ -39,6 +39,43 @@ def test_parse_field_spellings():
         parse_field("widgets")
 
 
+@pytest.mark.parametrize("spelling, modulus", [("f4", 4), ("f1", 1), ("f0", 0), ("gf9", 9), ("15", 15)])
+def test_non_prime_field_says_why(tmp_path, capsys, spelling, modulus):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("generate", "--n", "2", "--field", spelling, "--m", "1", "--out", str(tmp_path / "bad"))
+    assert exc.value.code == 2
+    assert f"argument --field: the modulus {modulus} of {spelling!r} is not a prime" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# huge values are left out: they would start that many worker processes
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_bad_jobs_are_rejected(tmp_path, capsys, jobs):
+    prefix = make_dataset(tmp_path, m="2")
+    capsys.readouterr()
+    for argv in (["generate", "--n", "2", "--field", "f7", "--m", "2", "--out", str(tmp_path / "bad")],
+                 ["verify", "--input", f"{prefix}.jsonl"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--jobs", jobs)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --jobs: {jobs!r} is not a worker count >= 1" in err
+    assert not (tmp_path / "bad.jsonl").exists()
+
+
+@pytest.mark.parametrize("field, n, order", [("f7", "3", "grevlex"), ("q", "2", "lex")])
+def test_sample_regenerates_from_meta_alone(tmp_path, field, n, order):
+    make_dataset(tmp_path, field=field, n=n, m="6", seed="4", extra=("--order", order))
+    meta = json.loads((tmp_path / "ds.meta.json").read_text())
+    records = (tmp_path / "ds.jsonl").read_text().splitlines()
+    tokens = (tmp_path / "ds.tokens.txt").read_text().splitlines()
+    config = GenerationConfig.from_dict(meta["config"])
+    for i in (0, 3, 5):
+        pair = dataset.generate_sample(config, i)
+        assert dataset.record_line(pair, config) == records[i]
+        assert dataset.token_line(pair) == tokens[i]
+
+
 def test_generate_writes_all_artifacts(tmp_path, capsys):
     prefix = make_dataset(tmp_path)
     out = capsys.readouterr().out

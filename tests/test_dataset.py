@@ -192,8 +192,18 @@ def test_token_round_trip_random():
             assert parse_prefix_tokens(to_prefix_tokens(pair.G), ring) == pair.G
 
 
-# The renderers as they were before their monomial parts were cached: the
-# reference the cached ones must match.
+# The renderers as they were before their coefficient and monomial parts
+# were cached and the text and tokens came from one walk: the reference the
+# cached walk must match.
+
+
+def reference_sign_magnitude(field, a):
+    if field.modulus is None:
+        mag = abs(a)
+        return (1 if a >= 0 else -1), str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+    if a > field.modulus // 2:
+        return -1, str(field.modulus - a)
+    return 1, str(a)
 
 
 def reference_str(f):
@@ -201,7 +211,7 @@ def reference_str(f):
         return "0"
     chunks = []
     for idx, (term, coeff) in enumerate(f.terms):
-        sign, mag = f.ring.field.sign_magnitude(coeff)
+        sign, mag = reference_sign_magnitude(f.ring.field, coeff)
         mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(term) if e)
         body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
         if idx == 0:
@@ -231,7 +241,8 @@ def reference_tokens(polys):
 
 def test_rendering_matches_uncached_reference():
     rng = random.Random(29)
-    for field, nvars, order in itertools.product((F7, prime_field(31), RATIONALS), range(1, 6), (lex, grlex, grevlex)):
+    fields = (prime_field(2), F7, prime_field(31), prime_field(2**31 - 1), RATIONALS)
+    for field, nvars, order in itertools.product(fields, range(1, 6), (lex, grlex, grevlex)):
         ring = PolyRing(field, nvars, order(nvars))
         polys = []
         for _ in range(12):
@@ -247,17 +258,28 @@ def test_rendering_matches_uncached_reference():
 
 
 def test_rendering_caches_stay_bounded():
-    caches = (poly._monomial_text, dataset._monomial_tokens, poly._monomial_exponents)
+    caches = (poly._monomial_forms, field_module._residue_cache, poly._monomial_exponents)
     for cache in caches:
         cache.cache_clear()
     ring = PolyRing(F7, 2, lex(2))
-    side = 130  # 130^2 distinct monomials, more than either cache keeps
+    side = 130  # 130^2 distinct monomials, more than either monomial cache keeps
     assert side * side > max(cache.cache_info().maxsize for cache in caches)
     for i in range(side):
         f = ring.from_terms(((i, j), 1 + j % 6) for j in range(side))
         assert str(f) == reference_str(f)
         assert to_prefix_tokens([f]) == reference_tokens([f])
         assert ring.parse(str(f)) == f
+    # a field too large to fit in the coefficient cache renders without it
+    cached = field_module._residue_cache.cache_info().currsize
+    big = PolyRing(prime_field(2**31 - 1), 1, lex(1))
+    for i in range(side):
+        f = big.from_terms(((j,), 1 + i * side + j) for j in range(side))
+        assert str(f) == reference_str(f)
+        assert to_prefix_tokens([f]) == reference_tokens([f])
+    assert field_module._residue_cache.cache_info().currsize == cached
+    # fed more residues of 2^31 - 1 than it keeps, the cache stays at its bound
+    for r in range(1, side * side):
+        assert field_module._residue_cache(2**31 - 1, r) == field_module.residue_forms(2**31 - 1, r)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize == info.maxsize

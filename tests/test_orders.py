@@ -1,5 +1,6 @@
 """Term order semantics: worked comparisons and the order axioms."""
 
+import itertools
 import random
 
 import pytest
@@ -40,6 +41,19 @@ def test_grevlex_reversed_tiebreak():
     assert grevlex(3).compare((1, 0, 1), (0, 2, 0)) == -1
     # grlex breaks the same tie the other way
     assert grlex(3).compare((1, 0, 1), (0, 2, 0)) == 1
+
+
+def test_grevlex_key_matches_its_definition():
+    # the key as first written: degree, then the reversed exponents negated
+    def definition(t):
+        return (sum(t), tuple(-e for e in reversed(t)))
+
+    for n in range(1, 6):
+        key = grevlex(n).key
+        terms = [t for t in itertools.product(range(7), repeat=n) if sum(t) <= 6]
+        assert len(terms) == len(set(terms)) > 1
+        for t in terms:
+            assert key(t) == definition(t)
 
 
 def test_equal_terms():
