@@ -49,7 +49,7 @@ from .dataset import (
     write_meta,
 )
 from .field import FieldSpec, RATIONALS, prime_field
-from .fglm import fglm
+from .fglm import DimensionError, fglm
 from .solve import ShapeError, solve_shape
 
 __all__ = ["main", "build_parser"]
@@ -86,6 +86,13 @@ def _jobs(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a worker count >= 1")
     return value
+
+
+def _nvars_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: --n takes comma-separated variable counts, e.g. 2,3,4") from None
 
 
 def _timeout(text: str) -> float:
@@ -323,7 +330,10 @@ def cmd_fglm(args) -> int:
                                                     order=args.to_order)
                 stamp = stamps[ring]
                 target = stamp.target_order()
-                pair.G = fglm(pair.G, target)
+                try:
+                    pair.G = fglm(pair.G, target)
+                except DimensionError as exc:
+                    raise _Abort(f"sample {pair.index}: {exc}") from None
                 pair.F = [f.resorted(target) for f in pair.F]
                 fh.write(record_line(pair, stamp) + "\n")
                 count += 1
@@ -384,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("bench", help="time backward generation against forward completion")
-    p.add_argument("--n", type=lambda s: [int(x) for x in s.split(",")], required=True,
+    p.add_argument("--n", type=_nvars_list, required=True,
                    help="variable counts, comma separated (e.g. 2,3,4,5)")
     p.add_argument("--field", type=parse_field, required=True)
     p.add_argument("--m", type=int, required=True)

@@ -10,7 +10,7 @@ without sharing state.
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -122,25 +122,11 @@ class GenerationConfig:
         return self._backward_spec
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field.to_dict(),
-            "nvars": self.nvars,
-            "num_samples": self.num_samples,
-            "max_degree": self.max_degree,
-            "max_entry_degree": self.max_entry_degree,
-            "s_max": self.s_max,
-            "density": self.density,
-            "uni_max_terms": self.uni_max_terms,
-            "entry_max_terms": self.entry_max_terms,
-            "num_range": list(self.num_range),
-            "den_range": list(self.den_range),
-            "coeff_limit": self.coeff_limit,
-            "max_retries": self.max_retries,
-            "order": self.order,
-            "seed": self.seed,
-            "drop_zeros": self.drop_zeros,
-            "verify_fraction": self.verify_fraction,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["field"] = self.field.to_dict()
+        d["num_range"] = list(self.num_range)
+        d["den_range"] = list(self.den_range)
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "GenerationConfig":

@@ -2,17 +2,20 @@
 
 Given a reduced Groebner basis under one order, the quotient algebra is a
 finite-dimensional vector space spanned by the standard monomials (those
-outside the leading-term staircase).  Walking the monomials of the target
-order from small to large, each normal form is a coordinate vector over
-that space; the first linear dependency hit along each branch yields one
-member of the target-order reduced basis.  All linear algebra is exact.
+outside the leading-term staircase).  The walk visits the monomials of the
+target order from small to large and reduces each one's normal form
+against the rows kept so far, a sparse echelon form keyed by leading
+monomial, with the same linear-combination kernel that builds every other
+polynomial.  A normal form that reduces to zero is a linear dependency and
+yields one member of the target-order reduced basis; any other becomes a
+new row.  All linear algebra is exact.
 """
 
 import heapq
 from dataclasses import dataclass
 
 from .orders import Term, TermOrder, term_divides
-from .poly import Polynomial, PolyRing, normal_form
+from .poly import Polynomial, _combination, normal_form
 
 __all__ = ["QuotientBasis", "DimensionError", "quotient_basis", "fglm"]
 
@@ -94,22 +97,14 @@ def fglm(basis, target: TermOrder, cap: int = DEFAULT_DIMENSION_CAP) -> list:
         out.sort(key=lambda g: target.key(g.leading_monomial))
         return out
 
-    field = source_ring.field
-    qb = quotient_basis(gens, cap=cap)
-    coord = {t: i for i, t in enumerate(qb.monomials)}
-    dim = qb.dimension
+    # raises past the cap; the walk keeps one row per standard monomial, so it ends
+    quotient_basis(gens, cap=cap)
     target_ring = source_ring.with_order(target)
-
-    def nf_vector(term: Term) -> list:
-        mono = source_ring.monomial(1, term)
-        vec = [field.zero()] * dim
-        for t, c in normal_form(mono, gens).terms:
-            vec[coord[t]] = c
-        return vec
-
-    # rows: (pivot index, reduced vector, combination over kept monomials)
-    rows: list[tuple[int, list, list]] = []
-    kept: list[Term] = []
+    field = source_ring.field
+    one = field.one()
+    # rows: head of v -> (v, w) with v monic in the source ring and w in the
+    # target ring; v is the normal form of w, and the heads of v are distinct
+    rows: dict[Term, tuple[tuple, tuple]] = {}
     new_basis: list[Polynomial] = []
     new_heads: list[Term] = []
     tkey = target.key
@@ -121,34 +116,21 @@ def fglm(basis, target: TermOrder, cap: int = DEFAULT_DIMENSION_CAP) -> list:
         _, term = heapq.heappop(frontier)
         if any(term_divides(h, term) for h in new_heads):
             continue
-        vec = nf_vector(term)
-        comb = [field.zero()] * len(kept)
-        for pivot, row_vec, row_comb in rows:
-            factor = vec[pivot]
-            if not factor:
-                continue
-            for k, v in enumerate(row_vec):
-                if v:
-                    vec[k] = field.sub(vec[k], field.mul(factor, v))
-            for k, v in enumerate(row_comb):
-                if v:
-                    comb[k] = field.sub(comb[k], field.mul(factor, v))
-        pivot = next((k for k, v in enumerate(vec) if v), None)
-        if pivot is None:
-            # dependency: term + sum(comb[j] * kept[j]) lies in the ideal
-            pairs = [(term, field.one())]
-            pairs.extend((m, c) for m, c in zip(kept, comb) if c)
-            new_basis.append(target_ring.from_terms(pairs))
+        w = ((term, one),)
+        v = normal_form(Polynomial(source_ring, w), gens).terms
+        while v and v[0][0] in rows:
+            c = -v[0][1]
+            row_v, row_w = rows[v[0][0]]
+            v = _combination(source_ring, [(1, None, v), (c, None, row_v)])
+            w = _combination(target_ring, [(1, None, w), (c, None, row_w)])
+        if not v:
+            # term minus a combination of kept monomials lies in the ideal
+            new_basis.append(Polynomial(target_ring, w))
             new_heads.append(term)
             continue
-        scale = field.inv(vec[pivot])
-        vec = [field.mul(v, scale) if v else v for v in vec]
-        comb = [field.mul(v, scale) if v else v for v in comb]
-        comb.append(scale)  # coefficient of the newly kept monomial itself
-        for r in range(len(rows)):
-            rows[r] = (rows[r][0], rows[r][1], rows[r][2] + [field.zero()])
-        rows.append((pivot, vec, comb))
-        kept.append(term)
+        scale = field.inv(v[0][1])
+        rows[v[0][0]] = (_combination(source_ring, [(scale, None, v)]),
+                         _combination(target_ring, [(scale, None, w)]))
         for i in range(source_ring.nvars):
             nxt = tuple(e + 1 if k == i else e for k, e in enumerate(term))
             if nxt not in visited:

@@ -96,9 +96,6 @@ class FieldSpec:
     def add(self, a: Coeff, b: Coeff) -> Coeff:
         return a + b if self.modulus is None else (a + b) % self.modulus
 
-    def sub(self, a: Coeff, b: Coeff) -> Coeff:
-        return a - b if self.modulus is None else (a - b) % self.modulus
-
     def mul(self, a: Coeff, b: Coeff) -> Coeff:
         return a * b if self.modulus is None else (a * b) % self.modulus
 

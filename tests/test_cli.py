@@ -150,6 +150,12 @@ def test_generate_rejects_bad_values(tmp_path, capsys, flag, value, message):
 def test_bench_rejects_bad_values(capsys):
     assert run_cli("bench", "--n", "3,2", "--field", "f7", "--m", "1", "--s-max", "2") == 2
     assert capsys.readouterr() == ("", "gbgen bench: error: --s-max 2 below the basis size 3\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bench", "--n", "2,x", "--field", "f7", "--m", "2")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n: '2,x': --n takes comma-separated variable counts" in err
+    assert "lambda" not in err
 
 
 def test_generator_stamp_runs_git_once_per_process(tmp_path, monkeypatch):
@@ -427,6 +433,20 @@ def test_fglm_rejects_empty_basis(tmp_path, capsys):
     out = tmp_path / "x.jsonl"
     assert run_cli("fglm", "--input", f"{prefix}.jsonl", "--to", "grevlex", "--out", str(out)) == 1
     assert "sample 1: cannot convert an empty basis" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
+
+
+def test_fglm_rejects_positive_dimensional_basis(tmp_path, capsys):
+    prefix = make_dataset(tmp_path, m="3")
+    lines = (tmp_path / "ds.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["G"] = ["x0 - x1"]
+    lines[1] = json.dumps(record)
+    (tmp_path / "ds.jsonl").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.jsonl"
+    assert run_cli("fglm", "--input", f"{prefix}.jsonl", "--to", "grevlex", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sample 1: more than 10000 standard monomials") and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
 
 

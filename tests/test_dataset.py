@@ -1,5 +1,6 @@
 """Dataset pipeline: seeding, statistics, token and JSONL round-trips."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -127,6 +128,8 @@ def test_config_round_trip_and_validation():
     config = small_config(order="grlex", coeff_limit=None, s_max=7)
     assert GenerationConfig.from_dict(config.to_dict()) == config
     assert json.loads(json.dumps(config.to_dict())) == config.to_dict()
+    # meta.json lists the knobs in field order
+    assert list(config.to_dict()) == [f.name for f in dataclasses.fields(GenerationConfig)]
     with pytest.raises(ValueError):
         small_config(nvars=0)
     with pytest.raises(ValueError):
@@ -300,6 +303,13 @@ GOLDEN_DIGESTS = [
     ("f7", 5, "lex", 14,
      "9ee6244822559df3f99c73c61248340da0635f5e31286cbfebe0799c7a9ba58a",
      "ff8c646b81597d9981428ce3dbad94348489459507fb19b79bf9b76c2d1b1e7e"),
+    # FGLM to grlex, and FGLM over Q
+    ("f7", 4, "grlex", 15,
+     "8836e5e1bca098559a6a224fae978b7cdd0438c7b49104fe8f80115937830bba",
+     "fa6f3831620554c14820db959c004451aa93c964921831b29064d43420b2af48"),
+    ("q", 3, "grevlex", 16,
+     "a1aa9d78679ec4aca1d0540a467802bdfe4dc0b349619147d7169ea5955a9135",
+     "aa9b5fdfe2118076b5a430dbdc17491ab24f1b6ea1d053cf02d28a48b21356d3"),
 ]
 
 

@@ -104,6 +104,29 @@ def test_conversion_preserves_quotient_dimension():
         assert quotient_basis(converted).dimension == quotient_basis(G).dimension
 
 
+def test_unit_ideal_converts_to_one():
+    for target in (grevlex(2), grlex(2)):
+        assert fglm([R7.one()], target) == [R7.with_order(target).one()]
+
+
+def test_cap_bounds_the_staircase():
+    G = [R7.parse("x0 - 3*x1"), R7.parse("x1^3")]
+    assert fglm(fglm(G, grevlex(2), cap=3), lex(2)) == canon(G)
+    with pytest.raises(DimensionError):
+        fglm(G, grevlex(2), cap=2)
+
+
+@pytest.mark.parametrize("nvars, gens", [
+    (2, ["x0 - x1"]),
+    (3, ["x0 - x1*x2 + 3", "x1^2 - x2^3"]),
+])
+def test_positive_dimensional_basis_raises(nvars, gens):
+    # the staircase guard rejects it before the walk, which would not end
+    ring = PolyRing(prime_field(7), nvars, lex(nvars))
+    with pytest.raises(DimensionError):
+        fglm([ring.parse(g) for g in gens], grevlex(nvars))
+
+
 def test_rejects_mixed_rings():
     with pytest.raises(ValueError):
         fglm([R7.parse("x0"), RQ.parse("x1")], grevlex(2))
