@@ -17,7 +17,6 @@ triangle (s, then U1, then the U2 block, then P), each entry drawing term
 count, then exponents, then coefficients.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -105,13 +104,15 @@ class PolyMatrix:
 
 @lru_cache(maxsize=None)
 def _monomials_up_to(nvars: int, max_degree: int) -> tuple:
-    """All exponent vectors with total degree <= max_degree, in a fixed order."""
-    out = [
-        exps
-        for exps in itertools.product(range(max_degree + 1), repeat=nvars)
-        if sum(exps) <= max_degree
-    ]
-    out.sort()
+    """All exponent vectors with total degree <= max_degree, ascending.
+
+    Each vector extends a shorter one within the degree left, so the cost is
+    the C(nvars + max_degree, max_degree) vectors kept, not the whole box;
+    extending sorted prefixes by increasing exponents keeps the list sorted.
+    """
+    out = [()]
+    for _ in range(nvars):
+        out = [prefix + (e,) for prefix in out for e in range(max_degree - sum(prefix) + 1)]
     return tuple(out)
 
 

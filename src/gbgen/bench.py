@@ -10,12 +10,10 @@ floor on the true gap.  Timing loops are single-threaded on purpose.
 import time
 from dataclasses import asdict, dataclass, replace
 
-from .dataset import GenerationConfig, generate_sample
+from .dataset import SPOT_CHECK_TIMEOUT, GenerationConfig, generate_sample
 from .groebner import GroebnerTimeout, buchberger
 
-__all__ = ["BenchReport", "run_bench", "DEFAULT_TIMEOUT"]
-
-DEFAULT_TIMEOUT = 5.0
+__all__ = ["BenchReport", "run_bench"]
 
 
 @dataclass
@@ -49,7 +47,7 @@ class BenchReport:
 
 def run_bench(
     config: GenerationConfig,
-    timeout: float = DEFAULT_TIMEOUT,
+    timeout: float = SPOT_CHECK_TIMEOUT,
     forward: bool = True,
 ) -> BenchReport:
     """Generate config.num_samples pairs, then (optionally) re-solve each F."""

@@ -14,13 +14,15 @@ Subcommands:
 
 All sampling is deterministic given --seed; when the flag is omitted the
 GBGEN_SEED environment variable supplies the default (0 if unset).  Exit
-status is 0 on success, 1 when verification or solving finds a failure or
-an input file has a malformed line, 2 on bad arguments (a GBGEN_SEED that
-is not an integer, and generation values that cannot work together, such
-as --s-max below --n, included).
+status is 0 on success, 1 when verification or solving finds a failure,
+an input file has a malformed line or a file cannot be opened, read or
+written, 2 on bad arguments (a GBGEN_SEED that is not an integer, and
+generation values that cannot work together, such as --s-max below --n,
+included).
 """
 
 import argparse
+import errno
 import itertools
 import json
 import os
@@ -32,7 +34,7 @@ from functools import cache, partial
 
 from . import __version__
 
-from .bench import DEFAULT_TIMEOUT, BenchReport, run_bench
+from .bench import BenchReport, run_bench
 from .dataset import (
     SPOT_CHECK_TIMEOUT,
     GenerationConfig,
@@ -186,17 +188,27 @@ class _Abort(Exception):
 
 @contextmanager
 def _staged(*paths):
-    """Yield temporaries next to ``paths``: renamed onto them on success, removed on an exception."""
+    """Yield temporaries next to ``paths``: renamed onto them on success, removed on any failure.
+
+    An output path that is a directory is refused before anything is
+    written, and an OSError on a temporary names the path it stands for.
+    """
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
         yield temps
-    except BaseException:
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except OSError as exc:
+        if exc.filename in temps:
+            raise type(exc)(exc.errno, exc.strerror, paths[temps.index(exc.filename)]) from None
+        raise
+    finally:
         for temp in temps:
             if os.path.exists(temp):
                 os.remove(temp)
-        raise
-    for temp, path in zip(temps, paths):
-        os.replace(temp, path)
 
 
 def _render_sample(config: GenerationConfig, index: int):
@@ -401,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, default=None)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=_seed, default=os.environ.get("GBGEN_SEED", "0"))
-    p.add_argument("--timeout", type=_timeout, default=DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=_timeout, default=SPOT_CHECK_TIMEOUT)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(fn=cmd_bench)
 
@@ -430,6 +442,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except JsonlError as exc:
         print(f"gbgen: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # a file the command could not open, read or write
+        print(f"gbgen: {exc.filename}: {exc.strerror}" if exc.filename else f"gbgen: {exc}", file=sys.stderr)
         return 1
 
 

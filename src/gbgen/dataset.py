@@ -42,7 +42,6 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
     "write_meta",
-    "write_tokens",
     "record_line",
     "token_line",
     "sample_lines",
@@ -170,7 +169,8 @@ class OracleMismatchError(RuntimeError):
         return f"sample {self.index}: {self.detail}"
 
 
-# Seconds the inline spot check of ``generate_sample`` gives the oracle.
+# Seconds the inline spot check of ``generate_sample`` gives the oracle; also
+# the default cap of ``gbgen verify`` and ``gbgen bench``.
 SPOT_CHECK_TIMEOUT = 5.0
 
 
@@ -563,13 +563,3 @@ def write_meta(path, config: GenerationConfig, extra: dict | None = None):
 def token_line(pair: SamplePair) -> str:
     """A sample's token-file line, without the newline: framed F tokens, a tab, framed G tokens."""
     return f"{_framed([_render(f)[1] for f in pair.F])}\t{_framed([_render(g)[1] for g in pair.G])}"
-
-
-def write_tokens(samples: Iterable[SamplePair], path) -> int:
-    """One :func:`token_line` per sample."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in samples:
-            fh.write(token_line(pair) + "\n")
-            count += 1
-    return count

@@ -99,9 +99,6 @@ class FieldSpec:
     def mul(self, a: Coeff, b: Coeff) -> Coeff:
         return a * b if self.modulus is None else (a * b) % self.modulus
 
-    def neg(self, a: Coeff) -> Coeff:
-        return -a if self.modulus is None else (-a) % self.modulus
-
     def inv(self, a: Coeff) -> Coeff:
         if not a:
             raise ZeroDivisionError("inverse of zero")

@@ -75,15 +75,6 @@ class TermOrder:
         """Sort key function: key(a) < key(b) iff a precedes b."""
         return _KEY_FNS[self.kind]
 
-    def compare(self, a: Term, b: Term) -> int:
-        """-1, 0 or 1 as ``a`` is below, equal to or above ``b``."""
-        if len(a) != self.arity or len(b) != self.arity:
-            raise ValueError(f"terms must have arity {self.arity}, got {len(a)} and {len(b)}")
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        return 1 if ka > kb else 0
-
     def name(self) -> str:
         return self.kind.value
 

@@ -23,10 +23,9 @@ class ShapeError(ValueError):
 
 @dataclass
 class SolutionSet:
-    """All points of the variety; ``complete`` records that every root of h was found."""
+    """All points of the variety: every root of h, back-substituted."""
 
     points: list[tuple[FieldElement, ...]]
-    complete: bool
 
 
 def univariate_roots_fp(h: Polynomial) -> list[FieldElement]:
@@ -194,4 +193,4 @@ def solve_shape(basis) -> SolutionSet:
             if g.evaluate(coords):
                 raise RuntimeError(f"internal error: candidate {coords} fails {g}")
         points.append(tuple(FieldElement(field, v) for v in coords))
-    return SolutionSet(points=points, complete=True)
+    return SolutionSet(points=points)

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from gbgen import FieldSpec, PolyRing, lex
+from gbgen import lex
+from gbgen.field import FieldSpec
+from gbgen.poly import PolyRing
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -9,23 +9,18 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbgen import (
+from gbgen import RATIONALS, buchberger, grevlex, grlex, lex, prime_field
+from gbgen.backward import (
     BackwardSpec,
     PolyMatrix,
-    PolyRing,
-    RATIONALS,
-    ShapeBasisSpec,
+    _monomials_up_to,
     backward_transform,
-    buchberger,
-    grevlex,
-    grlex,
-    lex,
-    prime_field,
     sample_entry,
     sample_permutation,
-    sample_shape_basis,
     sample_unimodular_upper,
 )
+from gbgen.poly import PolyRing
+from gbgen.shapegen import ShapeBasisSpec, sample_shape_basis
 
 F7 = prime_field(7)
 
@@ -261,6 +256,15 @@ def test_entry_sampler_bounds():
         assert 1 <= e.num_terms() <= 2
         for _, c in e.terms:
             assert isinstance(c, Fraction) and c != 0
+
+
+def test_monomials_up_to_matches_the_box_filter():
+    # the entry sampler draws from this tuple, so its content and order are part of every dataset
+    for nvars in range(1, 5):
+        for degree in range(5):
+            box = sorted(t for t in itertools.product(range(degree + 1), repeat=nvars) if sum(t) <= degree)
+            assert _monomials_up_to(nvars, degree) == tuple(box)
+    assert len(_monomials_up_to(12, 3)) == comb(15, 3)
 
 
 @settings(max_examples=200, deadline=None)

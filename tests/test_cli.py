@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import gbgen
-from gbgen import GenerationConfig, backward_transform, dataset, read_jsonl
+from gbgen import GenerationConfig, dataset
+from gbgen.backward import backward_transform
+from gbgen.dataset import read_jsonl
 from gbgen import cli
 from gbgen.cli import main, parse_field
 
@@ -379,6 +381,39 @@ def test_failed_tokenize_leaves_no_file(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"gbgen: {bad}:9: bad JSON: ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
+
+
+@pytest.mark.parametrize("command", ["verify", "profile", "tokenize", "fglm", "solve"])
+def test_missing_input_is_one_line(tmp_path, capsys, command):
+    missing = tmp_path / "missing.jsonl"
+    outputs = {"tokenize": ["--out", str(tmp_path / "t.txt")], "fglm": ["--to", "grevlex", "--out", str(tmp_path / "t")]}
+    assert run_cli(command, "--input", str(missing), *outputs.get(command, [])) == 1
+    assert capsys.readouterr() == ("", f"gbgen: {missing}: No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_in_missing_directory_is_one_line(tmp_path, capsys):
+    prefix = tmp_path / "nodir" / "x"
+    assert run_cli("generate", "--n", "2", "--field", "f7", "--m", "3", "--out", str(prefix)) == 1
+    # the path the user asked for, not the temporary written first
+    assert capsys.readouterr() == ("", f"gbgen: {prefix}.jsonl: No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_that_is_a_directory_is_refused(tmp_path, capsys):
+    prefix = make_dataset(tmp_path, name="pre")
+    capsys.readouterr()
+    (tmp_path / "adir").mkdir()
+    assert run_cli("tokenize", "--input", f"{prefix}.jsonl", "--out", str(tmp_path / "adir")) == 1
+    assert capsys.readouterr().err == f"gbgen: {tmp_path / 'adir'}: Is a directory\n"
+    # one output of three is a directory: the other two keep their old bytes
+    (tmp_path / "pre.tokens.txt").unlink()
+    (tmp_path / "pre.tokens.txt").mkdir()
+    before = {name: (tmp_path / name).read_bytes() for name in ("pre.jsonl", "pre.meta.json")}
+    assert run_cli("generate", "--n", "2", "--field", "f7", "--m", "5", "--seed", "9", "--out", str(prefix)) == 1
+    assert capsys.readouterr().err == f"gbgen: {prefix}.tokens.txt: Is a directory\n"
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_fglm_conversion_round_trip(tmp_path, capsys):

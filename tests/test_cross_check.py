@@ -12,20 +12,11 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from gbgen import (
-    BackwardSpec,
-    GenerationConfig,
-    RATIONALS,
-    ShapeBasisSpec,
-    backward_transform,
-    buchberger,
-    fglm,
-    generate_sample,
-    grevlex,
-    grlex,
-    prime_field,
-    sample_shape_basis,
-)
+from gbgen import GenerationConfig, RATIONALS, buchberger, grevlex, grlex, prime_field
+from gbgen.backward import BackwardSpec, backward_transform
+from gbgen.dataset import generate_sample
+from gbgen.fglm import fglm
+from gbgen.shapegen import ShapeBasisSpec, sample_shape_basis
 
 ORDER_NAMES = {"lex": "lex", "grlex": "grlex", "grevlex": "grevlex"}
 

@@ -14,31 +14,33 @@ from gbgen import dataset, poly
 from gbgen import field as field_module
 from gbgen import (
     GenerationConfig,
-    JsonlError,
-    PolyRing,
     RATIONALS,
-    SamplePair,
-    TokenError,
     check_pair,
-    child_seed,
     generate_dataset,
-    generate_sample,
     grevlex,
     grlex,
     is_reduced_groebner,
     lex,
-    parse_prefix_tokens,
     prime_field,
+)
+from gbgen.dataset import (
+    JsonlError,
+    SamplePair,
+    TokenError,
+    child_seed,
+    generate_sample,
+    parse_prefix_tokens,
     profile_dataset,
     read_jsonl,
     ring_for,
     sample_from_record,
     sample_to_record,
     to_prefix_tokens,
+    token_line,
     write_jsonl,
     write_meta,
-    write_tokens,
 )
+from gbgen.poly import PolyRing
 
 F7 = prime_field(7)
 
@@ -485,7 +487,7 @@ def test_meta_sidecar_round_trips_config(tmp_path):
 def test_token_file_format(tmp_path):
     config = small_config(num_samples=5)
     path = tmp_path / "data.tokens.txt"
-    assert write_tokens(generate_dataset(config), path) == 5
+    path.write_text("".join(token_line(pair) + "\n" for pair in generate_dataset(config)))
     lines = path.read_text().splitlines()
     assert len(lines) == 5
     ring = ring_for(F7, 2, "lex")

@@ -4,21 +4,10 @@ import random
 
 import pytest
 
-from gbgen import (
-    DimensionError,
-    PolyRing,
-    RATIONALS,
-    ShapeBasisSpec,
-    buchberger,
-    fglm,
-    grevlex,
-    grlex,
-    is_reduced_groebner,
-    lex,
-    prime_field,
-    quotient_basis,
-    sample_shape_basis,
-)
+from gbgen import RATIONALS, buchberger, grevlex, grlex, is_reduced_groebner, lex, prime_field
+from gbgen.fglm import DimensionError, fglm, quotient_basis
+from gbgen.poly import PolyRing
+from gbgen.shapegen import ShapeBasisSpec, sample_shape_basis
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))

@@ -9,18 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbgen import poly
-from gbgen import (
-    GenerationConfig,
-    ParseError,
-    PolyRing,
-    RATIONALS,
-    generate_dataset,
-    grevlex,
-    grlex,
-    lex,
-    normal_form,
-    prime_field,
-)
+from gbgen import GenerationConfig, RATIONALS, generate_dataset, grevlex, grlex, lex, prime_field
+from gbgen.poly import ParseError, PolyRing, normal_form
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
@@ -369,7 +359,7 @@ def reference_parse(ring, text):
             break
         c = field.canon(coeff if coeff is not None else 1)
         if sign < 0:
-            c = field.neg(c)
+            c = field.canon(-c)
         t = tuple(exps)
         prev = acc.get(t)
         acc[t] = c if prev is None else field.add(prev, c)

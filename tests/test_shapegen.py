@@ -6,15 +6,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbgen import (
-    RATIONALS,
-    ShapeBasisSpec,
-    is_reduced_groebner,
-    lex,
-    prime_field,
-    sample_shape_basis,
-    sample_univariate,
-)
+from gbgen import RATIONALS, is_reduced_groebner, lex, prime_field
+from gbgen.shapegen import ShapeBasisSpec, sample_shape_basis, sample_univariate
 
 
 def test_members_have_expected_shape():
