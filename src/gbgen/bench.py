@@ -45,12 +45,8 @@ class BenchReport:
         )
 
 
-def run_bench(
-    config: GenerationConfig,
-    timeout: float = SPOT_CHECK_TIMEOUT,
-    forward: bool = True,
-) -> BenchReport:
-    """Generate config.num_samples pairs, then (optionally) re-solve each F."""
+def run_bench(config: GenerationConfig, timeout: float = SPOT_CHECK_TIMEOUT) -> BenchReport:
+    """Generate config.num_samples pairs, then re-solve each F."""
     config = replace(config, verify_fraction=0.0)  # keep the oracle out of the backward timing
     start = time.perf_counter()
     samples = [generate_sample(config, i) for i in range(config.num_samples)]
@@ -58,18 +54,16 @@ def run_bench(
 
     forward_seconds = 0.0
     timeouts = 0
-    if forward:
-        for pair in samples:
-            gens = [f for f in pair.F if f]
-            tick = time.perf_counter()
-            try:
-                buchberger(gens, timeout=timeout)
-                forward_seconds += time.perf_counter() - tick
-            except GroebnerTimeout:
-                timeouts += 1
-                forward_seconds += timeout
-    m = max(config.num_samples, 1)
-    success = 1.0 - timeouts / m if forward else 1.0
+    for pair in samples:
+        gens = [f for f in pair.F if f]
+        tick = time.perf_counter()
+        try:
+            buchberger(gens, timeout=timeout)
+            forward_seconds += time.perf_counter() - tick
+        except GroebnerTimeout:
+            timeouts += 1
+            forward_seconds += timeout
+    success = 1.0 - timeouts / max(config.num_samples, 1)
     speedup = forward_seconds / backward_seconds if backward_seconds > 0 else float("inf")
     return BenchReport(
         nvars=config.nvars,
@@ -79,5 +73,5 @@ def run_bench(
         forward_seconds=forward_seconds,
         timeouts=timeouts,
         success_rate=success,
-        speedup=speedup if forward else 0.0,
+        speedup=speedup,
     )

@@ -48,11 +48,18 @@ def quotient_basis(basis, cap: int = DEFAULT_DIMENSION_CAP) -> QuotientBasis:
     gens = [g for g in basis if g]
     if not gens:
         raise ValueError("need at least one nonzero polynomial")
-    ring = gens[0].ring
+    standard = _staircase(gens, cap)
+    standard.sort(key=gens[0].ring.order.key)
+    return QuotientBasis(standard)
+
+
+def _staircase(gens, cap: int) -> list[Term]:
+    """The standard monomials of nonzero ``gens`` in the order the walk finds them."""
+    nvars = gens[0].ring.nvars
     heads = [g.leading_monomial for g in gens]
-    origin = (0,) * ring.nvars
+    origin = (0,) * nvars
     if any(term_divides(h, origin) for h in heads):
-        return QuotientBasis([])  # the ideal is the whole ring
+        return []  # the ideal is the whole ring
     seen = {origin}
     queue = [origin]
     standard = []
@@ -63,16 +70,14 @@ def quotient_basis(basis, cap: int = DEFAULT_DIMENSION_CAP) -> QuotientBasis:
             raise DimensionError(
                 f"more than {cap} standard monomials; the ideal is likely not zero-dimensional"
             )
-        for i in range(ring.nvars):
+        for i in range(nvars):
             nxt = tuple(e + 1 if k == i else e for k, e in enumerate(t))
             if nxt in seen:
                 continue
             seen.add(nxt)
             if not any(term_divides(h, nxt) for h in heads):
                 queue.append(nxt)
-    key = ring.order.key
-    standard.sort(key=key)
-    return QuotientBasis(standard)
+    return standard
 
 
 def fglm(basis, target: TermOrder, cap: int = DEFAULT_DIMENSION_CAP) -> list:
@@ -98,7 +103,7 @@ def fglm(basis, target: TermOrder, cap: int = DEFAULT_DIMENSION_CAP) -> list:
         return out
 
     # raises past the cap; the walk keeps one row per standard monomial, so it ends
-    quotient_basis(gens, cap=cap)
+    _staircase(gens, cap)
     target_ring = source_ring.with_order(target)
     field = source_ring.field
     one = field.one()

@@ -1,15 +1,23 @@
 """Buchberger's algorithm and Groebner basis predicates.
 
-The completion loop follows the classic textbook shape: keep a pair queue
-keyed by the total degree of the lcm of the leading terms (the "normal"
-selection strategy), discard pairs with coprime leading terms, reduce the
-S-polynomial against the whole working basis until its head is irreducible,
-and append nonzero remainders.
+One completion loop serves both settings of ``chain_criterion``.  It keeps
+a pair queue keyed by the total degree of the lcm of the leading terms (the
+"normal" selection strategy), reduces each S-polynomial against every
+member added so far until its head is irreducible, and adds nonzero
+remainders.  The settings differ only in how a new member updates the
+queue.  The plain update pairs it with every earlier member, and the loop
+skips pairs with coprime heads when it pops them.  The Gebauer-Moller
+update [Gebauer & Moller 1988] forms only the pairs that criterion M and
+the coprime criterion keep, drops queued pairs by criterion B, and stops
+pairing members whose head the new head divides.  Those redundant members
+stay in the reducer list: reducing against the rest alone gives the same
+basis, but some reductions then run for minutes instead of milliseconds.
 The returned basis is always fully interreduced, monic and sorted ascending
 by leading term, so two runs over the same ideal agree member for member.
 """
 
 import heapq
+import itertools
 import time
 from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
@@ -31,10 +39,18 @@ __all__ = [
 
 @dataclass
 class GroebnerStats:
+    """Counters of one completion.
+
+    ``pairs_skipped`` counts the pairs dropped without a reduction (coprime
+    heads, and under the Gebauer-Moller update criteria M and B);
+    ``redundant_members`` the members that update stopped pairing.
+    """
+
     pairs_processed: int = 0
     zero_reductions: int = 0
     pairs_skipped: int = 0
     basis_additions: int = 0
+    redundant_members: int = 0
     elapsed: float = 0.0
 
     def as_dict(self) -> dict:
@@ -76,12 +92,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def _coprime(s, t) -> bool:
     """Whether two monomials share no variable; then S(f, g) reduces to zero [Buchberger 1979]."""
-    return not any(a and b for a, b in zip(s, t))
-
-
-def _pair_key(order, basis, i, j):
-    lcm = term_lcm(basis[i].leading_monomial, basis[j].leading_monomial)
-    return (total_degree(lcm), order.key(lcm), i, j)
+    return not any(map(min, s, t))
 
 
 def _primitive(f: Polynomial) -> Polynomial:
@@ -104,9 +115,10 @@ def buchberger(polys, timeout: float | None = None, chain_criterion: bool = Fals
     """Complete ``polys`` to the reduced Groebner basis of the ideal they generate.
 
     Zero polynomials in the input are skipped.  ``timeout`` (seconds) aborts
-    the completion with GroebnerTimeout carrying partial statistics; the
-    optional chain criterion prunes pairs whose lcm is divisible by the
-    leading term of a third member whose own pairs were already handled.
+    the completion with GroebnerTimeout carrying partial statistics.  With
+    ``chain_criterion`` each new member updates the pair queue by
+    Gebauer and Moller's rules, which drop redundant pairs and members;
+    without it every pair is queued.  Both give the same basis.
     """
     gens = [f for f in polys if f]
     if not gens:
@@ -118,60 +130,93 @@ def buchberger(polys, timeout: float | None = None, chain_criterion: bool = Fals
 
     start = time.perf_counter()
     stats = GroebnerStats()
-    basis = [_primitive(f) for f in gens]
     order = ring.order
-    queue: list = []
-    done_pairs: set[tuple[int, int]] = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            heapq.heappush(queue, _pair_key(order, basis, i, j))
+    update = _gebauer_moller if chain_criterion else _pair_all
+    basis: list[Polynomial] = []  # every member, redundant ones too: the reducers
+    heads: list = []
+    live: list[int] = []  # the members pairs are still formed with
+    queue: list = []  # (degree of lcm, order key of lcm, i, j, lcm)
+    for f in gens:
+        basis.append(_primitive(f))
+        heads.append(basis[-1].leading_monomial)
+        update(queue, heads, live, order, stats)
 
     while queue:
         if timeout is not None and time.perf_counter() - start > timeout:
             stats.elapsed = time.perf_counter() - start
             raise GroebnerTimeout(timeout, stats)
-        _, _, i, j = heapq.heappop(queue)
-        fi, fj = basis[i], basis[j]
-        ti, tj = fi.leading_monomial, fj.leading_monomial
-        lcm = term_lcm(ti, tj)
-        if _coprime(ti, tj):
+        _, _, i, j, _ = heapq.heappop(queue)
+        if _coprime(heads[i], heads[j]):  # only the plain update queues these
             stats.pairs_skipped += 1
-            done_pairs.add((i, j))
-            continue
-        if chain_criterion and _chain_applies(basis, done_pairs, i, j, lcm):
-            stats.pairs_skipped += 1
-            done_pairs.add((i, j))
             continue
         # only the head decides what happens next, and basis members matter
         # only up to scale, so a top-reduced primitive remainder is enough
-        remainder = _primitive(normal_form(s_polynomial(fi, fj), basis, top_only=True))
+        remainder = _primitive(normal_form(s_polynomial(basis[i], basis[j]), basis, top_only=True))
         stats.pairs_processed += 1
-        done_pairs.add((i, j))
         if not remainder:
             stats.zero_reductions += 1
             continue
         basis.append(remainder)
+        heads.append(remainder.leading_monomial)
         stats.basis_additions += 1
-        k = len(basis) - 1
-        for m in range(k):
-            heapq.heappush(queue, _pair_key(order, basis, m, k))
+        update(queue, heads, live, order, stats)
 
-    reduced = reduce_basis(basis)
+    reduced = reduce_basis([basis[k] for k in live])
     stats.elapsed = time.perf_counter() - start
     return GroebnerResult(reduced, stats)
 
 
-def _chain_applies(basis, done_pairs, i, j, lcm) -> bool:
-    for k in range(len(basis)):
-        if k in (i, j):
-            continue
-        if not term_divides(basis[k].leading_monomial, lcm):
-            continue
-        a = (min(i, k), max(i, k))
-        b = (min(j, k), max(j, k))
-        if a in done_pairs and b in done_pairs:
-            return True
-    return False
+def _push(queue, order, i, j, lcm):
+    heapq.heappush(queue, (total_degree(lcm), order.key(lcm), i, j, lcm))
+
+
+def _pair_all(queue, heads, live, order, stats):
+    """The plain update: pair the newest member with every earlier one."""
+    k = len(heads) - 1
+    h = heads[k]
+    for g in live:
+        _push(queue, order, g, k, term_lcm(heads[g], h))
+    live.append(k)
+
+
+def _gebauer_moller(queue, heads, live, order, stats):
+    """The Gebauer-Moller update for the newest member [Gebauer & Moller 1988].
+
+    With h the new head: a queued pair whose lcm h divides is dropped unless
+    h's lcm with one of its members equals that lcm (criterion B).  Of the
+    new pairs (g, h), one is kept for each lcm that no other new lcm divides
+    (criterion M, with one pair kept for each equal lcm), then those with
+    coprime heads are dropped too.  Members whose head h divides stop
+    forming pairs.
+    """
+    k = len(heads) - 1
+    h = heads[k]
+    kept = [
+        e for e in queue
+        if not term_divides(h, e[4]) or term_lcm(heads[e[2]], h) == e[4] or term_lcm(heads[e[3]], h) == e[4]
+    ]
+    if len(kept) < len(queue):
+        stats.pairs_skipped += len(queue) - len(kept)
+        queue[:] = kept
+        heapq.heapify(queue)
+    new = [(term_lcm(heads[g], h), g) for g in live]
+    chosen: list = []
+    for idx, (lcm, g) in enumerate(new):
+        # a coprime pair stays here so that it can drop its multiples
+        if _coprime(heads[g], h) or not any(
+            term_divides(other, lcm) for other, _ in itertools.chain(new[idx + 1 :], chosen)
+        ):
+            chosen.append((lcm, g))
+    pushed = 0
+    for lcm, g in chosen:
+        if not _coprime(heads[g], h):
+            _push(queue, order, g, k, lcm)
+            pushed += 1
+    stats.pairs_skipped += len(new) - pushed
+    before = len(live)
+    live[:] = [g for g in live if not term_divides(h, heads[g])]
+    stats.redundant_members += before - len(live)
+    live.append(k)
 
 
 def reduce_basis(polys) -> list:

@@ -9,23 +9,23 @@ key tuple is smaller, which keeps comparison allocation-light and lets
 
 import enum
 from dataclasses import dataclass
-from operator import neg
+from operator import le, neg, sub
 
 Term = tuple[int, ...]
 
 
 def term_div(a: Term, b: Term) -> Term:
     """Componentwise difference a - b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def term_divides(a: Term, b: Term) -> bool:
     """True when the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def term_lcm(a: Term, b: Term) -> Term:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def total_degree(t: Term) -> int:

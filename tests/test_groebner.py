@@ -1,5 +1,6 @@
 """Completion oracle: S-polynomials, Buchberger, basis predicates."""
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from gbgen import (
     lex,
     prime_field,
 )
-from gbgen.dataset import SamplePair
+from gbgen.dataset import GenerationConfig, SamplePair, generate_sample
 from gbgen.fglm import fglm
 from gbgen.groebner import reduce_basis, s_polynomial
 from gbgen.poly import PolyRing
@@ -164,19 +165,43 @@ def test_determinism():
 
 
 def test_chain_criterion_agrees():
-    rng = random.Random(5)
-    from gbgen.backward import BackwardSpec, backward_transform
-    from gbgen.shapegen import ShapeBasisSpec, sample_shape_basis
+    cases = itertools.product((prime_field(7), prime_field(7919), RATIONALS), ("lex", "grlex", "grevlex"), (2, 3))
+    for field, order, n in cases:
+        config = GenerationConfig(
+            field=field, nvars=n, num_samples=12, max_degree=3, density=0.6,
+            order=order, seed=5 + n, verify_fraction=0.0,
+        )
+        for index in range(config.num_samples):
+            case = (str(field), order, n, index)
+            pair = generate_sample(config, index)
+            F = [f for f in pair.F if f]
+            plain = buchberger(F)
+            pruned = buchberger(F, chain_criterion=True)
+            assert pruned.basis == plain.basis == canon(pair.G), case
+            assert pruned.stats.pairs_processed <= plain.stats.pairs_processed, case
+            for stats in (plain.stats, pruned.stats):
+                assert stats.pairs_processed == stats.zero_reductions + stats.basis_additions, case
+            assert plain.stats.redundant_members == 0, case
 
-    spec = ShapeBasisSpec(field=prime_field(7), nvars=2, max_degree=3)
-    bspec = BackwardSpec(s_max=4)
-    for _ in range(25):
-        G = sample_shape_basis(spec, rng)
-        F = [f for f in backward_transform(G, bspec, rng).F if f]
-        plain = buchberger(F)
-        pruned = buchberger(F, chain_criterion=True)
-        assert plain.basis == pruned.basis
-        assert pruned.stats.pairs_processed <= plain.stats.pairs_processed
+
+def test_gebauer_moller_drops_queued_pair_and_members():
+    F = [R7.parse("x0^3*x1 + x0"), R7.parse("x0*x1^3 + x1")]
+    # (f0, f1) gives f2 = -x0^2*x1 + x0*x1^2, whose head divides f0's head:
+    # f0 is redundant and (f0, f2), (f1, f2) are queued.  (f0, f2) gives
+    # f3 = x0 - x1; its head strictly divides lcm(f1, f2) = x0^2*x1^3 and
+    # differs from the lcm of f3 with f1 (x0*x1^3) and with f2 (x0^2*x1),
+    # so criterion B drops (f1, f2), and f1 and f2 are redundant.  Of f3's
+    # new pairs (f1, f3) and (f2, f3), one gives zero and one gives
+    # f4 = x1^4 + x1, whose one new pair (f3, f4) is coprime.
+    pruned = buchberger(F, chain_criterion=True)
+    plain = buchberger(F)
+    assert [str(g) for g in pruned.basis] == ["x1^4 + x1", "x0 - x1"]
+    assert pruned.basis == plain.basis
+    stats = pruned.stats
+    assert (stats.pairs_processed, stats.zero_reductions, stats.basis_additions) == (4, 1, 3)
+    assert stats.pairs_skipped == 2  # (f1, f2) by criterion B, (f3, f4) coprime
+    assert stats.redundant_members == 3  # f0, f1, f2
+    assert (plain.stats.pairs_processed, plain.stats.redundant_members) == (9, 0)
 
 
 def test_timeout_raises_with_stats():
