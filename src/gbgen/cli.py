@@ -46,7 +46,6 @@ from .dataset import (
     profile_dataset,
     read_jsonl,
     record_line,
-    sample_lines,
     token_line,
     write_meta,
 )
@@ -213,7 +212,7 @@ def _staged(*paths):
 
 def _render_sample(config: GenerationConfig, index: int):
     pair = generate_sample(config, index)
-    return index, pair.seed_used, pair.spot_check, *sample_lines(pair, config)
+    return index, pair.seed_used, pair.spot_check, record_line(pair, config), token_line(pair)
 
 
 # The flag that sets each config field.  A config value error opens with the

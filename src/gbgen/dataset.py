@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 from .backward import BackwardSpec, backward_transform
 from .field import FieldSpec
 from .fglm import fglm
-from .groebner import GroebnerTimeout, buchberger
+from .groebner import GroebnerTimeout, buchberger, is_reduced_groebner
 from .orders import OrderKind, TermOrder, order_by_name
 from .poly import Polynomial, PolyRing, _combination, _render
 from .shapegen import ShapeBasisSpec, sample_shape_basis
@@ -44,7 +44,6 @@ __all__ = [
     "write_meta",
     "record_line",
     "token_line",
-    "sample_lines",
     "JsonlError",
     "BOS",
     "EOS",
@@ -294,8 +293,6 @@ def profile_dataset(samples: Iterable[SamplePair], check_groebner: bool = True) 
     Zero polynomials count toward sizes and term totals but are excluded
     from the degree extremes (they have none).
     """
-    from .groebner import is_reduced_groebner
-
     names = ["size", "max_degree", "min_degree", "num_terms"]
     if check_groebner:
         names.append("groebner_ratio")
@@ -448,8 +445,7 @@ def ring_for(field: FieldSpec, nvars: int, order_name: str) -> PolyRing:
     return PolyRing(field, nvars, order_by_name(order_name, nvars))
 
 
-def _record(pair: SamplePair, config: GenerationConfig, F: list[str], G: list[str]) -> dict:
-    """A sample's record, given the texts of its F and G."""
+def sample_to_record(pair: SamplePair, config: GenerationConfig) -> dict:
     return {
         "index": pair.index,
         "field": config.field.to_dict(),
@@ -457,28 +453,16 @@ def _record(pair: SamplePair, config: GenerationConfig, F: list[str], G: list[st
         "order": config.order,
         "s": pair.s,
         "seed": pair.seed_used,
-        "F": F,
-        "G": G,
+        "F": [str(f) for f in pair.F],
+        "G": [str(g) for g in pair.G],
         "contains_zero": pair.contains_zero,
         "over_range": pair.over_range,
     }
 
 
-def sample_to_record(pair: SamplePair, config: GenerationConfig) -> dict:
-    return _record(pair, config, [str(f) for f in pair.F], [str(g) for g in pair.G])
-
-
 def record_line(pair: SamplePair, config: GenerationConfig) -> str:
-    """A sample's JSONL line, without the newline."""
+    """A sample's JSONL line, without the newline; each polynomial keeps its render for :func:`token_line`."""
     return json.dumps(sample_to_record(pair, config))
-
-
-def sample_lines(pair: SamplePair, config: GenerationConfig) -> tuple[str, str]:
-    """:func:`record_line` and :func:`token_line` of a sample, from one render walk per polynomial."""
-    F = [_render(f) for f in pair.F]
-    G = [_render(g) for g in pair.G]
-    record = _record(pair, config, [text for text, _ in F], [text for text, _ in G])
-    return json.dumps(record), f"{_framed([tokens for _, tokens in F])}\t{_framed([tokens for _, tokens in G])}"
 
 
 # the JSON type of each field a record must carry (a bool is no int here)
@@ -561,5 +545,8 @@ def write_meta(path, config: GenerationConfig, extra: dict | None = None):
 
 
 def token_line(pair: SamplePair) -> str:
-    """A sample's token-file line, without the newline: framed F tokens, a tab, framed G tokens."""
+    """A sample's token-file line, without the newline: framed F tokens, a tab, framed G tokens.
+
+    A :func:`record_line` of the sample before it leaves nothing to walk.
+    """
     return f"{_framed([_render(f)[1] for f in pair.F])}\t{_framed([_render(g)[1] for g in pair.G])}"

@@ -166,11 +166,14 @@ def _monomial_forms(term: Term) -> tuple[str, str]:
 def _render(f: "Polynomial") -> tuple[str, str]:
     """The text of ``f`` and its prefix-token text, from one walk over its terms.
 
-    Each term costs a lookup of its monomial's two strings and of its
-    coefficient's four (see :func:`gbgen.field.residue_forms`), which a
-    large prime field formats afresh instead.  The zero polynomial is "0"
-    and the lone token C0.
+    The first call keeps the pair on ``f``, so a sample's record line and
+    token line share one walk.  Each term costs a lookup of its monomial's
+    two strings and of its coefficient's four (see
+    :func:`gbgen.field.residue_forms`), which a large prime field formats
+    afresh instead.  The zero polynomial is "0" and the lone token C0.
     """
+    if f._forms is not None:
+        return f._forms
     terms = f.terms
     if not terms:
         return "0", "C0"
@@ -183,17 +186,20 @@ def _render(f: "Polynomial") -> tuple[str, str]:
         text.append(factor + mono if mono else alone)
         tokens.append(token + mono_tokens)
     # every term opens with a three-character separator; the first takes its sign instead
-    return forms(mod, terms[0][1])[0] + "".join(text)[3:], " ".join(tokens)
+    f._forms = forms(mod, terms[0][1])[0] + "".join(text)[3:], " ".join(tokens)
+    return f._forms
 
 
 class Polynomial:
     """Immutable sparse polynomial; ``terms`` is canonical and descending."""
 
-    __slots__ = ("ring", "terms")
+    # _forms: the (text, tokens) pair of _render, None until the first render
+    __slots__ = ("ring", "terms", "_forms")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
         self.terms = terms
+        self._forms = None
 
     # -- inspection ----------------------------------------------------
 

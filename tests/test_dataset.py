@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -288,6 +289,25 @@ def test_rendering_caches_stay_bounded():
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize == info.maxsize
+
+
+def test_record_and_token_lines_share_one_render():
+    config = GenerationConfig(field=F7, nvars=3, num_samples=1, seed=2, verify_fraction=0.0)
+    pair = generate_sample(config, 0)
+    record = json.loads(dataset.record_line(pair, config))
+    before = poly._monomial_forms.cache_info()
+    line = token_line(pair)
+    after = poly._monomial_forms.cache_info()
+    # the token line reuses the walk of the record line: no monomial is looked up again
+    assert after.hits + after.misses == before.hits + before.misses
+    assert sum(f.num_terms() for f in pair.F + pair.G) > 0
+    assert (record["F"], record["G"]) == ([reference_str(f) for f in pair.F], [reference_str(g) for g in pair.G])
+    assert line == "\t".join(" ".join(["BOS", *reference_tokens(polys), "EOS"]) for polys in (pair.F, pair.G))
+    # verify --jobs pickles parsed pairs to its workers; a rendered polynomial comes back whole
+    for f in pair.F + pair.G:
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and hash(copy) == hash(f)
+        assert (str(copy), to_prefix_tokens([copy])) == (reference_str(f), reference_tokens([f]))
 
 
 # sha256 of generate_dataset's .jsonl and .tokens.txt bytes: the determinism
