@@ -11,10 +11,15 @@ invertible over the polynomial ring and A = U1*P*U2 has the explicit left
 inverse [U2block^-1 | 0] P^T U1^-1.  That guarantees <F> = <G> while F
 itself is larger, denser and (almost always) no Groebner basis at all.
 
+The product is two triangular sweeps, F = U1 * (P * (U2 * G)): row i of a
+unit upper triangle times v is v[i] plus the entries right of the diagonal
+times the later members, so no matrix product is formed and F's rows come
+one at a time.  The zero rows of U2 pad U2 * G with zero polynomials.
+
 Matrix entries are polynomials of bounded total degree, present with
 probability ``density``; draw order is row-major over the strict upper
-triangle (s, then U1, then the U2 block, then P), each entry drawing term
-count, then exponents, then coefficients.
+triangle (s, then U1, then the U2 block, then P), each slot drawing its
+density coin and then, if filled, term count, exponents and coefficients.
 """
 
 import random
@@ -22,11 +27,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .poly import Polynomial, PolyRing, _combination, _descending
-from .shapegen import sample_nonzero_coeff
+from .shapegen import _check_coeff_ranges, sample_nonzero_coeff
 
 __all__ = [
     "BackwardSpec",
-    "PolyMatrix",
     "BackwardSample",
     "sample_entry",
     "sample_unimodular_upper",
@@ -57,49 +61,7 @@ class BackwardSpec:
             raise ValueError("density must lie in [0, 1]")
         if self.max_entry_terms < 1:
             raise ValueError("max_entry_terms must be at least 1")
-
-
-class PolyMatrix:
-    """A dense matrix of polynomials over one ring."""
-
-    __slots__ = ("ring", "rows", "cols", "entries")
-
-    def __init__(self, ring: PolyRing, entries):
-        self.ring = ring
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-            for p in row:
-                if not isinstance(p, Polynomial) or p.ring is not ring and p.ring != ring:
-                    raise ValueError("entries must be polynomials over the matrix ring")
-
-    def apply(self, polys) -> list:
-        """Matrix-vector product against a list of polynomials.
-
-        Each output row accumulates all of its entry-times-member products
-        into one dict and is sorted once.
-        """
-        polys = list(polys)
-        if len(polys) != self.cols:
-            raise ValueError(f"expected {self.cols} polynomials, got {len(polys)}")
-        ring = self.ring
-        if any(g.ring is not ring and g.ring != ring for g in polys):
-            raise ValueError("polynomials must share the matrix ring")
-        return [
-            Polynomial(ring, _combination(ring, [(c, t, g.terms) for e, g in zip(row, polys) for t, c in e.terms]))
-            for row in self.entries
-        ]
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.ring == other.ring and self.entries == other.entries
-
-    def __repr__(self):
-        return f"<PolyMatrix {self.rows}x{self.cols} over {self.ring}>"
+        _check_coeff_ranges(self.num_range, self.den_range)
 
 
 @lru_cache(maxsize=None)
@@ -132,23 +94,32 @@ def sample_entry(ring: PolyRing, spec: BackwardSpec, rng: random.Random) -> Poly
     return Polynomial(ring, _descending(ring, pairs))
 
 
-def sample_unimodular_upper(ring: PolyRing, size: int, spec: BackwardSpec, rng: random.Random) -> PolyMatrix:
-    """Unit diagonal, zero below, entries above present with probability ``spec.density``."""
+def sample_unimodular_upper(ring: PolyRing, size: int, spec: BackwardSpec, rng: random.Random) -> list:
+    """The dense rows of a unit upper triangle; each entry above it is present with probability ``spec.density``."""
     one, zero = ring.one(), ring.zero()
-    entries = []
+    rows = []
     for i in range(size):
-        row = []
-        for j in range(size):
-            if j < i:
-                row.append(zero)
-            elif j == i:
-                row.append(one)
-            elif rng.random() < spec.density:
-                row.append(sample_entry(ring, spec, rng))
-            else:
-                row.append(zero)
-        entries.append(row)
-    return PolyMatrix(ring, entries)
+        row = [zero] * i + [one]
+        for _ in range(i + 1, size):
+            row.append(sample_entry(ring, spec, rng) if rng.random() < spec.density else zero)
+        rows.append(row)
+    return rows
+
+
+def _upper_apply(rows, polys) -> list:
+    """U * polys for a unit upper triangle U given as its dense rows.
+
+    Row i is polys[i] plus each entry right of the diagonal times its
+    member, all in one combination sorted once; the unit diagonal and the
+    zeros are never multiplied.
+    """
+    ring = polys[0].ring
+    return [
+        Polynomial(ring, _combination(ring, [(1, None, polys[i].terms)] + [
+            (c, t, g.terms) for e, g in zip(row[i + 1:], polys[i + 1:]) for t, c in e.terms
+        ]))
+        for i, row in enumerate(rows)
+    ]
 
 
 def sample_permutation(size: int, rng: random.Random) -> list:
@@ -203,9 +174,8 @@ def backward_transform(basis, spec: BackwardSpec, rng: random.Random) -> Backwar
         u2 = sample_unimodular_upper(ring, n, spec, rng)
         perm = sample_permutation(s, rng)
 
-        padded = u2.apply(basis) + [ring.zero()] * (s - n)
-        permuted = [padded[perm[i]] for i in range(s)]
-        F = u1.apply(permuted)
+        padded = _upper_apply(u2, basis) + [ring.zero()] * (s - n)
+        F = _upper_apply(u1, [padded[p] for p in perm])
 
         if not check_range or _coeffs_in_range(F, spec.coeff_limit):
             return BackwardSample(F, s, over_range=False, retries=retries)

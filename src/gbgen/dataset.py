@@ -351,7 +351,9 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
 
     The token loop checks each variable index, exponent and residue, so the
     terms go to the combination kernel as they are: it merges repeated
-    monomials, drops vanishing sums and sorts into ring order.
+    monomials, drops vanishing sums and sorts into ring order.  Only what
+    the writer can emit parses: every member is nonempty (zero is the lone
+    C0) and every numeric suffix is ASCII decimal digits, with no sign.
     """
     tokens = list(tokens)
     if not tokens:
@@ -359,18 +361,26 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
     rational = ring.field.modulus is None
     polys = []
     pending: list[tuple] = []
-    pos = 0
+    pos = start = 0
     n = len(tokens)
 
     def flush():
+        if pos == start:
+            raise TokenError(pos, "empty polynomial")
         polys.append(Polynomial(ring, _combination(ring, [(1, None, pending)])))
         pending.clear()
+
+    def number(at: int) -> int:
+        digits = tokens[at][1:]
+        if not (digits.isdigit() and digits.isascii()):
+            raise TokenError(at, f"malformed number in {tokens[at]!r}")
+        return int(digits)
 
     while pos < n:
         tok = tokens[pos]
         if tok == SEP:
             flush()
-            pos += 1
+            pos = start = pos + 1
             continue
         if tok == "C0":
             if pending:
@@ -389,11 +399,7 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
         if rational:
             if pos + 1 >= n or not tokens[pos].startswith("N") or not tokens[pos + 1].startswith("D"):
                 raise TokenError(pos, "expected numerator and denominator tokens")
-            try:
-                num = int(tokens[pos][1:])
-                den = int(tokens[pos + 1][1:])
-            except ValueError:
-                raise TokenError(pos, "malformed coefficient tokens") from None
+            num, den = number(pos), number(pos + 1)
             if den == 0:
                 raise TokenError(pos + 1, "zero denominator")
             coeff = Fraction(sign * num, den)
@@ -401,25 +407,18 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
         else:
             if pos >= n or not tokens[pos].startswith("C"):
                 raise TokenError(pos, "expected a residue token")
-            try:
-                coeff = int(tokens[pos][1:])
-            except ValueError:
-                raise TokenError(pos, "malformed residue token") from None
+            coeff = number(pos)
             if sign < 0:
                 raise TokenError(pos - 2, "prime-field terms always carry '+'")
-            if not 0 <= coeff < ring.field.modulus:
+            if coeff >= ring.field.modulus:
                 raise TokenError(pos, f"residue {coeff} out of range")
             pos += 1
         exps = [0] * ring.nvars
         while pos < n and tokens[pos] == "^":
             if pos + 2 >= n or not tokens[pos + 1].startswith("x") or not tokens[pos + 2].startswith("E"):
                 raise TokenError(pos, "expected '^ xi Ei'")
-            try:
-                var = int(tokens[pos + 1][1:])
-                exp = int(tokens[pos + 2][1:])
-            except ValueError:
-                raise TokenError(pos + 1, "malformed power tokens") from None
-            if not 0 <= var < ring.nvars:
+            var, exp = number(pos + 1), number(pos + 2)
+            if var >= ring.nvars:
                 raise TokenError(pos + 1, f"variable x{var} out of range")
             if exp < 1:
                 raise TokenError(pos + 2, "exponent tokens must be positive")

@@ -43,12 +43,22 @@ class ShapeBasisSpec:
             raise ValueError("max_degree must be at least 1")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
+        _check_coeff_ranges(self.num_range, self.den_range)
         # one ring for every draw, kept out of the fields so that equality,
         # hashing and repr see only the knobs
         object.__setattr__(self, "_ring", PolyRing(self.field, self.nvars, lex(self.nvars)))
 
     def ring(self) -> PolyRing:
         return self._ring
+
+
+def _check_coeff_ranges(num_range, den_range):
+    """Reject bounds that :func:`sample_nonzero_coeff` cannot draw a rational from."""
+    (num_lo, num_hi), (den_lo, den_hi) = num_range, den_range
+    if num_lo > num_hi or num_lo == num_hi == 0:
+        raise ValueError(f"num_range {tuple(num_range)} holds no nonzero integer")
+    if not 1 <= den_lo <= den_hi:
+        raise ValueError(f"den_range {tuple(den_range)} must satisfy 1 <= lo <= hi")
 
 
 def sample_nonzero_coeff(field: FieldSpec, num_range, den_range, rng: random.Random):
@@ -81,12 +91,11 @@ def sample_univariate(spec: ShapeBasisSpec, max_degree: int, monic: bool, rng: r
     def term(e: int):
         return zeros + (e,)
 
+    count = rng.randint(1, min(spec.max_terms, max_degree + 1))
     if monic:
-        count = rng.randint(1, min(spec.max_terms, max_degree + 1))
-        exponents = rng.sample(range(max_degree), count - 1) if count > 1 else []
+        exponents = rng.sample(range(max_degree), count - 1)
         pairs = [(term(max_degree), spec.field.one())]
     else:
-        count = rng.randint(1, min(spec.max_terms, max_degree + 1))
         exponents = rng.sample(range(max_degree + 1), count)
         pairs = []
     pairs.extend(

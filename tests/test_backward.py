@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from gbgen import RATIONALS, buchberger, grevlex, grlex, lex, prime_field
 from gbgen.backward import (
     BackwardSpec,
-    PolyMatrix,
     _monomials_up_to,
+    _upper_apply,
     backward_transform,
     sample_entry,
     sample_permutation,
@@ -29,12 +29,12 @@ def canon(basis):
     return sorted(basis, key=lambda g: g.ring.order.key(g.leading_monomial))
 
 
-# -- reference matrix algebra: the transform itself only needs PolyMatrix.apply
+# -- reference matrix algebra on dense rows: the transform itself never forms a product
 
 
 def identity(ring, size):
     one, zero = ring.one(), ring.zero()
-    return PolyMatrix(ring, [[one if i == j else zero for j in range(size)] for i in range(size)])
+    return [[one if i == j else zero for j in range(size)] for i in range(size)]
 
 
 def permutation_matrix(ring, perm):
@@ -43,50 +43,49 @@ def permutation_matrix(ring, perm):
     if sorted(perm) != list(range(len(perm))):
         raise ValueError(f"not a permutation: {perm!r}")
     one, zero = ring.one(), ring.zero()
-    return PolyMatrix(ring, [[one if j == p else zero for j in range(len(perm))] for p in perm])
+    return [[one if j == p else zero for j in range(len(perm))] for p in perm]
 
 
 def matmul(a, b):
     """The full matrix product a b."""
-    if a.ring != b.ring or a.cols != b.rows:
+    ring = a[0][0].ring
+    if b[0][0].ring != ring or len(a[0]) != len(b):
         raise ValueError("shape or ring mismatch")
     out = []
-    for i in range(a.rows):
+    for i in range(len(a)):
         row = []
-        for j in range(b.cols):
-            acc = a.ring.zero()
-            for k in range(a.cols):
-                x, y = a.entries[i][k], b.entries[k][j]
+        for j in range(len(b[0])):
+            acc = ring.zero()
+            for k in range(len(b)):
+                x, y = a[i][k], b[k][j]
                 if x and y:
                     acc = acc + x * y
             row.append(acc)
         out.append(row)
-    return PolyMatrix(a.ring, out)
+    return out
 
 
 def is_unimodular_upper(m):
-    if m.rows != m.cols:
+    if any(len(row) != len(m) for row in m):
         return False
-    one = m.ring.one()
-    for i in range(m.rows):
-        if m.entries[i][i] != one:
+    for i, row in enumerate(m):
+        if row[i] != row[i].ring.one():
             return False
-        if any(m.entries[i][j] for j in range(i)):
+        if any(row[j] for j in range(i)):
             return False
     return True
 
 
 def is_permutation(m):
-    if m.rows != m.cols:
+    if any(len(row) != len(m) for row in m):
         return False
-    one = m.ring.one()
     seen = set()
-    for row in m.entries:
+    for row in m:
         hits = [j for j, p in enumerate(row) if p]
-        if len(hits) != 1 or row[hits[0]] != one:
+        if len(hits) != 1 or row[hits[0]] != row[hits[0]].ring.one():
             return False
         seen.add(hits[0])
-    return len(seen) == m.rows
+    return len(seen) == len(m)
 
 
 def is_left_invertible_form(s, n, P, U1, U2):
@@ -98,15 +97,15 @@ def is_left_invertible_form(s, n, P, U1, U2):
     """
     if n < 1 or s < n:
         return False
-    if U1.rows != s or not is_unimodular_upper(U1):
+    if len(U1) != s or not is_unimodular_upper(U1):
         return False
-    if P.rows != s or P.cols != s or not is_permutation(P):
+    if len(P) != s or not is_permutation(P):
         return False
-    if U2.rows != s or U2.cols != n:
+    if len(U2) != s or any(len(row) != n for row in U2):
         return False
-    if not is_unimodular_upper(PolyMatrix(U2.ring, U2.entries[:n])):
+    if not is_unimodular_upper(U2[:n]):
         return False
-    return all(not p for row in U2.entries[n:] for p in row)
+    return all(not p for row in U2[n:] for p in row)
 
 
 def replay(basis, spec, seed):
@@ -123,9 +122,18 @@ def replay(basis, spec, seed):
 
 def stack_u2(ring, u2_block, s):
     zero = ring.zero()
-    rows = [list(r) for r in u2_block.entries]
-    rows.extend([[zero] * u2_block.cols for _ in range(s - u2_block.rows)])
-    return PolyMatrix(ring, rows)
+    return [list(r) for r in u2_block] + [[zero] * len(u2_block) for _ in range(s - len(u2_block))]
+
+
+def reference_apply(matrix, polys):
+    """The matrix-vector product as a sum of entry * member through Polynomial.__add__."""
+    out = []
+    for row in matrix:
+        acc = polys[0].ring.zero()
+        for e, g in zip(row, polys):
+            acc = acc + e * g
+        out.append(acc)
+    return out
 
 
 def test_fast_path_matches_full_matrix_product():
@@ -139,24 +147,13 @@ def test_fast_path_matches_full_matrix_product():
         s, u1, u2, perm = replay(G, spec, seed)
         assert sample.s == s
         P = permutation_matrix(ring, perm)
-        full = matmul(matmul(u1, P), stack_u2(ring, u2, s)).apply(G)
+        full = reference_apply(matmul(matmul(u1, P), stack_u2(ring, u2, s)), G)
         assert sample.F == full
         assert is_left_invertible_form(s, len(G), P, u1, stack_u2(ring, u2, s))
 
 
-def reference_apply(matrix, polys):
-    """The matrix-vector product as a sum of entry * member through Polynomial.__add__."""
-    out = []
-    for row in matrix.entries:
-        acc = matrix.ring.zero()
-        for e, g in zip(row, polys):
-            acc = acc + e * g
-        out.append(acc)
-    return out
-
-
 @st.composite
-def matrix_and_vector(draw):
+def upper_and_vector(draw):
     field = draw(st.sampled_from([F7, prime_field(31), RATIONALS]))
     nvars = draw(st.integers(1, 3))
     ring = PolyRing(field, nvars, draw(st.sampled_from([lex, grevlex]))(nvars))
@@ -166,16 +163,18 @@ def matrix_and_vector(draw):
         coeff = st.integers(0, field.modulus - 1)
     term = st.tuples(*[st.integers(0, 4)] * nvars)
     poly = st.one_of(st.just(ring.zero()), st.lists(st.tuples(term, coeff), max_size=5).map(ring.from_terms))
-    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    matrix = PolyMatrix(ring, [[draw(poly) for _ in range(cols)] for _ in range(rows)])
-    return matrix, [draw(poly) for _ in range(cols)]
+    size = draw(st.integers(1, 5))
+    one, zero = ring.one(), ring.zero()
+    rows = [[zero] * i + [one] + [draw(poly) for _ in range(i + 1, size)] for i in range(size)]
+    return rows, [draw(poly) for _ in range(size)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrix_and_vector())
-def test_apply_matches_reference(case):
-    matrix, vector = case
-    assert matrix.apply(vector) == reference_apply(matrix, vector)
+@given(upper_and_vector())
+def test_upper_apply_matches_reference(case):
+    rows, vector = case
+    assert is_unimodular_upper(rows)
+    assert _upper_apply(rows, vector) == reference_apply(rows, vector)
 
 
 def test_row_count_bounds_and_coverage():
@@ -230,7 +229,7 @@ def test_density_controls_fill_rate():
         m = sample_unimodular_upper(ring, size, spec, rng)
         assert is_unimodular_upper(m)
         filled += sum(
-            1 for i in range(size) for j in range(i + 1, size) if m.entries[i][j]
+            1 for i in range(size) for j in range(i + 1, size) if m[i][j]
         )
     rate = filled / (slots * draws)
     assert abs(rate - 0.35) < 0.03
@@ -334,19 +333,19 @@ def test_structural_check_rejects_bad_factors():
     one, zero, x0 = ring.one(), ring.zero(), ring.parse("x0")
     u1 = identity(ring, 3)
     p = permutation_matrix(ring, [2, 0, 1])
-    u2 = PolyMatrix(ring, [[one, x0], [zero, one], [zero, zero]])
+    u2 = [[one, x0], [zero, one], [zero, zero]]
     assert is_left_invertible_form(3, 2, p, u1, u2)
 
     assert not is_left_invertible_form(1, 2, p, u1, u2)  # s < n
-    bad_u1 = PolyMatrix(ring, [[one, zero, zero], [x0, one, zero], [zero, zero, one]])
+    bad_u1 = [[one, zero, zero], [x0, one, zero], [zero, zero, one]]
     assert not is_left_invertible_form(3, 2, p, bad_u1, u2)
-    not_perm = PolyMatrix(ring, [[one, zero, zero], [one, zero, zero], [zero, zero, one]])
+    not_perm = [[one, zero, zero], [one, zero, zero], [zero, zero, one]]
     assert not is_left_invertible_form(3, 2, not_perm, u1, u2)
-    dirty_tail = PolyMatrix(ring, [[one, x0], [zero, one], [zero, x0]])
+    dirty_tail = [[one, x0], [zero, one], [zero, x0]]
     assert not is_left_invertible_form(3, 2, p, u1, dirty_tail)
-    zero_diag = PolyMatrix(ring, [[one, x0], [zero, zero], [zero, zero]])
+    zero_diag = [[one, x0], [zero, zero], [zero, zero]]
     assert not is_left_invertible_form(3, 2, p, u1, zero_diag)
-    scaled_diag = PolyMatrix(ring, [[one, x0], [zero, ring.parse("2")], [zero, zero]])
+    scaled_diag = [[one, x0], [zero, ring.parse("2")], [zero, zero]]
     assert not is_left_invertible_form(3, 2, p, u1, scaled_diag)
 
 
@@ -356,9 +355,7 @@ def test_matrix_primitives():
     spec = BackwardSpec(s_max=2, max_entry_degree=2)
 
     def rand_matrix(rows, cols):
-        return PolyMatrix(
-            ring, [[sample_entry(ring, spec, rng) for _ in range(cols)] for _ in range(rows)]
-        )
+        return [[sample_entry(ring, spec, rng) for _ in range(cols)] for _ in range(rows)]
 
     a, b, c = rand_matrix(2, 3), rand_matrix(3, 2), rand_matrix(2, 2)
     assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
@@ -367,19 +364,13 @@ def test_matrix_primitives():
 
     v = [ring.parse("x0 + 1"), ring.parse("x1^2"), ring.parse("3")]
     p = permutation_matrix(ring, [2, 0, 1])
-    assert p.apply(v) == [v[2], v[0], v[1]]
+    assert reference_apply(p, v) == [v[2], v[0], v[1]]
     assert is_permutation(p) and not is_unimodular_upper(p)
 
-    with pytest.raises(ValueError):
-        PolyMatrix(ring, [[ring.one()], [ring.one(), ring.zero()]])
     with pytest.raises(ValueError):
         permutation_matrix(ring, [0, 0, 1])
     with pytest.raises(ValueError):
         matmul(a, c)  # 2x3 times 2x2
-    with pytest.raises(ValueError):
-        p.apply(v[:2])
-    with pytest.raises(ValueError):
-        p.apply([f.resorted(grevlex(2)) for f in v])  # ring mismatch
 
 
 def test_transform_input_validation():

@@ -143,6 +143,20 @@ def test_config_round_trip_and_validation():
     for bad in ({"s_max": 1}, {"max_degree": 0}, {"density": 1.5}, {"max_entry_degree": -1}, {"num_samples": -1}):
         with pytest.raises(ValueError):
             small_config(**bad)
+    # a numerator range holding only 0 made the rational sampler redraw forever,
+    # and a denominator range reaching 0 divided by zero mid-generation; meta.json
+    # is outside input, so from_dict must refuse them too
+    for name, value in (("num_range", (0, 0)), ("num_range", (3, 1)), ("den_range", (0, 0)),
+                        ("den_range", (0, 5)), ("den_range", (-3, -1)), ("den_range", (4, 2))):
+        with pytest.raises(ValueError, match=name):
+            small_config(field=RATIONALS, **{name: value})
+        d = small_config(field=RATIONALS).to_dict()
+        d[name] = list(value)
+        with pytest.raises(ValueError, match=name):
+            GenerationConfig.from_dict(d)
+    # the tightest ranges that still hold a draw are accepted and generate
+    for num_range, den_range in (((0, 1), (1, 1)), ((-1, -1), (2, 2)), ((-1, 0), (1, 3))):
+        generate_sample(small_config(field=RATIONALS, num_range=num_range, den_range=den_range), 0)
 
 
 def test_config_builds_its_specs_and_ring_once(tmp_path):
@@ -361,6 +375,18 @@ def test_token_parse_empty_and_errors():
         ["+", "*", "C1", "^", "x0", "E0"],
         ["*", "C1"],
         ["+", "*", "Cx"],
+        # an empty member: the writer spells the zero polynomial C0
+        ["SEP"],
+        ["+", "*", "C1", "SEP"],
+        ["SEP", "+", "*", "C1"],
+        ["+", "*", "C1", "SEP", "SEP", "C0"],
+        # numeric suffixes are ASCII decimal digits and nothing else
+        ["+", "*", "C+3"],
+        ["+", "*", "C 3"],
+        ["+", "*", "C0_1"],
+        ["+", "*", "C\u0663"],
+        ["+", "*", "C1", "^", "x-0", "E1"],
+        ["+", "*", "C1", "^", "x0", "E+2"],
     ]
     for tokens in cases:
         with pytest.raises(TokenError):
@@ -370,6 +396,15 @@ def test_token_parse_empty_and_errors():
         parse_prefix_tokens(["+", "*", "N1"], rq)
     with pytest.raises(TokenError):
         parse_prefix_tokens(["+", "*", "N1", "D0"], rq)
+    for tokens in (["+", "*", "N-3", "D1"], ["+", "*", "N3", "D-2"], ["+", "*", "N 3", "D1"], ["-", "*", "N1", "D1_0"]):
+        with pytest.raises(TokenError):
+            parse_prefix_tokens(tokens, rq)
+    # each error names the offending token
+    for tokens, pos in ((["SEP"], 0), (["+", "*", "C1", "SEP"], 4), (["+", "*", "C1", "^", "x0", "E+2"], 5)):
+        with pytest.raises(TokenError) as exc:
+            parse_prefix_tokens(tokens, ring)
+        assert exc.value.pos == pos
+    assert parse_prefix_tokens(["C0", "SEP", "+", "*", "C1"], ring) == [ring.zero(), ring.one()]
 
 
 def test_token_parse_merges_and_sorts_terms(assert_canonical):
