@@ -62,6 +62,10 @@ class BackwardSpec:
         if self.max_entry_terms < 1:
             raise ValueError("max_entry_terms must be at least 1")
         _check_coeff_ranges(self.num_range, self.den_range)
+        if self.coeff_limit is not None and (type(self.coeff_limit) is not int or self.coeff_limit < 1):
+            raise ValueError(f"coeff_limit must be None or an integer of at least 1, got {self.coeff_limit!r}")
+        if type(self.max_retries) is not int or self.max_retries < 0:
+            raise ValueError(f"max_retries must be a non-negative integer, got {self.max_retries!r}")
 
 
 @lru_cache(maxsize=None)

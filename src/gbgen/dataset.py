@@ -19,7 +19,7 @@ from .field import FieldSpec
 from .fglm import fglm
 from .groebner import GroebnerTimeout, buchberger, is_reduced_groebner
 from .orders import OrderKind, TermOrder, order_by_name
-from .poly import Polynomial, PolyRing, _combination, _render
+from .poly import Polynomial, PolyRing, _combination, _render, _shared_ring
 from .shapegen import ShapeBasisSpec, sample_shape_basis
 
 __all__ = [
@@ -80,6 +80,9 @@ class GenerationConfig:
             raise ValueError("num_samples must be non-negative")
         if not 0.0 <= self.verify_fraction <= 1.0:
             raise ValueError("verify_fraction must lie in [0, 1]")
+        for name in ("uni_max_terms", "entry_max_terms"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         # The target order and the samplers' specs are built once, here, which
         # also runs their checks before the first sample.  They are plain
         # attributes, not fields, so that equality, hashing, repr and to_dict
@@ -353,7 +356,8 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
     terms go to the combination kernel as they are: it merges repeated
     monomials, drops vanishing sums and sorts into ring order.  Only what
     the writer can emit parses: every member is nonempty (zero is the lone
-    C0) and every numeric suffix is ASCII decimal digits, with no sign.
+    C0), every coefficient in a term is nonzero and in lowest terms, and
+    every numeric suffix is ASCII decimal digits, with no sign or leading 0.
     """
     tokens = list(tokens)
     if not tokens:
@@ -372,7 +376,7 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
 
     def number(at: int) -> int:
         digits = tokens[at][1:]
-        if not (digits.isdigit() and digits.isascii()):
+        if not (digits.isdigit() and digits.isascii()) or (digits[0] == "0" and len(digits) > 1):
             raise TokenError(at, f"malformed number in {tokens[at]!r}")
         return int(digits)
 
@@ -403,6 +407,8 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
             if den == 0:
                 raise TokenError(pos + 1, "zero denominator")
             coeff = Fraction(sign * num, den)
+            if not num or coeff.denominator != den:
+                raise TokenError(pos, f"N{num} D{den} is not a nonzero fraction in lowest terms")
             pos += 2
         else:
             if pos >= n or not tokens[pos].startswith("C"):
@@ -410,8 +416,8 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
             coeff = number(pos)
             if sign < 0:
                 raise TokenError(pos - 2, "prime-field terms always carry '+'")
-            if coeff >= ring.field.modulus:
-                raise TokenError(pos, f"residue {coeff} out of range")
+            if not 0 < coeff < ring.field.modulus:
+                raise TokenError(pos, f"residue {coeff} out of range for a term")
             pos += 1
         exps = [0] * ring.nvars
         while pos < n and tokens[pos] == "^":
@@ -441,7 +447,7 @@ class JsonlError(ValueError):
 
 
 def ring_for(field: FieldSpec, nvars: int, order_name: str) -> PolyRing:
-    return PolyRing(field, nvars, order_by_name(order_name, nvars))
+    return _shared_ring(field, nvars, order_by_name(order_name, nvars))
 
 
 def sample_to_record(pair: SamplePair, config: GenerationConfig) -> dict:
@@ -470,12 +476,8 @@ _RECORD_TYPES = {"index": int, "field": dict, "nvars": int, "order": str, "s": i
 _RECORD_FLAGS = ("contains_zero", "over_range")
 
 
-def sample_from_record(record: dict, rings: dict | None = None) -> SamplePair:
-    """Decode one dataset record.
-
-    ``rings`` maps each header (field, nvars, order) decoded so far to its
-    ring, so that a reader passing the same dict builds each ring once.
-    """
+def sample_from_record(record: dict) -> SamplePair:
+    """Decode one dataset record; records with one header share one ring."""
     if not isinstance(record, dict):
         raise ValueError(f"record must be a JSON object, got {type(record).__name__}")
     for key, kind in _RECORD_TYPES.items():
@@ -490,11 +492,7 @@ def sample_from_record(record: dict, rings: dict | None = None) -> SamplePair:
     for key in _RECORD_FLAGS:
         if not isinstance(record.get(key, False), bool):
             raise ValueError(f"{key!r} must be a JSON bool, got {type(record[key]).__name__}")
-    rings = {} if rings is None else rings
-    header = (repr(record["field"]), record["nvars"], record["order"])
-    if header not in rings:
-        rings[header] = ring_for(FieldSpec.from_dict(record["field"]), record["nvars"], record["order"])
-    ring = rings[header]
+    ring = ring_for(FieldSpec.from_dict(record["field"]), record["nvars"], record["order"])
     return SamplePair(
         index=record["index"],
         F=[ring.parse(text) for text in record["F"]],
@@ -519,7 +517,6 @@ def write_jsonl(samples: Iterable[SamplePair], path, config: GenerationConfig) -
 
 def read_jsonl(path) -> Iterator[SamplePair]:
     """Lazily parse a dataset file, raising JsonlError with the line number."""
-    rings: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -529,7 +526,7 @@ def read_jsonl(path) -> Iterator[SamplePair]:
             except json.JSONDecodeError as exc:
                 raise JsonlError(path, line_no, f"bad JSON: {exc}") from None
             try:
-                yield sample_from_record(record, rings)
+                yield sample_from_record(record)
             except ValueError as exc:
                 raise JsonlError(path, line_no, str(exc)) from None
 

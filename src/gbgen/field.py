@@ -3,23 +3,18 @@
 Coefficients are stored as plain Python values: ``fractions.Fraction`` for the
 rationals (always in lowest terms with positive denominator, which Fraction
 guarantees by construction) and ``int`` residues in ``0..p-1`` for a prime
-field.  ``FieldSpec`` carries the arithmetic on those raw values, and every
-polynomial, completion and conversion routine works on them directly.
+field.  A ``FieldSpec`` is its modulus (None for the rationals) and carries
+the arithmetic on those raw values; every polynomial, completion and
+conversion routine works on them directly.
 ``FieldElement`` only tags a value with its field, for the coordinates of
 the points ``solve_shape`` returns; it has no arithmetic of its own.
 """
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 Coeff = int | Fraction
-
-
-class FieldKind(enum.Enum):
-    RATIONALS = "rationals"
-    PRIME = "prime"
 
 
 # the first twelve primes: as Miller-Rabin bases they decide every n below
@@ -58,20 +53,13 @@ def is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A coefficient domain: the rationals, or integers modulo a prime."""
+    """A coefficient domain: the integers modulo a prime, or the rationals (modulus None)."""
 
-    kind: FieldKind
-    modulus: int | None = None
+    modulus: int | None
 
     def __post_init__(self):
-        if not isinstance(self.kind, FieldKind):
-            raise ValueError(f"field kind must be a FieldKind, got {self.kind!r}")
-        if self.kind is FieldKind.PRIME:
-            if not isinstance(self.modulus, int) or not is_prime(self.modulus):
-                raise ValueError(f"modulus must be a prime, got {self.modulus!r}")
-        else:
-            if self.modulus is not None:
-                raise ValueError("the rationals take no modulus")
+        if self.modulus is not None and not (isinstance(self.modulus, int) and is_prime(self.modulus)):
+            raise ValueError(f"modulus must be a prime, got {self.modulus!r}")
 
     def zero(self) -> Coeff:
         return Fraction(0) if self.modulus is None else 0
@@ -135,18 +123,21 @@ class FieldSpec:
     def from_dict(d: dict) -> "FieldSpec":
         if "kind" not in d:
             raise ValueError("field is missing key 'kind'")
-        kind = FieldKind(d["kind"])
-        if kind is FieldKind.RATIONALS:
+        if d["kind"] == "rationals":
             return RATIONALS
+        if d["kind"] != "prime":
+            raise ValueError(f"field kind must be 'prime' or 'rationals', got {d['kind']!r}")
         if "modulus" not in d:
             raise ValueError("field is missing key 'modulus'")
-        return FieldSpec(kind, d["modulus"])
+        # prime_field's cache would hash a JSON list or object; FieldSpec refuses it by name
+        p = d["modulus"]
+        return prime_field(p) if isinstance(p, int) else FieldSpec(p)
 
     def __str__(self):
         return "QQ" if self.modulus is None else f"GF({self.modulus})"
 
 
-RATIONALS = FieldSpec(FieldKind.RATIONALS)
+RATIONALS = FieldSpec(None)
 
 
 # A GF(p) field with at most this many nonzero residues keeps their formats
@@ -188,8 +179,10 @@ def rational_forms(p: None, a: Fraction) -> tuple[str, str, str, str]:
     return sign, sep + mag, sep if mag == "1" else f"{sep}{mag}*", f"{token_sign} * N{num} D{den}"
 
 
+@lru_cache(maxsize=256, typed=True)
 def prime_field(p: int) -> FieldSpec:
-    return FieldSpec(FieldKind.PRIME, p)
+    """GF(p), one shared object per modulus; typed, so 7.0 is refused, not served 7's GF(7)."""
+    return FieldSpec(p)
 
 
 @dataclass(frozen=True, slots=True)

@@ -54,6 +54,9 @@ class ShapeBasisSpec:
 
 def _check_coeff_ranges(num_range, den_range):
     """Reject bounds that :func:`sample_nonzero_coeff` cannot draw a rational from."""
+    for name, bounds in (("num_range", num_range), ("den_range", den_range)):
+        if len(bounds) != 2 or not all(type(b) is int for b in bounds):
+            raise ValueError(f"{name} {tuple(bounds)} must be two integers")
     (num_lo, num_hi), (den_lo, den_hi) = num_range, den_range
     if num_lo > num_hi or num_lo == num_hi == 0:
         raise ValueError(f"num_range {tuple(num_range)} holds no nonzero integer")

@@ -154,6 +154,22 @@ def test_config_round_trip_and_validation():
         d[name] = list(value)
         with pytest.raises(ValueError, match=name):
             GenerationConfig.from_dict(d)
+    # bounds that are no integers built and failed only at the first rational
+    # draw, a limit below 1 rejected every draw, and a negative budget built
+    for name, value in (("num_range", (-5.5, 5)), ("den_range", (1.5, 2)), ("num_range", (True, 5)),
+                        ("num_range", (1, 2, 3)), ("coeff_limit", 0), ("coeff_limit", -4),
+                        ("coeff_limit", 2.5), ("coeff_limit", True), ("max_retries", -1),
+                        ("max_retries", 1.0)):
+        with pytest.raises(ValueError, match=name):
+            small_config(field=RATIONALS, **{name: value})
+        d = small_config(field=RATIONALS).to_dict()
+        d[name] = list(value) if isinstance(value, tuple) else value
+        with pytest.raises(ValueError, match=name):
+            GenerationConfig.from_dict(d)
+    # an error names the config's field, not the sampler spec's
+    for name in ("uni_max_terms", "entry_max_terms"):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+            small_config(**{name: 0})
     # the tightest ranges that still hold a draw are accepted and generate
     for num_range, den_range in (((0, 1), (1, 1)), ((-1, -1), (2, 2)), ((-1, 0), (1, 3))):
         generate_sample(small_config(field=RATIONALS, num_range=num_range, den_range=den_range), 0)
@@ -387,6 +403,12 @@ def test_token_parse_empty_and_errors():
         ["+", "*", "C\u0663"],
         ["+", "*", "C1", "^", "x-0", "E1"],
         ["+", "*", "C1", "^", "x0", "E+2"],
+        # a zero coefficient inside a term, and a numeric suffix with a leading zero
+        ["+", "*", "C0", "^", "x0", "E1"],
+        ["+", "*", "C03"],
+        ["+", "*", "C00"],
+        ["+", "*", "C1", "^", "x0", "E01"],
+        ["+", "*", "C1", "^", "x01", "E1"],
     ]
     for tokens in cases:
         with pytest.raises(TokenError):
@@ -396,13 +418,17 @@ def test_token_parse_empty_and_errors():
         parse_prefix_tokens(["+", "*", "N1"], rq)
     with pytest.raises(TokenError):
         parse_prefix_tokens(["+", "*", "N1", "D0"], rq)
-    for tokens in (["+", "*", "N-3", "D1"], ["+", "*", "N3", "D-2"], ["+", "*", "N 3", "D1"], ["-", "*", "N1", "D1_0"]):
+    for tokens in (["+", "*", "N-3", "D1"], ["+", "*", "N3", "D-2"], ["+", "*", "N 3", "D1"], ["-", "*", "N1", "D1_0"],
+                   ["+", "*", "N0", "D1"], ["+", "*", "N2", "D4"], ["+", "*", "N1", "D02"], ["+", "*", "N03", "D2"]):
         with pytest.raises(TokenError):
             parse_prefix_tokens(tokens, rq)
     # each error names the offending token
-    for tokens, pos in ((["SEP"], 0), (["+", "*", "C1", "SEP"], 4), (["+", "*", "C1", "^", "x0", "E+2"], 5)):
+    for r, tokens, pos in ((ring, ["SEP"], 0), (ring, ["+", "*", "C1", "SEP"], 4),
+                           (ring, ["+", "*", "C1", "^", "x0", "E+2"], 5), (ring, ["+", "*", "C0", "^", "x0", "E1"], 2),
+                           (ring, ["+", "*", "C1", "^", "x01", "E1"], 4), (rq, ["+", "*", "N0", "D1"], 2),
+                           (rq, ["+", "*", "N1", "D1", "-", "*", "N2", "D4"], 6)):
         with pytest.raises(TokenError) as exc:
-            parse_prefix_tokens(tokens, ring)
+            parse_prefix_tokens(tokens, r)
         assert exc.value.pos == pos
     assert parse_prefix_tokens(["C0", "SEP", "+", "*", "C1"], ring) == [ring.zero(), ring.one()]
 
@@ -485,7 +511,13 @@ def test_jsonl_error_carries_line_number(tmp_path):
         (lambda record: {**record, "nvars": "2"}, "'nvars' must be a JSON int, got str"),
         (lambda record: {**record, "F": [3]}, "'F' must list polynomials as strings"),
         (lambda record: {**record, "field": {"kind": "prime", "modulus": "7"}}, "modulus must be a prime, got '7'"),
-        (lambda record: {**record, "field": {"kind": "rational"}}, "'rational' is not a valid FieldKind"),
+        (lambda record: {**record, "field": {"kind": "rational"}},
+         "field kind must be 'prime' or 'rationals', got 'rational'"),
+        (lambda record: {**record, "field": {"kind": "prime", "modulus": [7]}}, "modulus must be a prime, got [7]"),
+        (lambda record: {**record, "field": {"kind": "prime", "modulus": {"a": 1}}},
+         "modulus must be a prime, got {'a': 1}"),
+        (lambda record: {**record, "field": {"kind": "prime", "modulus": 7.0}}, "modulus must be a prime, got 7.0"),
+        (lambda record: {**record, "field": {"kind": "prime", "modulus": True}}, "modulus must be a prime, got True"),
         (lambda record: {k: v for k, v in record.items() if k != "seed"}, "missing key 'seed'"),
         (lambda record: {**record, "field": {"modulus": 7}}, "field is missing key 'kind'"),
         (lambda record: {**record, "field": {"kind": "prime"}}, "field is missing key 'modulus'"),
@@ -493,7 +525,8 @@ def test_jsonl_error_carries_line_number(tmp_path):
         (lambda record: {**record, "over_range": [1]}, "'over_range' must be a JSON bool, got list"),
         (lambda record: {**record, "over_range": 0}, "'over_range' must be a JSON bool, got int"),
     ],
-    ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus", "bad-kind",
+    ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus", "bad-kind", "list-modulus",
+         "dict-modulus", "float-modulus", "bool-modulus",
          "no-seed", "no-kind", "no-modulus", "str-contains-zero", "list-over-range", "int-over-range"],
 )
 def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle, message):
@@ -525,9 +558,17 @@ def test_read_jsonl_builds_each_ring_once(tmp_path, monkeypatch):
     calls = []
     real = field_module.is_prime
     monkeypatch.setattr(field_module, "is_prime", lambda p: calls.append(p) or real(p))
+    # building the config cached GF(31) already
+    prime_field.cache_clear()
     pairs = list(read_jsonl(path))
     assert len(pairs) == 100 and calls == [31]
     assert all(pair.ring is pairs[0].ring == ring_for(prime_field(31), 2, "lex") for pair in pairs)
+    # a caller decoding record by record, as the benchmark's verify does, holds no cache of its own
+    prime_field.cache_clear()
+    calls.clear()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    decoded = [sample_from_record(record) for record in records]
+    assert calls == [31] and all(pair.ring is pairs[0].ring for pair in decoded)
 
 
 def test_meta_sidecar_round_trips_config(tmp_path):

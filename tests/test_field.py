@@ -20,6 +20,13 @@ def test_prime_validation():
     for bad in (0, 1, 4, 6, 9, 15, 100, 561):
         with pytest.raises(ValueError):
             prime_field(bad)
+    for bad in (4, 7.0, True, "rationals"):
+        with pytest.raises(ValueError, match=repr(bad)):
+            FieldSpec(bad)
+    # one object per modulus, and a typed cache: 7.0 is not served GF(7)
+    assert prime_field(7) is prime_field(7) == FieldSpec(7)
+    with pytest.raises(ValueError, match="7.0"):
+        prime_field(7.0)
 
 
 def test_is_prime_against_sieve():
@@ -46,8 +53,8 @@ def test_is_prime_pseudoprimes_and_large_primes():
 
 
 def test_rationals_take_no_modulus():
-    with pytest.raises(ValueError):
-        FieldSpec(RATIONALS.kind, 7)
+    # a field is its modulus, and the rationals' is None
+    assert FieldSpec(None) == RATIONALS and RATIONALS.modulus is None
 
 
 def test_canonical_residues():
@@ -135,9 +142,6 @@ def test_element_hash_and_eq():
 
 
 def test_field_kind_is_validated():
-    # a kind that is not a FieldKind once passed for the rationals
-    with pytest.raises(ValueError, match="7"):
-        FieldSpec(7)
     for bad in ("rational", 7, None):
         with pytest.raises(ValueError, match=repr(bad)):
             FieldSpec.from_dict({"kind": bad})
