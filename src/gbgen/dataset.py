@@ -81,8 +81,8 @@ class GenerationConfig:
         if not 0.0 <= self.verify_fraction <= 1.0:
             raise ValueError("verify_fraction must lie in [0, 1]")
         for name in ("uni_max_terms", "entry_max_terms"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            if type(value := getattr(self, name)) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         # The target order and the samplers' specs are built once, here, which
         # also runs their checks before the first sample.  They are plain
         # attributes, not fields, so that equality, hashing, repr and to_dict

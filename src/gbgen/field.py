@@ -129,9 +129,10 @@ class FieldSpec:
             raise ValueError(f"field kind must be 'prime' or 'rationals', got {d['kind']!r}")
         if "modulus" not in d:
             raise ValueError("field is missing key 'modulus'")
-        # prime_field's cache would hash a JSON list or object; FieldSpec refuses it by name
-        p = d["modulus"]
-        return prime_field(p) if isinstance(p, int) else FieldSpec(p)
+        # checked before prime_field's cache, which cannot hash a JSON list or object
+        if not isinstance(p := d["modulus"], int):
+            raise ValueError(f"modulus must be a prime, got {p!r}")
+        return prime_field(p)
 
     def __str__(self):
         return "QQ" if self.modulus is None else f"GF({self.modulus})"
@@ -181,7 +182,7 @@ def rational_forms(p: None, a: Fraction) -> tuple[str, str, str, str]:
 
 @lru_cache(maxsize=256, typed=True)
 def prime_field(p: int) -> FieldSpec:
-    """GF(p), one shared object per modulus; typed, so 7.0 is refused, not served 7's GF(7)."""
+    """GF(p), one shared object per modulus; typed, which the lru_cache docs guarantee keys 7.0 apart from 7."""
     return FieldSpec(p)
 
 

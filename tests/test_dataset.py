@@ -6,6 +6,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -168,8 +169,14 @@ def test_config_round_trip_and_validation():
             GenerationConfig.from_dict(d)
     # an error names the config's field, not the sampler spec's
     for name in ("uni_max_terms", "entry_max_terms"):
-        with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
-            small_config(**{name: 0})
+        for value in (0, 2.5, True, "3"):
+            message = f"^{name} must be an integer of at least 1, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                small_config(**{name: value})
+            d = small_config().to_dict()
+            d[name] = value
+            with pytest.raises(ValueError, match=message):
+                GenerationConfig.from_dict(d)
     # the tightest ranges that still hold a draw are accepted and generate
     for num_range, den_range in (((0, 1), (1, 1)), ((-1, -1), (2, 2)), ((-1, 0), (1, 3))):
         generate_sample(small_config(field=RATIONALS, num_range=num_range, den_range=den_range), 0)
@@ -518,6 +525,7 @@ def test_jsonl_error_carries_line_number(tmp_path):
          "modulus must be a prime, got {'a': 1}"),
         (lambda record: {**record, "field": {"kind": "prime", "modulus": 7.0}}, "modulus must be a prime, got 7.0"),
         (lambda record: {**record, "field": {"kind": "prime", "modulus": True}}, "modulus must be a prime, got True"),
+        (lambda record: {**record, "field": {"kind": "prime", "modulus": None}}, "modulus must be a prime, got None"),
         (lambda record: {k: v for k, v in record.items() if k != "seed"}, "missing key 'seed'"),
         (lambda record: {**record, "field": {"modulus": 7}}, "field is missing key 'kind'"),
         (lambda record: {**record, "field": {"kind": "prime"}}, "field is missing key 'modulus'"),
@@ -526,7 +534,7 @@ def test_jsonl_error_carries_line_number(tmp_path):
         (lambda record: {**record, "over_range": 0}, "'over_range' must be a JSON bool, got int"),
     ],
     ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus", "bad-kind", "list-modulus",
-         "dict-modulus", "float-modulus", "bool-modulus",
+         "dict-modulus", "float-modulus", "bool-modulus", "null-modulus",
          "no-seed", "no-kind", "no-modulus", "str-contains-zero", "list-over-range", "int-over-range"],
 )
 def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle, message):

@@ -1,6 +1,7 @@
 """Field arithmetic: canonical forms, axioms, inverses, rendering."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,10 @@ def test_field_kind_is_validated():
     for bad in ("rational", 7, None):
         with pytest.raises(ValueError, match=repr(bad)):
             FieldSpec.from_dict({"kind": bad})
+    # None is the rationals' modulus, but a prime header must name a prime
+    for bad in (None, [7], 7.0):
+        with pytest.raises(ValueError, match=f"^modulus must be a prime, got {re.escape(repr(bad))}$"):
+            FieldSpec.from_dict({"kind": "prime", "modulus": bad})
 
 
 def test_spec_serialization_round_trip():
