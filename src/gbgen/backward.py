@@ -20,6 +20,8 @@ Matrix entries are polynomials of bounded total degree, present with
 probability ``density``; draw order is row-major over the strict upper
 triangle (s, then U1, then the U2 block, then P), each slot drawing its
 density coin and then, if filled, term count, exponents and coefficients.
+The knobs come from a ``dataset.GenerationConfig``, which checks them; the
+samplers take it untyped, since ``dataset`` imports this module.
 """
 
 import random
@@ -27,45 +29,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .poly import Polynomial, PolyRing, _combination, _descending
-from .shapegen import _check_coeff_ranges, sample_nonzero_coeff
+from .shapegen import sample_nonzero_coeff
 
 __all__ = [
-    "BackwardSpec",
     "BackwardSample",
     "sample_entry",
     "sample_unimodular_upper",
     "sample_permutation",
     "backward_transform",
 ]
-
-
-@dataclass(frozen=True)
-class BackwardSpec:
-    """Knobs for the scrambling transform."""
-
-    s_max: int  # row count upper bound; s is uniform on [n, s_max]
-    max_entry_degree: int = 3  # total-degree cap for sampled entries
-    density: float = 1.0  # probability an upper-triangular slot is filled
-    max_entry_terms: int = 2  # entry term counts are uniform on [1, this]
-    num_range: tuple[int, int] = (-5, 5)  # rational numerator bounds for entries
-    den_range: tuple[int, int] = (1, 5)
-    coeff_limit: int | None = 100  # reject rational outputs with |num| or den above this
-    max_retries: int = 50  # rejection budget before giving up with a flag
-
-    def __post_init__(self):
-        if self.s_max < 1:
-            raise ValueError("s_max must be at least 1")
-        if self.max_entry_degree < 0:
-            raise ValueError("max_entry_degree must be non-negative")
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError("density must lie in [0, 1]")
-        if self.max_entry_terms < 1:
-            raise ValueError("max_entry_terms must be at least 1")
-        _check_coeff_ranges(self.num_range, self.den_range)
-        if self.coeff_limit is not None and (type(self.coeff_limit) is not int or self.coeff_limit < 1):
-            raise ValueError(f"coeff_limit must be None or an integer of at least 1, got {self.coeff_limit!r}")
-        if type(self.max_retries) is not int or self.max_retries < 0:
-            raise ValueError(f"max_retries must be a non-negative integer, got {self.max_retries!r}")
 
 
 @lru_cache(maxsize=None)
@@ -82,30 +54,30 @@ def _monomials_up_to(nvars: int, max_degree: int) -> tuple:
     return tuple(out)
 
 
-def sample_entry(ring: PolyRing, spec: BackwardSpec, rng: random.Random) -> Polynomial:
-    """One nonzero matrix entry: bounded degree, 1..max_entry_terms terms.
+def sample_entry(ring: PolyRing, config, rng: random.Random) -> Polynomial:
+    """One nonzero matrix entry over ``ring``: total degree <= max_entry_degree, 1..entry_max_terms terms.
 
     The draws are canonical as they stand (distinct monomials, nonzero
     coefficients in range, descending lex order), so the entry is built
     without ``from_terms``; ``_descending`` re-sorts for a non-lex ring.
     """
-    count = rng.randint(1, spec.max_entry_terms)
-    terms = rng.sample(_monomials_up_to(ring.nvars, spec.max_entry_degree), count)
+    count = rng.randint(1, config.entry_max_terms)
+    terms = rng.sample(_monomials_up_to(ring.nvars, config.max_entry_degree), count)
     pairs = [
-        (t, sample_nonzero_coeff(ring.field, spec.num_range, spec.den_range, rng))
+        (t, sample_nonzero_coeff(ring.field, config.num_range, config.den_range, rng))
         for t in sorted(terms, reverse=True)
     ]
     return Polynomial(ring, _descending(ring, pairs))
 
 
-def sample_unimodular_upper(ring: PolyRing, size: int, spec: BackwardSpec, rng: random.Random) -> list:
-    """The dense rows of a unit upper triangle; each entry above it is present with probability ``spec.density``."""
+def sample_unimodular_upper(ring: PolyRing, size: int, config, rng: random.Random) -> list:
+    """The dense rows of a unit upper triangle; each entry above it is present with probability ``config.density``."""
     one, zero = ring.one(), ring.zero()
     rows = []
     for i in range(size):
         row = [zero] * i + [one]
         for _ in range(i + 1, size):
-            row.append(sample_entry(ring, spec, rng) if rng.random() < spec.density else zero)
+            row.append(sample_entry(ring, config, rng) if rng.random() < config.density else zero)
         rows.append(row)
     return rows
 
@@ -151,13 +123,13 @@ def _coeffs_in_range(polys, limit: int) -> bool:
     return True
 
 
-def backward_transform(basis, spec: BackwardSpec, rng: random.Random) -> BackwardSample:
+def backward_transform(basis, config, rng: random.Random) -> BackwardSample:
     """Scramble ``basis`` into an equivalent generating set of s polynomials.
 
-    s is uniform on [n, s_max].  Over the rationals, output whose
-    coefficients exceed ``coeff_limit`` is rejected and the three matrices
-    are redrawn (same s) up to ``max_retries`` times; if the budget runs out
-    the last draw is returned flagged ``over_range``.
+    s is uniform on [n, config.effective_s_max].  Over the rationals, output
+    whose coefficients exceed ``config.coeff_limit`` is rejected and the
+    three matrices are redrawn (same s) up to ``max_retries`` times; if the
+    budget runs out the last draw is returned flagged ``over_range``.
     """
     basis = list(basis)
     n = len(basis)
@@ -167,23 +139,24 @@ def backward_transform(basis, spec: BackwardSpec, rng: random.Random) -> Backwar
     for g in basis:
         if g.ring != ring:
             raise ValueError("basis members must share one ring")
-    if spec.s_max < n:
-        raise ValueError(f"s_max {spec.s_max} below the basis size {n}")
+    s_max = config.effective_s_max
+    if s_max < n:
+        raise ValueError(f"s_max {s_max} below the basis size {n}")
 
-    s = rng.randint(n, spec.s_max)
-    check_range = ring.field.modulus is None and spec.coeff_limit is not None
+    s = rng.randint(n, s_max)
+    check_range = ring.field.modulus is None and config.coeff_limit is not None
     retries = 0
     while True:
-        u1 = sample_unimodular_upper(ring, s, spec, rng)
-        u2 = sample_unimodular_upper(ring, n, spec, rng)
+        u1 = sample_unimodular_upper(ring, s, config, rng)
+        u2 = sample_unimodular_upper(ring, n, config, rng)
         perm = sample_permutation(s, rng)
 
         padded = _upper_apply(u2, basis) + [ring.zero()] * (s - n)
         F = _upper_apply(u1, [padded[p] for p in perm])
 
-        if not check_range or _coeffs_in_range(F, spec.coeff_limit):
+        if not check_range or _coeffs_in_range(F, config.coeff_limit):
             return BackwardSample(F, s, over_range=False, retries=retries)
-        if retries >= spec.max_retries:
+        if retries >= config.max_retries:
             return BackwardSample(F, s, over_range=True, retries=retries)
         retries += 1
 

@@ -438,9 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
+        return code
     except JsonlError as exc:
         print(f"gbgen: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader left (``gbgen solve ... | head``): tell no one, and let the final flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OSError as exc:
         # a file the command could not open, read or write

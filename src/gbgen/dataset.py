@@ -4,7 +4,8 @@ Each sample pairs a scrambled generating set F with the reduced Groebner
 basis G it was built from.  Samples are independently seeded: sample i of a
 run with master seed S is produced by an RNG seeded with a hash of (S, i),
 so any sample can be regenerated in isolation and workers can split a run
-without sharing state.
+without sharing state.  A ``GenerationConfig`` holds the knobs of both
+samplers, ``shapegen`` and ``backward``, and checks each of them once.
 """
 
 import hashlib
@@ -14,13 +15,13 @@ from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .backward import BackwardSpec, backward_transform
+from .backward import backward_transform
 from .field import FieldSpec
 from .fglm import fglm
 from .groebner import GroebnerTimeout, buchberger, is_reduced_groebner
-from .orders import OrderKind, TermOrder, order_by_name
+from .orders import OrderKind, TermOrder, lex, order_by_name
 from .poly import Polynomial, PolyRing, _combination, _render, _shared_ring
-from .shapegen import ShapeBasisSpec, sample_shape_basis
+from .shapegen import sample_shape_basis
 
 __all__ = [
     "GenerationConfig",
@@ -53,61 +54,62 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """Everything needed to reproduce a dataset byte for byte."""
+    """Everything needed to reproduce a dataset byte for byte, checked before the first sample."""
 
     field: FieldSpec
     nvars: int
     num_samples: int
-    max_degree: int = 5  # bound on deg(h)
-    max_entry_degree: int = 3  # bound on transform entry degrees
-    s_max: int | None = None  # None means nvars + 2
-    density: float = 1.0
-    uni_max_terms: int = 5
-    entry_max_terms: int = 2
-    num_range: tuple[int, int] = (-5, 5)
-    den_range: tuple[int, int] = (1, 5)
-    coeff_limit: int | None = 100
-    max_retries: int = 50
+    max_degree: int = 5  # bound on deg(h), drawn uniformly from 1..max_degree
+    max_entry_degree: int = 3  # total-degree bound on transform entries
+    s_max: int | None = None  # bound on the system size s, uniform on [nvars, s_max]; None means nvars + 2
+    density: float = 1.0  # probability that a slot above a triangle's diagonal is filled
+    uni_max_terms: int = 5  # cap on the term count of each univariate draw
+    entry_max_terms: int = 2  # transform entry term counts are uniform on [1, this]
+    num_range: tuple[int, int] = (-5, 5)  # rational numerator bounds
+    den_range: tuple[int, int] = (1, 5)  # rational denominator bounds
+    coeff_limit: int | None = 100  # over Q, redraw a transform whose F has a |num| or den above this
+    max_retries: int = 50  # redraws before F is kept, flagged over_range
     order: str = "lex"  # target order of the emitted pairs
     seed: int = 0
     drop_zeros: bool = False
     verify_fraction: float = 0.01
 
     def __post_init__(self):
-        if self.nvars < 1:
-            raise ValueError("nvars must be at least 1")
-        if self.num_samples < 0:
-            raise ValueError("num_samples must be non-negative")
-        if not 0.0 <= self.verify_fraction <= 1.0:
-            raise ValueError("verify_fraction must lie in [0, 1]")
+        # exact types, so that a bool is no number and a bad meta.json value fails here, not mid-generation
+        for name, kinds, what in _KNOB_TYPES:
+            if type(value := getattr(self, name)) not in kinds:
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+        for name, least in (("nvars", 1), ("num_samples", 0), ("max_degree", 1), ("max_entry_degree", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be {'at least 1' if least else 'non-negative'}")
+        for name in ("density", "verify_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("uni_max_terms", "entry_max_terms"):
             if type(value := getattr(self, name)) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        # The target order and the samplers' specs are built once, here, which
-        # also runs their checks before the first sample.  They are plain
-        # attributes, not fields, so that equality, hashing, repr and to_dict
-        # see only the knobs.
-        object.__setattr__(self, "_target_order", order_by_name(self.order, self.nvars))
-        object.__setattr__(self, "_shape_spec", ShapeBasisSpec(
-            field=self.field,
-            nvars=self.nvars,
-            max_degree=self.max_degree,
-            max_terms=self.uni_max_terms,
-            num_range=self.num_range,
-            den_range=self.den_range,
-        ))
-        object.__setattr__(self, "_backward_spec", BackwardSpec(
-            s_max=self.effective_s_max,
-            max_entry_degree=self.max_entry_degree,
-            density=self.density,
-            max_entry_terms=self.entry_max_terms,
-            num_range=self.num_range,
-            den_range=self.den_range,
-            coeff_limit=self.coeff_limit,
-            max_retries=self.max_retries,
-        ))
+        for name in ("num_range", "den_range"):
+            if type(bounds := getattr(self, name)) is not tuple or len(bounds) != 2 \
+                    or not all(type(b) is int for b in bounds):
+                raise ValueError(f"{name} {bounds!r} must be two integers")
+        (num_lo, num_hi), (den_lo, den_hi) = self.num_range, self.den_range
+        if num_lo > num_hi or num_lo == num_hi == 0:
+            raise ValueError(f"num_range {self.num_range} holds no nonzero integer")
+        if not 1 <= den_lo <= den_hi:
+            raise ValueError(f"den_range {self.den_range} must satisfy 1 <= lo <= hi")
+        if self.coeff_limit is not None and (type(self.coeff_limit) is not int or self.coeff_limit < 1):
+            raise ValueError(f"coeff_limit must be None or an integer of at least 1, got {self.coeff_limit!r}")
+        if type(self.max_retries) is not int or self.max_retries < 0:
+            raise ValueError(f"max_retries must be a non-negative integer, got {self.max_retries!r}")
+        if self.effective_s_max < 1:
+            raise ValueError("s_max must be at least 1")
         if self.effective_s_max < self.nvars:
             raise ValueError(f"s_max {self.effective_s_max} below the basis size {self.nvars}")
+        # Built once; the ring comes from the shared cache, so twin configs
+        # share it.  Plain attributes, not fields, so that equality, hashing,
+        # repr and to_dict see only the knobs.
+        object.__setattr__(self, "_target_order", order_by_name(self.order, self.nvars))
+        object.__setattr__(self, "_sample_ring", _shared_ring(self.field, self.nvars, lex(self.nvars)))
 
     @property
     def effective_s_max(self) -> int:
@@ -116,11 +118,17 @@ class GenerationConfig:
     def target_order(self) -> TermOrder:
         return self._target_order
 
-    def shape_spec(self) -> ShapeBasisSpec:
-        return self._shape_spec
+    def sample_ring(self) -> PolyRing:
+        """The lex ring of the shape basis and of F before any order conversion."""
+        return self._sample_ring
 
-    def backward_spec(self) -> BackwardSpec:
-        return self._backward_spec
+    # The benchmark's traced rebuild of generate_sample (gbbench/workloads.py)
+    # hands these to the samplers, which take the config itself; they go once
+    # the benchmark passes the config directly.
+    def shape_spec(self) -> "GenerationConfig":
+        return self
+
+    backward_spec = shape_spec
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -131,11 +139,29 @@ class GenerationConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "GenerationConfig":
+        """The config of a ``meta.json``; a knob it lacks, other than the three required, keeps its default."""
+        for key in d:
+            if key not in GenerationConfig.__dataclass_fields__:
+                raise ValueError(f"unknown config key {key!r}")
+        for key in ("field", "nvars", "num_samples"):
+            if key not in d:
+                raise ValueError(f"config is missing key {key!r}")
         d = dict(d)
         d["field"] = FieldSpec.from_dict(d["field"])
-        d["num_range"] = tuple(d["num_range"])
-        d["den_range"] = tuple(d["den_range"])
+        # JSON has no tuple; a range that is no list reaches the range check as it is
+        for key in ("num_range", "den_range"):
+            if type(d.get(key)) is list:
+                d[key] = tuple(d[key])
         return GenerationConfig(**d)
+
+
+# (knob, its exact types, their name in an error); the other knobs' checks test their types too
+_KNOB_TYPES = (
+    ("field", (FieldSpec,), "a FieldSpec"), ("s_max", (int, type(None)), "None or an integer"),
+    ("density", (int, float), "a number"), ("verify_fraction", (int, float), "a number"),
+    ("order", (str,), "a str"), ("drop_zeros", (bool,), "a bool"),
+    *((name, (int,), "an integer") for name in ("nvars", "num_samples", "max_degree", "max_entry_degree", "seed")),
+)
 
 
 @dataclass
@@ -212,8 +238,8 @@ def generate_sample(config: GenerationConfig, index: int) -> SamplePair:
     """
     seed = child_seed(config.seed, index)
     rng = random.Random(seed)
-    basis = sample_shape_basis(config.shape_spec(), rng)
-    sample = backward_transform(basis, config.backward_spec(), rng)
+    basis = sample_shape_basis(config, rng)
+    sample = backward_transform(basis, config, rng)
     F, G = sample.F, basis
 
     target = config.target_order()
@@ -492,6 +518,8 @@ def sample_from_record(record: dict) -> SamplePair:
     for key in _RECORD_FLAGS:
         if not isinstance(record.get(key, False), bool):
             raise ValueError(f"{key!r} must be a JSON bool, got {type(record[key]).__name__}")
+    if record["nvars"] < 1:
+        raise ValueError(f"'nvars' must be at least 1, got {record['nvars']}")
     ring = ring_for(FieldSpec.from_dict(record["field"]), record["nvars"], record["order"])
     return SamplePair(
         index=record["index"],

@@ -96,6 +96,7 @@ def grevlex(arity: int) -> TermOrder:
 
 def order_by_name(name: str, arity: int) -> TermOrder:
     try:
-        return TermOrder(OrderKind(name), arity)
+        kind = OrderKind(name)
     except ValueError:
         raise ValueError(f"unknown term order {name!r}; expected lex, grlex or grevlex") from None
+    return TermOrder(kind, arity)

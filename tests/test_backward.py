@@ -9,9 +9,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbgen import RATIONALS, buchberger, grevlex, grlex, lex, prime_field
+from gbgen import GenerationConfig, RATIONALS, buchberger, grevlex, grlex, lex, prime_field
 from gbgen.backward import (
-    BackwardSpec,
     _monomials_up_to,
     _upper_apply,
     backward_transform,
@@ -20,7 +19,7 @@ from gbgen.backward import (
     sample_unimodular_upper,
 )
 from gbgen.poly import PolyRing
-from gbgen.shapegen import ShapeBasisSpec, sample_shape_basis
+from gbgen.shapegen import sample_shape_basis
 
 F7 = prime_field(7)
 
@@ -108,14 +107,14 @@ def is_left_invertible_form(s, n, P, U1, U2):
     return all(not p for row in U2[n:] for p in row)
 
 
-def replay(basis, spec, seed):
+def replay(basis, config, seed):
     """Re-draw s, U1, U2, perm exactly as backward_transform does."""
     rng = random.Random(seed)
     ring = basis[0].ring
     n = len(basis)
-    s = rng.randint(n, spec.s_max)
-    u1 = sample_unimodular_upper(ring, s, spec, rng)
-    u2 = sample_unimodular_upper(ring, n, spec, rng)
+    s = rng.randint(n, config.effective_s_max)
+    u1 = sample_unimodular_upper(ring, s, config, rng)
+    u2 = sample_unimodular_upper(ring, n, config, rng)
     perm = sample_permutation(s, rng)
     return s, u1, u2, perm
 
@@ -138,13 +137,12 @@ def reference_apply(matrix, polys):
 
 def test_fast_path_matches_full_matrix_product():
     rng = random.Random(17)
-    shape = ShapeBasisSpec(field=F7, nvars=3)
-    spec = BackwardSpec(s_max=5)
+    config = GenerationConfig(field=F7, nvars=3, num_samples=0, s_max=5)
     for seed in range(8):
-        G = sample_shape_basis(shape, rng)
+        G = sample_shape_basis(config, rng)
         ring = G[0].ring
-        sample = backward_transform(G, spec, random.Random(seed))
-        s, u1, u2, perm = replay(G, spec, seed)
+        sample = backward_transform(G, config, random.Random(seed))
+        s, u1, u2, perm = replay(G, config, seed)
         assert sample.s == s
         P = permutation_matrix(ring, perm)
         full = reference_apply(matmul(matmul(u1, P), stack_u2(ring, u2, s)), G)
@@ -179,12 +177,11 @@ def test_upper_apply_matches_reference(case):
 
 def test_row_count_bounds_and_coverage():
     rng = random.Random(23)
-    shape = ShapeBasisSpec(field=F7, nvars=2)
-    spec = BackwardSpec(s_max=4)
-    G = sample_shape_basis(shape, rng)
+    config = GenerationConfig(field=F7, nvars=2, num_samples=0, s_max=4)
+    G = sample_shape_basis(config, rng)
     seen = Counter()
     for _ in range(300):
-        sample = backward_transform(G, spec, rng)
+        sample = backward_transform(G, config, rng)
         assert 2 <= sample.s <= 4
         assert len(sample.F) == sample.s
         seen[sample.s] += 1
@@ -195,11 +192,10 @@ def test_total_degree_bound():
     # each output row is a sum of (entry * entry * basis member) products,
     # so degrees are capped by twice the entry cap plus the basis degree
     rng = random.Random(31)
-    shape = ShapeBasisSpec(field=F7, nvars=3, max_degree=5)
-    spec = BackwardSpec(s_max=5, max_entry_degree=3)
+    config = GenerationConfig(field=F7, nvars=3, num_samples=0, max_degree=5, s_max=5, max_entry_degree=3)
     for _ in range(40):
-        G = sample_shape_basis(shape, rng)
-        sample = backward_transform(G, spec, rng)
+        G = sample_shape_basis(config, rng)
+        sample = backward_transform(G, config, rng)
         for f in sample.F:
             if f:
                 assert f.total_degree() <= 2 * 3 + 5
@@ -207,11 +203,10 @@ def test_total_degree_bound():
 
 def test_zero_density_yields_padded_permutation():
     rng = random.Random(5)
-    shape = ShapeBasisSpec(field=F7, nvars=3)
-    spec = BackwardSpec(s_max=6, density=0.0)
+    config = GenerationConfig(field=F7, nvars=3, num_samples=0, s_max=6, density=0.0)
     for _ in range(20):
-        G = sample_shape_basis(shape, rng)
-        sample = backward_transform(G, spec, rng)
+        G = sample_shape_basis(config, rng)
+        sample = backward_transform(G, config, rng)
         nonzero = [f for f in sample.F if f]
         assert sorted(nonzero, key=str) == sorted(G, key=str)
         assert sum(1 for f in sample.F if not f) == sample.s - len(G)
@@ -220,13 +215,13 @@ def test_zero_density_yields_padded_permutation():
 def test_density_controls_fill_rate():
     rng = random.Random(13)
     ring = PolyRing(F7, 2, lex(2))
-    spec = BackwardSpec(s_max=2, density=0.35)
+    config = GenerationConfig(field=F7, nvars=2, num_samples=0, density=0.35)
     size = 24
     slots = size * (size - 1) // 2
     filled = 0
     draws = 40
     for _ in range(draws):
-        m = sample_unimodular_upper(ring, size, spec, rng)
+        m = sample_unimodular_upper(ring, size, config, rng)
         assert is_unimodular_upper(m)
         filled += sum(
             1 for i in range(size) for j in range(i + 1, size) if m[i][j]
@@ -247,9 +242,9 @@ def test_permutation_sampler_is_uniform():
 def test_entry_sampler_bounds():
     rng = random.Random(3)
     ring = PolyRing(RATIONALS, 2, lex(2))
-    spec = BackwardSpec(s_max=2, max_entry_degree=2, max_entry_terms=2)
+    config = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, max_entry_degree=2, entry_max_terms=2)
     for _ in range(200):
-        e = sample_entry(ring, spec, rng)
+        e = sample_entry(ring, config, rng)
         assert e
         assert e.total_degree() <= 2
         assert 1 <= e.num_terms() <= 2
@@ -279,32 +274,31 @@ def test_sampled_entries_are_canonical(assert_canonical, field, order, nvars, de
     # the sampler builds its polynomial without from_terms' checks
     ring = PolyRing(field, nvars, order(nvars))
     max_terms = min(max_terms, comb(nvars + degree, nvars))  # no more terms than monomials
-    spec = BackwardSpec(s_max=2, max_entry_degree=degree, max_entry_terms=max_terms)
+    config = GenerationConfig(field=field, nvars=nvars, num_samples=0, max_entry_degree=degree,
+                              entry_max_terms=max_terms)
     rng = random.Random(seed)
     for _ in range(20):
-        assert_canonical(sample_entry(ring, spec, rng))
+        assert_canonical(sample_entry(ring, config, rng))
 
 
 def test_rational_rejection_flags_and_retries():
     rng = random.Random(2)
-    shape = ShapeBasisSpec(field=RATIONALS, nvars=2)
-    G = sample_shape_basis(shape, rng)
-    tight = BackwardSpec(s_max=4, coeff_limit=1, max_retries=3)
+    G = sample_shape_basis(GenerationConfig(field=RATIONALS, nvars=2, num_samples=0), rng)
+    tight = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, s_max=4, coeff_limit=1, max_retries=3)
     sample = backward_transform(G, tight, random.Random(0))
     assert sample.over_range
     assert sample.retries == 3
-    unchecked = BackwardSpec(s_max=4, coeff_limit=None)
+    unchecked = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, s_max=4, coeff_limit=None)
     sample = backward_transform(G, unchecked, random.Random(0))
     assert not sample.over_range and sample.retries == 0
 
 
 def test_rational_accept_path_respects_limit():
     rng = random.Random(77)
-    shape = ShapeBasisSpec(field=RATIONALS, nvars=2, max_degree=3)
-    spec = BackwardSpec(s_max=3, coeff_limit=100)
+    config = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, max_degree=3, s_max=3, coeff_limit=100)
     for _ in range(30):
-        G = sample_shape_basis(shape, rng)
-        sample = backward_transform(G, spec, rng)
+        G = sample_shape_basis(config, rng)
+        sample = backward_transform(G, config, rng)
         if sample.over_range:
             continue
         for f in sample.F:
@@ -317,14 +311,14 @@ def test_transform_preserves_ideal():
     # factors there; the acceptance suite covers the heavy corpora
     rng = random.Random(101)
     cases = [
-        (2, BackwardSpec(s_max=4), 20),
-        (3, BackwardSpec(s_max=5, density=0.6), 10),
+        (2, {"s_max": 4}, 20),
+        (3, {"s_max": 5, "density": 0.6}, 10),
     ]
-    for nvars, spec, count in cases:
-        shape = ShapeBasisSpec(field=F7, nvars=nvars, max_degree=4)
+    for nvars, knobs, count in cases:
+        config = GenerationConfig(field=F7, nvars=nvars, num_samples=0, max_degree=4, **knobs)
         for _ in range(count):
-            G = sample_shape_basis(shape, rng)
-            sample = backward_transform(G, spec, rng)
+            G = sample_shape_basis(config, rng)
+            sample = backward_transform(G, config, rng)
             assert buchberger(sample.F).basis == canon(G)
 
 
@@ -352,10 +346,10 @@ def test_structural_check_rejects_bad_factors():
 def test_matrix_primitives():
     ring = PolyRing(F7, 2, lex(2))
     rng = random.Random(4)
-    spec = BackwardSpec(s_max=2, max_entry_degree=2)
+    config = GenerationConfig(field=F7, nvars=2, num_samples=0, max_entry_degree=2)
 
     def rand_matrix(rows, cols):
-        return [[sample_entry(ring, spec, rng) for _ in range(cols)] for _ in range(rows)]
+        return [[sample_entry(ring, config, rng) for _ in range(cols)] for _ in range(rows)]
 
     a, b, c = rand_matrix(2, 3), rand_matrix(3, 2), rand_matrix(2, 2)
     assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
@@ -375,13 +369,9 @@ def test_matrix_primitives():
 
 def test_transform_input_validation():
     rng = random.Random(1)
-    shape = ShapeBasisSpec(field=F7, nvars=3)
-    G = sample_shape_basis(shape, rng)
-    with pytest.raises(ValueError):
-        backward_transform(G, BackwardSpec(s_max=2), rng)  # s_max below n
-    with pytest.raises(ValueError):
-        backward_transform([], BackwardSpec(s_max=3), rng)
-    with pytest.raises(ValueError):
-        BackwardSpec(s_max=3, density=1.5)
-    with pytest.raises(ValueError):
-        BackwardSpec(s_max=3, max_entry_degree=-1)
+    G = sample_shape_basis(GenerationConfig(field=F7, nvars=3, num_samples=0), rng)
+    # the config's own checks are test_dataset's; the transform checks the basis it is given
+    with pytest.raises(ValueError, match="^s_max 2 below the basis size 3$"):
+        backward_transform(G, GenerationConfig(field=F7, nvars=2, num_samples=0, s_max=2), rng)
+    with pytest.raises(ValueError, match="nonempty"):
+        backward_transform([], GenerationConfig(field=F7, nvars=3, num_samples=0), rng)

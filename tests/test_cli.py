@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -217,8 +218,8 @@ def test_spot_check_mismatch_aborts(tmp_path, monkeypatch, capsys, jobs):
     if jobs != "1" and multiprocessing.get_start_method() != "fork":
         pytest.skip("workers see the patched transform only when forked")
 
-    def wrong_system(basis, spec, rng):
-        sample = backward_transform(basis, spec, rng)
+    def wrong_system(basis, config, rng):
+        sample = backward_transform(basis, config, rng)
         sample.F = [basis[0].ring.one()]  # generates the unit ideal, not <G>
         return sample
 
@@ -527,3 +528,18 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "generate" in result.stdout and "bench" in result.stdout
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_closed_stdout_pipe_exits_quietly(tmp_path, command):
+    # ``gbgen ... | head`` closes the pipe early; with its read end closed
+    # before the run starts, the first write fails every time
+    prefix = make_dataset(tmp_path, m="2")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "gbgen.cli", command, "--input", f"{prefix}.jsonl"],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")

@@ -13,10 +13,10 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from gbgen import GenerationConfig, RATIONALS, buchberger, grevlex, grlex, prime_field
-from gbgen.backward import BackwardSpec, backward_transform
+from gbgen.backward import backward_transform
 from gbgen.dataset import generate_sample
 from gbgen.fglm import fglm
-from gbgen.shapegen import ShapeBasisSpec, sample_shape_basis
+from gbgen.shapegen import sample_shape_basis
 
 ORDER_NAMES = {"lex": "lex", "grlex": "grlex", "grevlex": "grevlex"}
 
@@ -55,23 +55,21 @@ def sympy_reduced_basis(polys, ring):
 
 def test_completion_agrees_on_scrambled_systems():
     rng = random.Random(2024)
-    spec = BackwardSpec(s_max=4)
     for field in (prime_field(7), RATIONALS):
-        shape = ShapeBasisSpec(field=field, nvars=2, max_degree=4)
+        config = GenerationConfig(field=field, nvars=2, num_samples=0, max_degree=4, s_max=4)
         for _ in range(10):
-            G = sample_shape_basis(shape, rng)
-            F = backward_transform(G, spec, rng).F
+            G = sample_shape_basis(config, rng)
+            F = backward_transform(G, config, rng).F
             ours = set(buchberger([f for f in F if f]).basis)
             assert ours == sympy_reduced_basis(F, G[0].ring)
 
 
 def test_completion_agrees_three_variables():
     rng = random.Random(77)
-    spec = BackwardSpec(s_max=4)
-    shape = ShapeBasisSpec(field=prime_field(31), nvars=3, max_degree=3)
+    config = GenerationConfig(field=prime_field(31), nvars=3, num_samples=0, max_degree=3, s_max=4)
     for _ in range(5):
-        G = sample_shape_basis(shape, rng)
-        F = backward_transform(G, spec, rng).F
+        G = sample_shape_basis(config, rng)
+        F = backward_transform(G, config, rng).F
         ours = set(buchberger([f for f in F if f]).basis)
         assert ours == sympy_reduced_basis(F, G[0].ring)
 
@@ -79,9 +77,9 @@ def test_completion_agrees_three_variables():
 def test_order_conversion_agrees():
     rng = random.Random(5)
     for field in (prime_field(7), RATIONALS):
-        shape = ShapeBasisSpec(field=field, nvars=2, max_degree=4)
+        config = GenerationConfig(field=field, nvars=2, num_samples=0, max_degree=4)
         for _ in range(8):
-            G = sample_shape_basis(shape, rng)
+            G = sample_shape_basis(config, rng)
             for target in (grevlex(2), grlex(2)):
                 ours = set(fglm(G, target))
                 target_ring = G[0].ring.with_order(target)

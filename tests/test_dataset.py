@@ -167,7 +167,7 @@ def test_config_round_trip_and_validation():
         d[name] = list(value) if isinstance(value, tuple) else value
         with pytest.raises(ValueError, match=name):
             GenerationConfig.from_dict(d)
-    # an error names the config's field, not the sampler spec's
+    # the term counts check their type with their value, in one message
     for name in ("uni_max_terms", "entry_max_terms"):
         for value in (0, 2.5, True, "3"):
             message = f"^{name} must be an integer of at least 1, got {re.escape(repr(value))}$"
@@ -177,25 +177,47 @@ def test_config_round_trip_and_validation():
             d[name] = value
             with pytest.raises(ValueError, match=message):
                 GenerationConfig.from_dict(d)
+    # meta.json is outside input: a knob of the wrong type built and then failed
+    # mid-generation, read a non-empty string as true, or raised a TypeError
+    for name, value in (("drop_zeros", "no"), ("seed", "3"), ("seed", 1.5), ("max_degree", 2.5),
+                        ("max_entry_degree", 1.5), ("nvars", 2.0), ("num_samples", 2.5), ("max_degree", True),
+                        ("density", True), ("density", "0.5"), ("verify_fraction", "0.1"), ("s_max", 4.0),
+                        ("s_max", True), ("order", 5)):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            small_config(**{name: value})
+        d = small_config().to_dict()
+        d[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            GenerationConfig.from_dict(d)
+    # from_dict names the key it cannot use; other missing knobs keep their defaults
+    d = small_config().to_dict()
+    with pytest.raises(ValueError, match="^unknown config key 'sigma'$"):
+        GenerationConfig.from_dict({**d, "sigma": 0.5})
+    for name in ("field", "nvars", "num_samples"):
+        with pytest.raises(ValueError, match=f"^config is missing key '{name}'$"):
+            GenerationConfig.from_dict({k: v for k, v in d.items() if k != name})
+    with pytest.raises(ValueError, match="^num_range 5 must be two integers$"):
+        GenerationConfig.from_dict({**d, "num_range": 5})
+    required = {k: d[k] for k in ("field", "nvars", "num_samples")}
+    assert GenerationConfig.from_dict(required) == small_config(seed=0, verify_fraction=0.01)
     # the tightest ranges that still hold a draw are accepted and generate
     for num_range, den_range in (((0, 1), (1, 1)), ((-1, -1), (2, 2)), ((-1, 0), (1, 3))):
         generate_sample(small_config(field=RATIONALS, num_range=num_range, den_range=den_range), 0)
 
 
-def test_config_builds_its_specs_and_ring_once(tmp_path):
+def test_config_builds_its_order_and_ring_once(tmp_path):
     config = small_config(nvars=3, num_samples=2)
-    assert config.shape_spec() is config.shape_spec()
-    assert config.backward_spec() is config.backward_spec()
     assert config.target_order() is config.target_order()
-    ring = config.shape_spec().ring()
-    assert ring is config.shape_spec().ring()
+    ring = config.sample_ring()
+    assert ring is config.sample_ring() and ring == PolyRing(F7, 3, lex(3))
     pair = generate_sample(config, 0)
     assert pair.ring is ring and all(p.ring is ring for p in pair.F + pair.G)
-    # the built objects are no part of the config's value
+    # the built objects are no part of the config's value, and a twin shares the ring
     twin = GenerationConfig.from_dict(config.to_dict())
-    assert twin.shape_spec() is not config.shape_spec()
     assert twin == config and hash(twin) == hash(config) and repr(twin) == repr(config)
-    assert twin.shape_spec() == config.shape_spec() and hash(twin.shape_spec()) == hash(config.shape_spec())
+    assert twin.sample_ring() is ring
+    # the benchmark's traced rebuild still reaches the samplers through these
+    assert config.shape_spec() is config and config.backward_spec() is config
     write_meta(tmp_path / "meta.json", config)
     assert json.loads((tmp_path / "meta.json").read_text()) == {"config": config.to_dict()}
 
@@ -532,10 +554,13 @@ def test_jsonl_error_carries_line_number(tmp_path):
         (lambda record: {**record, "contains_zero": "no"}, "'contains_zero' must be a JSON bool, got str"),
         (lambda record: {**record, "over_range": [1]}, "'over_range' must be a JSON bool, got list"),
         (lambda record: {**record, "over_range": 0}, "'over_range' must be a JSON bool, got int"),
+        (lambda record: {**record, "nvars": 0}, "'nvars' must be at least 1, got 0"),
+        (lambda record: {**record, "nvars": -3}, "'nvars' must be at least 1, got -3"),
     ],
     ids=["list-record", "int-field", "str-nvars", "int-polynomial", "str-modulus", "bad-kind", "list-modulus",
          "dict-modulus", "float-modulus", "bool-modulus", "null-modulus",
-         "no-seed", "no-kind", "no-modulus", "str-contains-zero", "list-over-range", "int-over-range"],
+         "no-seed", "no-kind", "no-modulus", "str-contains-zero", "list-over-range", "int-over-range",
+         "zero-nvars", "negative-nvars"],
 )
 def test_jsonl_wrongly_typed_record_is_located(tmp_path, mangle, message):
     config = small_config(num_samples=2)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from gbgen import RATIONALS, buchberger, grevlex, grlex, is_reduced_groebner, lex, prime_field
+from gbgen import GenerationConfig, RATIONALS, buchberger, grevlex, grlex, is_reduced_groebner, lex, prime_field
 from gbgen.fglm import DimensionError, fglm, quotient_basis
 from gbgen.poly import PolyRing
-from gbgen.shapegen import ShapeBasisSpec, sample_shape_basis
+from gbgen.shapegen import sample_shape_basis
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
@@ -62,9 +62,9 @@ def test_small_hand_conversion():
 def test_conversion_round_trip_and_cross_check():
     rng = random.Random(99)
     for field in (prime_field(7), RATIONALS):
-        spec = ShapeBasisSpec(field=field, nvars=2, max_degree=4)
+        config = GenerationConfig(field=field, nvars=2, num_samples=0, max_degree=4)
         for _ in range(30):
-            G = sample_shape_basis(spec, rng)
+            G = sample_shape_basis(config, rng)
             for target in (grevlex(2), grlex(2)):
                 converted = fglm(G, target)
                 assert is_reduced_groebner(converted)
@@ -76,9 +76,9 @@ def test_conversion_round_trip_and_cross_check():
 
 def test_three_variable_conversion():
     rng = random.Random(7)
-    spec = ShapeBasisSpec(field=prime_field(31), nvars=3, max_degree=3)
+    config = GenerationConfig(field=prime_field(31), nvars=3, num_samples=0, max_degree=3)
     for _ in range(10):
-        G = sample_shape_basis(spec, rng)
+        G = sample_shape_basis(config, rng)
         converted = fglm(G, grevlex(3))
         assert is_reduced_groebner(converted)
         assert fglm(converted, lex(3)) == canon(G)
@@ -86,9 +86,9 @@ def test_three_variable_conversion():
 
 def test_conversion_preserves_quotient_dimension():
     rng = random.Random(8)
-    spec = ShapeBasisSpec(field=prime_field(7), nvars=2, max_degree=5)
+    config = GenerationConfig(field=prime_field(7), nvars=2, num_samples=0, max_degree=5)
     for _ in range(20):
-        G = sample_shape_basis(spec, rng)
+        G = sample_shape_basis(config, rng)
         converted = fglm(G, grevlex(2))
         assert quotient_basis(converted).dimension == quotient_basis(G).dimension
 

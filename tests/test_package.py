@@ -1,12 +1,15 @@
 """The package's public surface: what ``import gbgen`` offers and what the README imports."""
 
 import importlib
+import io
 import pathlib
 import pkgutil
 import re
 import types
+from contextlib import redirect_stdout
 
 import gbgen
+from gbgen import buchberger, check_pair, grevlex, is_reduced_groebner, lex
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -47,3 +50,24 @@ def test_readme_imports_resolve():
         # a submodule resolves too, where the README means a function of that name
         modules = [name for name, value in names.items() if isinstance(value, types.ModuleType)]
         assert not modules, f"{line!r} imports modules {modules}"
+
+
+def test_readme_library_examples_run():
+    first, second = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)[:2]
+    # each print of the first block is shown on the "# " line under it, "..." standing for any text
+    namespace, out = {}, io.StringIO()
+    with redirect_stdout(out):
+        exec(first, namespace)
+    shown = [line[2:] for line in first.splitlines() if line.startswith("# ")]
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(shown) == 3
+    for line, expected in zip(printed, shown):
+        assert re.fullmatch(".*".join(map(re.escape, expected.split("..."))), line), (line, expected)
+    # the second block's claims, on the pair of the first
+    exec(second, namespace)
+    pair, result, G2 = namespace["pair"], namespace["result"], namespace["G2"]
+    assert check_pair(pair, timeout=5.0) == "ok"
+    assert not is_reduced_groebner([f for f in pair.F if f])
+    assert result.basis == sorted(pair.G, key=lambda g: g.ring.order.key(g.leading_monomial)) != pair.G
+    assert is_reduced_groebner(G2) and all(g.ring.order == grevlex(2) for g in G2)
+    assert buchberger([g.resorted(lex(2)) for g in G2]).basis == result.basis

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from gbgen import RATIONALS, lex, prime_field, solve_shape
+from gbgen import GenerationConfig, RATIONALS, lex, prime_field, solve_shape
 from gbgen.field import FieldElement
 from gbgen.poly import PolyRing
-from gbgen.shapegen import ShapeBasisSpec, sample_shape_basis
+from gbgen.shapegen import sample_shape_basis
 from gbgen.solve import ShapeError, univariate_roots_fp
 
 F7 = prime_field(7)
@@ -117,9 +117,9 @@ def test_solve_matches_brute_force():
     rng = random.Random(61)
     for field in (F7, prime_field(11)):
         for nvars in (1, 2, 3):
-            spec = ShapeBasisSpec(field=field, nvars=nvars, max_degree=4)
+            config = GenerationConfig(field=field, nvars=nvars, num_samples=0, max_degree=4)
             for _ in range(8):
-                G = sample_shape_basis(spec, rng)
+                G = sample_shape_basis(config, rng)
                 assert sorted(as_ints(solve_shape(G))) == brute_force_variety(G)
 
 
