@@ -13,12 +13,13 @@ Subcommands:
   solve      enumerate the varieties of prime-field datasets
 
 All sampling is deterministic given --seed; when the flag is omitted the
-GBGEN_SEED environment variable supplies the default (0 if unset).  Exit
-status is 0 on success, 1 when verification or solving finds a failure,
-an input file has a malformed line or a file cannot be opened, read or
-written, 2 on bad arguments (a GBGEN_SEED that is not an integer, and
-generation values that cannot work together, such as --s-max below --n,
-included).
+GBGEN_SEED environment variable supplies the default (0 if unset).  The
+argument parser is built once per process, and GBGEN_SEED is still read
+on every call that omits --seed.  Exit status is 0 on success, 1 when
+verification or solving finds a failure, an input file has a malformed
+line or a file cannot be opened, read or written, 2 on bad arguments (a
+GBGEN_SEED that is not an integer, and generation values that cannot work
+together, such as --s-max below --n, included).
 """
 
 import argparse
@@ -71,8 +72,15 @@ def parse_field(text: str) -> FieldSpec:
     raise argparse.ArgumentTypeError(f"cannot read field {text!r}; try q, f7, f31 or gf101")
 
 
+# The --seed default.  argparse runs ``type`` on a string default in every
+# parse that omits the flag, so ``_seed`` reads GBGEN_SEED in its place at
+# parse time, and the parser, built once per process, holds no environment.
+_SEED_FROM_ENV = "GBGEN_SEED or 0"
+
+
 def _seed(text: str) -> int:
-    # argparse also runs this on the GBGEN_SEED default when --seed is omitted
+    if text is _SEED_FROM_ENV:
+        text = os.environ.get("GBGEN_SEED", "0")
     try:
         return int(text)
     except ValueError:
@@ -140,7 +148,7 @@ def _add_generation_flags(p: argparse.ArgumentParser):
     p.add_argument("--s-max", type=int, default=None, help="max system size (default n+2)")
     p.add_argument("--sigma", type=float, default=1.0, help="fill density of the triangular factors (default 1.0)")
     p.add_argument("--order", default="lex", choices=["lex", "grlex", "grevlex"], help="target term order")
-    p.add_argument("--seed", type=_seed, default=os.environ.get("GBGEN_SEED", "0"),
+    p.add_argument("--seed", type=_seed, default=_SEED_FROM_ENV,
                    help="master seed (default GBGEN_SEED or 0)")
     p.add_argument("--drop-zeros", action="store_true", help="drop zero rows from F instead of keeping them")
     p.add_argument("--verify-fraction", type=float, default=0.01, help="fraction spot-checked inline (default 0.01)")
@@ -381,6 +389,7 @@ def cmd_solve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new gbgen argument parser on each call; ``main`` keeps one per process."""
     parser = argparse.ArgumentParser(prog="gbgen", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -411,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s-max", type=int, default=None)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--seed", type=_seed, default=os.environ.get("GBGEN_SEED", "0"))
+    p.add_argument("--seed", type=_seed, default=_SEED_FROM_ENV)
     p.add_argument("--timeout", type=_timeout, default=SPOT_CHECK_TIMEOUT)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(fn=cmd_bench)
@@ -435,8 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser: built once per process, never changed after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush

@@ -140,6 +140,8 @@ class GenerationConfig:
     @staticmethod
     def from_dict(d: dict) -> "GenerationConfig":
         """The config of a ``meta.json``; a knob it lacks, other than the three required, keeps its default."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         for key in d:
             if key not in GenerationConfig.__dataclass_fields__:
                 raise ValueError(f"unknown config key {key!r}")

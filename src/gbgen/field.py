@@ -121,6 +121,8 @@ class FieldSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "FieldSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"field must be a JSON object, got {type(d).__name__}")
         if "kind" not in d:
             raise ValueError("field is missing key 'kind'")
         if d["kind"] == "rationals":

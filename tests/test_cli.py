@@ -186,6 +186,38 @@ def test_generator_stamp_runs_git_once_per_process(tmp_path, monkeypatch):
     assert first.get("generator_revision") == second.get("generator_revision")
 
 
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    builds = []
+    real_build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    # the parser is built once, but GBGEN_SEED is read on every call that omits --seed
+    for seed in ("9", "10"):
+        monkeypatch.setenv("GBGEN_SEED", seed)
+        assert run_cli("generate", "--n", "2", "--field", "f7", "--m", "8", "--verify-fraction", "0",
+                       "--out", str(tmp_path / f"env{seed}")) == 0
+        make_dataset(tmp_path, name=f"flag{seed}", seed=seed)
+        assert (tmp_path / f"env{seed}.jsonl").read_text() == (tmp_path / f"flag{seed}.jsonl").read_text()
+    monkeypatch.setenv("GBGEN_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("generate", "--n", "2", "--field", "f7", "--m", "2", "--out", str(tmp_path / "bad"))
+    assert exc.value.code == 2
+    assert "argument --seed: 'abc' is not an integer (--seed and GBGEN_SEED take integers)" in capsys.readouterr().err
+    # an argparse error leaves the parser fit for the next call
+    with pytest.raises(SystemExit) as exc:
+        run_cli("profile", "--input", str(tmp_path / "env9.jsonl"), "--format", "yaml")
+    assert exc.value.code == 2
+    assert run_cli("profile", "--input", str(tmp_path / "env9.jsonl"), "--format", "json") == 0
+    assert len(builds) == 1
+    # build_parser itself still gives a fresh parser on each call
+    assert real_build_parser() is not real_build_parser()
+
+
 @pytest.mark.parametrize("command", ["verify", "bench"])
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_timeout_rejects_nonsense(tmp_path, capsys, command, value):

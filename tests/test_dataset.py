@@ -198,6 +198,11 @@ def test_config_round_trip_and_validation():
             GenerationConfig.from_dict({k: v for k, v in d.items() if k != name})
     with pytest.raises(ValueError, match="^num_range 5 must be two integers$"):
         GenerationConfig.from_dict({**d, "num_range": 5})
+    # a config or a field that is no JSON object raised a TypeError
+    with pytest.raises(ValueError, match="^config must be a JSON object, got int$"):
+        GenerationConfig.from_dict(5)
+    with pytest.raises(ValueError, match="^field must be a JSON object, got int$"):
+        GenerationConfig.from_dict({**d, "field": 7})
     required = {k: d[k] for k in ("field", "nvars", "num_samples")}
     assert GenerationConfig.from_dict(required) == small_config(seed=0, verify_fraction=0.01)
     # the tightest ranges that still hold a draw are accepted and generate
