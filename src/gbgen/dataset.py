@@ -11,16 +11,18 @@ samplers, ``shapegen`` and ``backward``, and checks each of them once.
 import hashlib
 import json
 import random
+import re
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, NoReturn
 
 from .backward import backward_transform
 from .field import FieldSpec
 from .fglm import fglm
 from .groebner import GroebnerTimeout, buchberger, is_reduced_groebner
 from .orders import OrderKind, TermOrder, lex, order_by_name
-from .poly import Polynomial, PolyRing, _combination, _render, _shared_ring
+from .poly import _MONOMIAL_CACHE_SIZE, Polynomial, PolyRing, _canonical, _render, _shared_ring
 from .shapegen import sample_shape_basis
 
 __all__ = [
@@ -377,30 +379,106 @@ def _framed(token_texts: list[str]) -> str:
     return f"{BOS} {f' {SEP} '.join(token_texts)} {EOS}"
 
 
+# The TOKENS.md grammar of one member of a system over each kind of field:
+# the zero polynomial C0 alone, or terms, each a sign, '*', a nonzero
+# coefficient and power triples.  [0-9], not \d, which also matches '٣'.
+_POWERS = r"(?: \^ x(?:0|[1-9][0-9]*) E[1-9][0-9]*)*"
+_PRIME_TERM = rf"\+ \* C[1-9][0-9]*{_POWERS}"
+_RATIONAL_TERM = rf"[+-] \* N[1-9][0-9]* D[1-9][0-9]*{_POWERS}"
+_PRIME_MEMBER_RE = re.compile(rf"C0|{_PRIME_TERM}(?: {_PRIME_TERM})*")
+_RATIONAL_MEMBER_RE = re.compile(rf"C0|{_RATIONAL_TERM}(?: {_RATIONAL_TERM})*")
+# the parts of each term of a member that matched the grammar
+_PRIME_PARTS_RE = re.compile(r"\+ \* C([0-9]+)((?: \^ x[0-9]+ E[0-9]+)*)")
+_RATIONAL_PARTS_RE = re.compile(r"([+-]) \* N([0-9]+) D([0-9]+)((?: \^ x[0-9]+ E[0-9]+)*)")
+
+
+@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
+def _power_exponents(powers: str, nvars: int):
+    """The exponent tuple of a term's power triples: `` ^ x0 E2 ^ x1 E1`` gives (2, 1).
+
+    The inverse of the tokens of :func:`gbgen.poly._monomial_forms`; the
+    exponents of a repeated variable add up.  None for a variable out of range.
+    """
+    exps = [0] * nvars
+    for triple in powers.split(" ^ x")[1:]:
+        var, _, e = triple.partition(" E")
+        i = int(var)
+        if i >= nvars:
+            return None
+        exps[i] += int(e)
+    return tuple(exps)
+
+
+def _member_terms(member: str, ring: PolyRing) -> list | None:
+    """The (term, coeff) pairs of one member of a system's token text, None if a check fails."""
+    mod, nvars = ring.field.modulus, ring.nvars
+    terms = []
+    if mod is None:
+        if _RATIONAL_MEMBER_RE.fullmatch(member) is None:
+            return None
+        for sign, num, den, powers in _RATIONAL_PARTS_RE.findall(member):
+            exps, den = _power_exponents(powers, nvars), int(den)
+            coeff = Fraction(-int(num) if sign == "-" else int(num), den)
+            if exps is None or coeff.denominator != den:
+                return None
+            terms.append((exps, coeff))
+        return terms
+    if _PRIME_MEMBER_RE.fullmatch(member) is None:
+        return None
+    for residue, powers in _PRIME_PARTS_RE.findall(member):
+        exps, coeff = _power_exponents(powers, nvars), int(residue)
+        if exps is None or coeff >= mod:
+            return None
+        terms.append((exps, coeff))
+    return terms
+
+
 def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
     """Invert :func:`to_prefix_tokens` over the given ring.
 
-    The token loop checks each variable index, exponent and residue, so the
-    terms go to the combination kernel as they are: it merges repeated
-    monomials, drops vanishing sums and sorts into ring order.  Only what
-    the writer can emit parses: every member is nonempty (zero is the lone
-    C0), every coefficient in a term is nonzero and in lowest terms, and
-    every numeric suffix is ASCII decimal digits, with no sign or leading 0.
+    The tokens are joined once and split into members at SEP.  A member
+    costs one match of the TOKENS.md grammar and one scan for its terms; a
+    term, one lookup of its power triples and a check of its coefficient.
+    Terms in ring order are kept as they are, others merged and sorted.
+    Only what the writer can emit parses: every member is nonempty (zero is
+    the lone C0), every coefficient in a term is nonzero and in lowest
+    terms, every numeric suffix is ASCII decimal digits with no sign or
+    leading 0, and no token holds a blank.  Tokens that fail any check go
+    to :func:`_raise_token_error`, which locates the error.
     """
     tokens = list(tokens)
     if not tokens:
         return []
-    rational = ring.field.modulus is None
+    try:
+        text = " ".join(tokens)
+    except TypeError:  # a token that is no str
+        _raise_token_error(tokens, ring)
     polys = []
-    pending: list[tuple] = []
+    # a token holding a blank would shift every later token of the split
+    if text.count(" ") == len(tokens) - 1:
+        for member in text.split(f" {SEP} "):
+            terms = _member_terms(member, ring)
+            if terms is None:
+                break
+            polys.append(Polynomial(ring, _canonical(ring, terms)))
+        else:
+            return polys
+    _raise_token_error(tokens, ring)
+
+
+def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
+    """Raise the ``TokenError`` of tokens :func:`parse_prefix_tokens` rejected.
+
+    A token-by-token walk that checks each variable index, exponent and
+    residue as it reads them, and names the first token the grammar rejects.
+    """
+    rational = ring.field.modulus is None
     pos = start = 0
     n = len(tokens)
 
     def flush():
         if pos == start:
             raise TokenError(pos, "empty polynomial")
-        polys.append(Polynomial(ring, _combination(ring, [(1, None, pending)])))
-        pending.clear()
 
     def number(at: int) -> int:
         digits = tokens[at][1:]
@@ -415,7 +493,8 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
             pos = start = pos + 1
             continue
         if tok == "C0":
-            if pending:
+            # past the member's start only after a term, since a C0 is followed by SEP or the end
+            if pos > start:
                 raise TokenError(pos, "C0 must stand alone for the zero polynomial")
             pos += 1
             if pos < n and tokens[pos] != SEP:
@@ -423,7 +502,6 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
             continue
         if tok not in ("+", "-"):
             raise TokenError(pos, f"expected a sign token, got {tok!r}")
-        sign = 1 if tok == "+" else -1
         pos += 1
         if pos >= n or tokens[pos] != "*":
             raise TokenError(pos, "expected '*' after the sign")
@@ -434,20 +512,18 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
             num, den = number(pos), number(pos + 1)
             if den == 0:
                 raise TokenError(pos + 1, "zero denominator")
-            coeff = Fraction(sign * num, den)
-            if not num or coeff.denominator != den:
+            if not num or Fraction(num, den).denominator != den:
                 raise TokenError(pos, f"N{num} D{den} is not a nonzero fraction in lowest terms")
             pos += 2
         else:
             if pos >= n or not tokens[pos].startswith("C"):
                 raise TokenError(pos, "expected a residue token")
             coeff = number(pos)
-            if sign < 0:
+            if tok == "-":
                 raise TokenError(pos - 2, "prime-field terms always carry '+'")
             if not 0 < coeff < ring.field.modulus:
                 raise TokenError(pos, f"residue {coeff} out of range for a term")
             pos += 1
-        exps = [0] * ring.nvars
         while pos < n and tokens[pos] == "^":
             if pos + 2 >= n or not tokens[pos + 1].startswith("x") or not tokens[pos + 2].startswith("E"):
                 raise TokenError(pos, "expected '^ xi Ei'")
@@ -456,11 +532,9 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
                 raise TokenError(pos + 1, f"variable x{var} out of range")
             if exp < 1:
                 raise TokenError(pos + 2, "exponent tokens must be positive")
-            exps[var] += exp
             pos += 3
-        pending.append((tuple(exps), coeff))
     flush()
-    return polys
+    raise AssertionError(f"the token grammar and the token walk disagree on {tokens!r}")
 
 
 # -- JSONL -------------------------------------------------------------------

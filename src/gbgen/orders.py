@@ -9,7 +9,7 @@ key tuple is smaller, which keeps comparison allocation-light and lets
 
 import enum
 from dataclasses import dataclass
-from operator import le, neg, sub
+from operator import eq, ge, gt, itemgetter, le, lt, neg, sub
 
 Term = tuple[int, ...]
 
@@ -52,6 +52,8 @@ def _grevlex_key(t: Term):
     return (sum(t), tuple(map(neg, t[::-1])))
 
 
+_reversed = itemgetter(slice(None, None, -1))
+
 _KEY_FNS = {
     OrderKind.LEX: _lex_key,
     OrderKind.GRLEX: _grlex_key,
@@ -74,6 +76,24 @@ class TermOrder:
     def key(self):
         """Sort key function: key(a) < key(b) iff a precedes b."""
         return _KEY_FNS[self.kind]
+
+    def strictly_descending(self, terms) -> bool:
+        """True when each of a sequence of terms is strictly larger than the next.
+
+        The same verdict as comparing their keys, from comparisons of the
+        terms, their degrees and their reversals, with no key call per term.
+        """
+        if self.kind is OrderKind.LEX:
+            return all(map(gt, terms, terms[1:]))
+        degrees = list(map(sum, terms))
+        # graded: the degree never rises, and a tie is broken by the terms
+        # (grlex) or by their reversals compared the other way (grevlex)
+        if self.kind is OrderKind.GRLEX:
+            tie_ok = map(gt, terms, terms[1:])
+        else:
+            reversals = list(map(_reversed, terms))
+            tie_ok = map(lt, reversals, reversals[1:])
+        return all(map(ge, degrees, degrees[1:])) and all(map(le, map(eq, degrees, degrees[1:]), tie_ok))
 
     def name(self) -> str:
         return self.kind.value

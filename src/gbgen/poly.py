@@ -146,6 +146,22 @@ def _combination(ring: PolyRing, parts) -> tuple:
     return _descending(ring, [(t, r) for t, x in acc.items() if (r := x % mod)])
 
 
+def _canonical(ring: PolyRing, terms: list) -> tuple:
+    """Canonical terms of a parsed polynomial, given as reduced (term, coeff) pairs.
+
+    Input already strictly descending under the ring order with no zero
+    coefficient, which is all a writer emits, comes back as it is, with no
+    sort and no key call per term; anything else is merged and sorted by
+    :func:`_combination`.
+    """
+    if not terms:
+        return ()
+    exps, coeffs = zip(*terms)
+    if all(coeffs) and ring.order.strictly_descending(exps):
+        return tuple(terms)
+    return _combination(ring, [(1, None, terms)])
+
+
 # Distinct monomials each monomial cache keeps.  A dataset only meets the
 # monomials under its degree bound (364 at n=3 and total degree 11, 4368 at
 # n=5), so the bound caps what unusual inputs can hold, not a normal run.
@@ -304,6 +320,16 @@ class Polynomial:
         values = list(point)
         if len(values) != self.ring.nvars:
             raise ValueError(f"expected {self.ring.nvars} coordinates, got {len(values)}")
+        p = field.modulus
+        if p is not None:
+            # one reduction per factor, and the sum reduced once at the end
+            total = 0
+            for t, c in self.terms:
+                for x, e in zip(values, t):
+                    if e:
+                        c = c * pow(x, e, p) % p
+                total += c
+            return total % p
         total = field.zero()
         for t, c in self.terms:
             v = c
@@ -506,8 +532,8 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             num *= factor
         if sign == "-":
             num = -num
-        terms.append((exps, num if mod is not None else Fraction(num, den)))
-    return Polynomial(ring, _combination(ring, [(1, None, terms)]))
+        terms.append((exps, num % mod if mod is not None else Fraction(num, den)))
+    return Polynomial(ring, _canonical(ring, terms))
 
 
 def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:

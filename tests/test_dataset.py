@@ -11,6 +11,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbgen import dataset, poly
 from gbgen import field as field_module
@@ -42,7 +43,7 @@ from gbgen.dataset import (
     write_jsonl,
     write_meta,
 )
-from gbgen.poly import PolyRing
+from gbgen.poly import Polynomial, PolyRing
 
 F7 = prime_field(7)
 
@@ -328,17 +329,18 @@ def test_rendering_matches_uncached_reference():
 
 
 def test_rendering_caches_stay_bounded():
-    caches = (poly._monomial_forms, field_module._residue_cache, poly._monomial_exponents)
+    caches = (poly._monomial_forms, field_module._residue_cache, poly._monomial_exponents, dataset._power_exponents)
     for cache in caches:
         cache.cache_clear()
     ring = PolyRing(F7, 2, lex(2))
-    side = 130  # 130^2 distinct monomials, more than either monomial cache keeps
+    side = 130  # 130^2 distinct monomials, more than any monomial cache keeps
     assert side * side > max(cache.cache_info().maxsize for cache in caches)
     for i in range(side):
         f = ring.from_terms(((i, j), 1 + j % 6) for j in range(side))
         assert str(f) == reference_str(f)
         assert to_prefix_tokens([f]) == reference_tokens([f])
         assert ring.parse(str(f)) == f
+        assert parse_prefix_tokens(to_prefix_tokens([f]), ring) == [f]
     # a field too large to fit in the coefficient cache renders without it
     cached = field_module._residue_cache.cache_info().currsize
     big = PolyRing(prime_field(2**31 - 1), 1, lex(1))
@@ -482,6 +484,205 @@ def test_token_parse_merges_and_sorts_terms(assert_canonical):
         [f] = parse_prefix_tokens(["+", "*", *coeff, "+", "*", *coeff, *x1, *x1, "+", "*", *coeff, *x0, *x1], r)
         assert_canonical(f)
         assert f == r.parse(text)
+
+
+# The token-by-token walk that read prefix tokens before the reader matched
+# each member's grammar, kept as the reference for its language, values and
+# error positions.
+def reference_parse_prefix_tokens(tokens, ring):
+    tokens = list(tokens)
+    if not tokens:
+        return []
+    rational = ring.field.modulus is None
+    polys = []
+    pending = []
+    pos = start = 0
+    n = len(tokens)
+
+    def flush():
+        if pos == start:
+            raise TokenError(pos, "empty polynomial")
+        polys.append(Polynomial(ring, poly._combination(ring, [(1, None, pending)])))
+        pending.clear()
+
+    def number(at):
+        digits = tokens[at][1:]
+        if not (digits.isdigit() and digits.isascii()) or (digits[0] == "0" and len(digits) > 1):
+            raise TokenError(at, f"malformed number in {tokens[at]!r}")
+        return int(digits)
+
+    while pos < n:
+        tok = tokens[pos]
+        if tok == "SEP":
+            flush()
+            pos = start = pos + 1
+            continue
+        if tok == "C0":
+            if pending:
+                raise TokenError(pos, "C0 must stand alone for the zero polynomial")
+            pos += 1
+            if pos < n and tokens[pos] != "SEP":
+                raise TokenError(pos, "tokens after a zero polynomial")
+            continue
+        if tok not in ("+", "-"):
+            raise TokenError(pos, f"expected a sign token, got {tok!r}")
+        sign = 1 if tok == "+" else -1
+        pos += 1
+        if pos >= n or tokens[pos] != "*":
+            raise TokenError(pos, "expected '*' after the sign")
+        pos += 1
+        if rational:
+            if pos + 1 >= n or not tokens[pos].startswith("N") or not tokens[pos + 1].startswith("D"):
+                raise TokenError(pos, "expected numerator and denominator tokens")
+            num, den = number(pos), number(pos + 1)
+            if den == 0:
+                raise TokenError(pos + 1, "zero denominator")
+            coeff = Fraction(sign * num, den)
+            if not num or coeff.denominator != den:
+                raise TokenError(pos, f"N{num} D{den} is not a nonzero fraction in lowest terms")
+            pos += 2
+        else:
+            if pos >= n or not tokens[pos].startswith("C"):
+                raise TokenError(pos, "expected a residue token")
+            coeff = number(pos)
+            if sign < 0:
+                raise TokenError(pos - 2, "prime-field terms always carry '+'")
+            if not 0 < coeff < ring.field.modulus:
+                raise TokenError(pos, f"residue {coeff} out of range for a term")
+            pos += 1
+        exps = [0] * ring.nvars
+        while pos < n and tokens[pos] == "^":
+            if pos + 2 >= n or not tokens[pos + 1].startswith("x") or not tokens[pos + 2].startswith("E"):
+                raise TokenError(pos, "expected '^ xi Ei'")
+            var, exp = number(pos + 1), number(pos + 2)
+            if var >= ring.nvars:
+                raise TokenError(pos + 1, f"variable x{var} out of range")
+            if exp < 1:
+                raise TokenError(pos + 2, "exponent tokens must be positive")
+            exps[var] += exp
+            pos += 3
+        pending.append((tuple(exps), coeff))
+    flush()
+    return polys
+
+
+def token_outcome(parse, tokens, ring):
+    """The polynomials with their coefficient types, or the error's position and message."""
+    try:
+        polys = parse(tokens, ring)
+    except TokenError as exc:
+        return "error", exc.pos, str(exc)
+    return "ok", [(f.ring, tuple((t, type(c), c) for t, c in f.terms)) for f in polys]
+
+
+def assert_tokens_parse_like_reference(tokens, ring):
+    assert token_outcome(parse_prefix_tokens, tokens, ring) == token_outcome(reference_parse_prefix_tokens, tokens, ring), \
+        tokens
+
+
+TOKEN_RINGS = [PolyRing(f, 3, order(3)) for f in (F7, prime_field(7919), RATIONALS) for order in (lex, grevlex)]
+
+
+def term_tokens(ring, coeff, triples):
+    """The tokens of one term, its power triples as given: in any order, a variable repeated."""
+    if ring.field.modulus is None:
+        head = ["+" if coeff > 0 else "-", "*", f"N{abs(coeff.numerator)}", f"D{coeff.denominator}"]
+    else:
+        head = ["+", "*", f"C{coeff}"]
+    return head + [tok for i, e in triples for tok in ("^", f"x{i}", f"E{e}")]
+
+
+def number_mutants(ring, tokens, at):
+    """Tokens that may replace the numeric token ``at``; all but the first few break a rule of TOKENS.md."""
+    tok = tokens[at]
+    prefix, digits = tok[0], tok[1:]
+    # the values one and zero, out of range or too large a residue, and the
+    # same number spelled with a leading zero, a Unicode digit or a blank
+    out = [f"{prefix}1", f"{prefix}0", f"x{ring.nvars}", f"{prefix}0{digits}", f"{prefix}{digits}\u0663",
+           f"{prefix}\u0663", f"{prefix} {digits}", f"{tok} "]
+    if ring.field.modulus is not None:
+        out += [f"C{ring.field.modulus - 1}", f"C{ring.field.modulus}", f"C{ring.field.modulus + 4}"]
+    # an N/D pair taken out of lowest terms from either side
+    if prefix == "D" and int(tokens[at - 1][1:]) > 1:
+        out.append(f"D{2 * int(tokens[at - 1][1:])}")
+    if prefix == "N" and int(tokens[at + 1][1:]) > 1:
+        out.append(f"N{3 * int(tokens[at + 1][1:])}")
+    return out
+
+
+# tokens that may replace or join any token of a stream
+STRAY_TOKENS = ["", "+ *", "SEP", "C0", "+", "-", "*", "^", "x1", "E2", "C1", "N1", "D1", "bogus"]
+
+
+@st.composite
+def token_streams(draw):
+    ring = draw(st.sampled_from(TOKEN_RINGS))
+    mod = ring.field.modulus
+    coeffs = (st.integers(1, mod - 1) if mod is not None
+              else st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+    monomials = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    if draw(st.booleans()):
+        # what the writer emits: canonical members, a zero one among them
+        polys = draw(st.lists(st.lists(st.tuples(monomials, coeffs), max_size=6).map(ring.from_terms),
+                              min_size=1, max_size=3))
+        tokens = to_prefix_tokens(polys)
+    else:
+        # terms in any order, a monomial or a variable's power triple repeated
+        triples = st.lists(st.tuples(st.integers(0, ring.nvars - 1), st.integers(1, 3)), max_size=4)
+        members = draw(st.lists(st.lists(st.tuples(coeffs, triples), min_size=1, max_size=6),
+                                min_size=1, max_size=3))
+        tokens = []
+        for k, member in enumerate(members):
+            if draw(st.booleans()):
+                member = member + [(draw(coeffs), draw(st.sampled_from(member))[1])]
+            tokens += (["SEP"] if k else []) + [tok for c, t in member for tok in term_tokens(ring, c, t)]
+    # at most one token changed: a number respelled, a token replaced, inserted or deleted
+    kind = draw(st.sampled_from(["none", "number", "number", "number", "replace", "insert", "delete"]))
+    numbers = [i for i, tok in enumerate(tokens) if tok[:1] in ("C", "N", "D", "x", "E") and tok[1:].isdigit()]
+    if kind == "number" and numbers:
+        at = draw(st.sampled_from(numbers))
+        tokens = tokens[:at] + [draw(st.sampled_from(number_mutants(ring, tokens, at)))] + tokens[at + 1:]
+    elif kind in ("replace", "insert", "delete"):
+        at = draw(st.integers(0, len(tokens) - (kind != "insert")))
+        mutant = [] if kind == "delete" else [draw(st.sampled_from(STRAY_TOKENS))]
+        tokens = tokens[:at] + mutant + tokens[at + (kind != "insert"):]
+    return tokens, ring
+
+
+@settings(max_examples=800, deadline=None)
+@given(token_streams())
+def test_token_parse_matches_reference_walk(stream):
+    assert_tokens_parse_like_reference(*stream)
+
+
+def test_token_parse_matches_reference_walk_on_named_cases():
+    r7, rq = PolyRing(F7, 2, grevlex(2)), PolyRing(RATIONALS, 2, lex(2))
+    x0, x1 = ["^", "x0", "E1"], ["^", "x1", "E1"]
+    cases = [
+        (r7, ["+", "*", "C1", *x0, "SEP", "C0", "SEP", "+", "*", "C3", *x1, "+", "*", "C2"]),
+        (r7, ["+", "*", "C2", "+", "*", "C1", *x0]),  # out of order
+        (r7, ["+", "*", "C2", *x0, "+", "*", "C5", *x0]),  # a repeated monomial whose sum vanishes
+        (r7, ["+", "*", "C2", *x1, *x0, *x1]),  # repeated power triples
+        (r7, ["+", "*", "C 2"]),  # a token holding a blank
+        (r7, ["+ *", "C2"]),
+        (r7, ["+", "*", "C1", "SEP", "", "SEP", "C0"]),  # an empty token
+        (r7, ["+", "*", "C\u0663"]),  # a Unicode digit
+        (PolyRing(prime_field(7919), 2, lex(2)), ["+", "*", "C1\u0663", "^", "x0", "E1\u0662"]),
+        (r7, ["+", "*", "C03"]),  # leading zeros
+        (r7, ["+", "*", "C1", "^", "x00", "E1"]),
+        (rq, ["+", "*", "N03", "D1"]),
+        (r7, ["+", "*", "C0", *x0]),  # a zero coefficient in a term
+        (r7, ["+", "*", "C1", "^", "x0", "E02"]),  # a leading zero
+        (r7, ["+", "*", "C7"]),  # a residue >= p
+        (r7, ["-", "*", "C3", *x0]),  # a '-' over GF(p)
+        (rq, ["+", "*", "N3", "D6", *x0]),  # not in lowest terms
+        (rq, ["-", "*", "N3", "D2", *x0, "+", "*", "N1", "D1", *x1]),  # out of order over Q
+        (r7, ["+", "*", "C1", "SEP", "SEP", "+", "*", "C1"]),  # a stray SEP
+        (r7, ["+", "*", "C1", "^", "x2", "E1"]),  # a variable out of range
+        (r7, ["+", "*", "C1", "SEP", None]),  # a token that is no str
+    ]
+    for ring, tokens in cases:
+        assert_tokens_parse_like_reference(tokens, ring)
 
 
 def test_token_error_reports_position():

@@ -63,6 +63,21 @@ def test_grevlex_key_matches_its_definition():
             assert key(t) == definition(t)
 
 
+def test_strictly_descending_matches_the_keys():
+    rng = random.Random(8)
+    for n in range(1, 5):
+        terms = [t for t in itertools.product(range(4), repeat=n) if sum(t) <= 4]
+        for order in (lex(n), grlex(n), grevlex(n)):
+            for a, b in itertools.product(terms, repeat=2):
+                assert order.strictly_descending((a, b)) == (order.key(a) > order.key(b)), (order, a, b)
+            for _ in range(200):
+                run = rng.sample(terms, min(len(terms), rng.randint(0, 6)))
+                keys = [order.key(t) for t in run]
+                assert order.strictly_descending(run) == all(k > j for k, j in zip(keys, keys[1:])), (order, run)
+                run.sort(key=order.key, reverse=True)
+                assert order.strictly_descending(run)
+
+
 def test_equal_terms():
     for order in (lex(3), grlex(3), grevlex(3)):
         assert cmp(order, A, A) == 0

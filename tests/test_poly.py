@@ -153,6 +153,45 @@ def test_evaluate():
     assert g.evaluate([3, 5]) == (9 + 5) % 7
 
 
+def reference_evaluate(f, point):
+    """The value at a point through the field's methods, one call per factor and per sum."""
+    field = f.ring.field
+    total = field.zero()
+    for t, c in f.terms:
+        v = c
+        for x, e in zip(point, t):
+            if e:
+                v = field.mul(v, field.pow(x, e))
+        total = field.add(total, v)
+    return total
+
+
+@pytest.mark.parametrize("field", [prime_field(2), prime_field(7), prime_field(7919), prime_field(2**31 - 1), RATIONALS],
+                         ids=str)
+def test_evaluate_matches_field_reference(field):
+    rng = random.Random(41)
+    ring = PolyRing(field, 3, grevlex(3))
+    mod = field.modulus
+    polys = [ring.zero(), ring.one(), ring.monomial(5, (0, 0, 0))]
+    polys += [random_poly(ring, rng, max_terms=8, max_exp=5) for _ in range(40)]
+    if mod is None:
+        coords = [0, 1, -2, Fraction(3, 7), Fraction(-5, 2)]
+    else:
+        # a zero, residues, and coordinates negative or at and past the modulus, left unreduced
+        coords = [0, 1, mod - 1, -3, mod, mod + 2, 2**40 + 1]
+    for f in polys:
+        for _ in range(6):
+            point = [rng.choice(coords) for _ in range(3)]
+            value = f.evaluate(point)
+            assert value == reference_evaluate(f, point), (f, point)
+            if mod is not None:
+                assert type(value) is int and 0 <= value < mod
+            else:
+                assert type(value) is Fraction
+    assert ring.zero().evaluate([2, 3, 4]) == field.zero()
+    assert ring.monomial(5, (0, 0, 0)).evaluate([-1, mod or 2, 0]) == field.canon(5)
+
+
 def divide(f, divisors):
     """Reference textbook division: (remainder, quotients) with f == sum(q*d) + remainder.
 
@@ -460,6 +499,19 @@ def test_parse_reads_later_coefficient_factors_like_reference():
         for ring in (RQ, R7):
             assert_parses_like_reference(ring, text)
     assert RQ.parse("2*x1*3/4*x0") == RQ.parse("3/2*x0*x1")
+
+
+@pytest.mark.parametrize("ring", [PolyRing(prime_field(7), 2, lex(2)), PolyRing(prime_field(7), 2, grevlex(2)),
+                                  PolyRing(RATIONALS, 2, lex(2)), PolyRing(RATIONALS, 2, grevlex(2))], ids=str)
+def test_parse_gives_canonical_terms(ring, assert_canonical):
+    # vanishing sums, zero factors, repeated monomials and terms out of
+    # order all leave the fast path for the combination kernel
+    texts = ["x0 - x0", "0*x1 + 2", "x0*x1 + 3*x0*x1 - x1", "1 + x1 + x0^2 + x0*x1^3", "2 + x1^2 - 5*x0 + x0^2*x1 - x1^2"]
+    for text in texts:
+        assert_canonical(ring.parse(text))
+        assert_parses_like_reference(ring, text)
+    assert ring.parse("x0 - x0") == ring.zero()
+    assert ring.parse("0*x1 + 2").terms == (((0, 0), ring.field.canon(2)),)
 
 
 def test_parse_accepts_merged_terms():
