@@ -154,20 +154,17 @@ def _add_generation_flags(p: argparse.ArgumentParser):
     p.add_argument("--verify-fraction", type=float, default=0.01, help="fraction spot-checked inline (default 0.01)")
 
 
+# The GenerationConfig field that each generation flag's dest sets.  A config
+# value error opens with the field's name, and the report names the flag the
+# user typed instead.
+_FIELD_OF_DEST = {"field": "field", "n": "nvars", "m": "num_samples", "d": "max_degree", "d_prime": "max_entry_degree",
+                  "s_max": "s_max", "sigma": "density", "order": "order", "seed": "seed", "drop_zeros": "drop_zeros",
+                  "verify_fraction": "verify_fraction"}
+_FLAG_OF_FIELD = {field: "--" + dest.replace("_", "-") for dest, field in _FIELD_OF_DEST.items()}
+
+
 def _config_from_args(args) -> GenerationConfig:
-    return GenerationConfig(
-        field=args.field,
-        nvars=args.n,
-        num_samples=args.m,
-        max_degree=args.d,
-        max_entry_degree=args.d_prime,
-        s_max=args.s_max,
-        density=args.sigma,
-        order=args.order,
-        seed=args.seed,
-        drop_zeros=args.drop_zeros,
-        verify_fraction=args.verify_fraction,
-    )
+    return GenerationConfig(**{field: getattr(args, dest) for dest, field in _FIELD_OF_DEST.items()})
 
 
 # Items handed to the worker pool at a time, in units of jobs * chunksize:
@@ -221,12 +218,6 @@ def _staged(*paths):
 def _render_sample(config: GenerationConfig, index: int):
     pair = generate_sample(config, index)
     return index, pair.seed_used, pair.spot_check, record_line(pair, config), token_line(pair)
-
-
-# The flag that sets each config field.  A config value error opens with the
-# field's name, and the report names the flag the user typed instead.
-_FLAG_OF_FIELD = {"nvars": "--n", "num_samples": "--m", "max_degree": "--d", "max_entry_degree": "--d-prime",
-                  "s_max": "--s-max", "density": "--sigma", "verify_fraction": "--verify-fraction"}
 
 
 def _bad_values(args, exc: ValueError) -> int:
@@ -315,20 +306,16 @@ def cmd_bench(args) -> int:
 
 def cmd_tokenize(args) -> int:
     count = 0
-    try:
-        with _staged(args.out) as (temp,), open(temp, "w", encoding="utf-8") as fh:
-            for pair in read_jsonl(args.input):
-                ring = pair.ring
-                line = token_line(pair)
-                # cheap paranoia: the line must parse back to the input
-                left, right = (side.split(" ")[1:-1] for side in line.split("\t"))
-                if parse_prefix_tokens(left, ring) != pair.F or parse_prefix_tokens(right, ring) != pair.G:
-                    raise _Abort(f"FAIL sample {pair.index}: tokens do not round-trip")
-                fh.write(line + "\n")
-                count += 1
-    except _Abort as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    with _staged(args.out) as (temp,), open(temp, "w", encoding="utf-8") as fh:
+        for pair in read_jsonl(args.input):
+            ring = pair.ring
+            line = token_line(pair)
+            # cheap paranoia: the line must parse back to the input
+            left, right = (side.split(" ")[1:-1] for side in line.split("\t"))
+            if parse_prefix_tokens(left, ring) != pair.F or parse_prefix_tokens(right, ring) != pair.G:
+                raise _Abort(f"FAIL sample {pair.index}: tokens do not round-trip")
+            fh.write(line + "\n")
+            count += 1
     print(f"tokenized {count} samples into {args.out}")
     return 0
 
@@ -336,29 +323,25 @@ def cmd_tokenize(args) -> int:
 def cmd_fglm(args) -> int:
     count = 0
     stamps = {}  # ring -> the config a record is stamped with: its field, nvars and the target order
-    try:
-        with _staged(args.out) as (temp,), open(temp, "w", encoding="utf-8") as fh:
-            for pair in read_jsonl(args.input):
-                if not any(pair.G):
-                    raise _Abort(f"sample {pair.index}: cannot convert an empty basis")
-                ring = pair.ring
-                if ring.order.name() != args.src_order:
-                    raise _Abort(f"sample {pair.index} is under {ring.order.name()}, not {args.src_order}")
-                if ring not in stamps:
-                    stamps[ring] = GenerationConfig(field=ring.field, nvars=ring.nvars, num_samples=0,
-                                                    order=args.to_order)
-                stamp = stamps[ring]
-                target = stamp.target_order()
-                try:
-                    pair.G = fglm(pair.G, target)
-                except DimensionError as exc:
-                    raise _Abort(f"sample {pair.index}: {exc}") from None
-                pair.F = [f.resorted(target) for f in pair.F]
-                fh.write(record_line(pair, stamp) + "\n")
-                count += 1
-    except _Abort as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    with _staged(args.out) as (temp,), open(temp, "w", encoding="utf-8") as fh:
+        for pair in read_jsonl(args.input):
+            if not any(pair.G):
+                raise _Abort(f"sample {pair.index}: cannot convert an empty basis")
+            ring = pair.ring
+            if ring.order.name() != args.src_order:
+                raise _Abort(f"sample {pair.index} is under {ring.order.name()}, not {args.src_order}")
+            if ring not in stamps:
+                stamps[ring] = GenerationConfig(field=ring.field, nvars=ring.nvars, num_samples=0,
+                                                order=args.to_order)
+            stamp = stamps[ring]
+            target = stamp.target_order()
+            try:
+                pair.G = fglm(pair.G, target)
+            except DimensionError as exc:
+                raise _Abort(f"sample {pair.index}: {exc}") from None
+            pair.F = [f.resorted(target) for f in pair.F]
+            fh.write(record_line(pair, stamp) + "\n")
+            count += 1
     print(f"converted {count} samples to {args.to_order} in {args.out}")
     return 0
 
@@ -458,6 +441,9 @@ def main(argv=None) -> int:
         return code
     except JsonlError as exc:
         print(f"gbgen: {exc}", file=sys.stderr)
+        return 1
+    except _Abort as exc:
+        print(exc, file=sys.stderr)
         return 1
     except BrokenPipeError:
         # stdout's reader left (``gbgen solve ... | head``): tell no one, and let the final flush go to devnull

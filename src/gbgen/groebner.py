@@ -1,19 +1,21 @@
 """Buchberger's algorithm and Groebner basis predicates.
 
-One completion loop serves both settings of ``chain_criterion``.  It keeps
-a pair queue keyed by the total degree of the lcm of the leading terms (the
-"normal" selection strategy), reduces each S-polynomial against every
-member added so far until its head is irreducible, and adds nonzero
-remainders.  The settings differ only in how a new member updates the
-queue.  The plain update pairs it with every earlier member, and the loop
-skips pairs with coprime heads when it pops them.  The Gebauer-Moller
-update [Gebauer & Moller 1988] forms only the pairs that criterion M and
-the coprime criterion keep, drops queued pairs by criterion B, and stops
-pairing members whose head the new head divides.  Those redundant members
-stay in the reducer list: reducing against the rest alone gives the same
-basis, but some reductions then run for minutes instead of milliseconds.
-The returned basis is always fully interreduced, monic and sorted ascending
-by leading term, so two runs over the same ideal agree member for member.
+One completion loop serves ``buchberger`` and ``is_reduced_groebner``.  It
+keeps a pair queue keyed by the total degree of the lcm of the leading
+terms (the "normal" selection strategy), reduces each S-polynomial against
+every member added so far until its head is irreducible, adds nonzero
+remainders and yields every remainder.  The settings of ``chain_criterion``
+differ only in how a new member updates the queue.  The plain update pairs
+it with every earlier member and drops the pairs with coprime heads.  The
+Gebauer-Moller update [Gebauer & Moller 1988] forms only the pairs that
+criterion M and the coprime criterion keep, drops queued pairs by
+criterion B, and stops pairing members whose head the new head divides.
+Those redundant members stay in the reducer list: reducing against the
+rest alone gives the same basis, but some reductions then run for minutes
+instead of milliseconds.  A completion's timeout is one deadline, checked
+at every head step of every reduction.  The returned basis is always fully
+interreduced, monic and sorted ascending by leading term, so two runs over
+the same ideal agree member for member.
 """
 
 import heapq
@@ -114,11 +116,12 @@ def _primitive(f: Polynomial) -> Polynomial:
 def buchberger(polys, timeout: float | None = None, chain_criterion: bool = False) -> GroebnerResult:
     """Complete ``polys`` to the reduced Groebner basis of the ideal they generate.
 
-    Zero polynomials in the input are skipped.  ``timeout`` (seconds) aborts
-    the completion with GroebnerTimeout carrying partial statistics.  With
-    ``chain_criterion`` each new member updates the pair queue by
-    Gebauer and Moller's rules, which drop redundant pairs and members;
-    without it every pair is queued.  Both give the same basis.
+    Zero polynomials in the input are skipped.  ``timeout`` (seconds) bounds
+    the whole completion, each reduction included; past it GroebnerTimeout
+    carries the statistics so far.  With ``chain_criterion`` each new member
+    updates the pair queue by Gebauer and Moller's rules, which drop
+    redundant pairs and members; without it every pair whose heads share a
+    variable is queued.  Both give the same basis.
     """
     gens = [f for f in polys if f]
     if not gens:
@@ -129,53 +132,62 @@ def buchberger(polys, timeout: float | None = None, chain_criterion: bool = Fals
             raise ValueError("generators must share one ring")
 
     start = time.perf_counter()
+    deadline = None if timeout is None else start + timeout
     stats = GroebnerStats()
-    order = ring.order
-    update = _gebauer_moller if chain_criterion else _pair_all
     basis: list[Polynomial] = []  # every member, redundant ones too: the reducers
-    heads: list = []
     live: list[int] = []  # the members pairs are still formed with
+    update = _gebauer_moller if chain_criterion else _pair_all
+    try:
+        for _ in _s_pair_remainders(gens, basis, live, update, stats, deadline):
+            pass
+        reduced = reduce_basis([basis[k] for k in live], deadline=deadline)
+    except TimeoutError:
+        raise GroebnerTimeout(timeout, stats) from None
+    finally:
+        stats.elapsed = time.perf_counter() - start
+    return GroebnerResult(reduced, stats)
+
+
+def _s_pair_remainders(gens, basis, live, update, stats, deadline=None):
+    """Buchberger's completion loop over ``gens``: yield each S-pair's remainder, zero or not.
+
+    ``gens`` and every nonzero remainder join ``basis``, and ``update`` forms
+    their pairs and keeps ``live``.  Past ``deadline``, raise TimeoutError.
+    """
+    order = gens[0].ring.order
+    heads: list = []
     queue: list = []  # (degree of lcm, order key of lcm, i, j, lcm)
     for f in gens:
         basis.append(_primitive(f))
         heads.append(basis[-1].leading_monomial)
         update(queue, heads, live, order, stats)
-
     while queue:
-        if timeout is not None and time.perf_counter() - start > timeout:
-            stats.elapsed = time.perf_counter() - start
-            raise GroebnerTimeout(timeout, stats)
         _, _, i, j, _ = heapq.heappop(queue)
-        if _coprime(heads[i], heads[j]):  # only the plain update queues these
-            stats.pairs_skipped += 1
-            continue
         # only the head decides what happens next, and basis members matter
         # only up to scale, so a top-reduced primitive remainder is enough
-        remainder = _primitive(normal_form(s_polynomial(basis[i], basis[j]), basis, top_only=True))
+        spoly = s_polynomial(basis[i], basis[j])
+        remainder = _primitive(normal_form(spoly, basis, top_only=True, deadline=deadline))
         stats.pairs_processed += 1
-        if not remainder:
+        if remainder:
+            basis.append(remainder)
+            heads.append(remainder.leading_monomial)
+            stats.basis_additions += 1
+            update(queue, heads, live, order, stats)
+        else:
             stats.zero_reductions += 1
-            continue
-        basis.append(remainder)
-        heads.append(remainder.leading_monomial)
-        stats.basis_additions += 1
-        update(queue, heads, live, order, stats)
-
-    reduced = reduce_basis([basis[k] for k in live])
-    stats.elapsed = time.perf_counter() - start
-    return GroebnerResult(reduced, stats)
-
-
-def _push(queue, order, i, j, lcm):
-    heapq.heappush(queue, (total_degree(lcm), order.key(lcm), i, j, lcm))
+        yield remainder
 
 
 def _pair_all(queue, heads, live, order, stats):
-    """The plain update: pair the newest member with every earlier one."""
+    """The plain update: pair the newest member with every earlier one whose head shares a variable with it."""
     k = len(heads) - 1
     h = heads[k]
     for g in live:
-        _push(queue, order, g, k, term_lcm(heads[g], h))
+        if _coprime(heads[g], h):
+            stats.pairs_skipped += 1
+            continue
+        lcm = term_lcm(heads[g], h)
+        heapq.heappush(queue, (total_degree(lcm), order.key(lcm), g, k, lcm))
     live.append(k)
 
 
@@ -210,7 +222,7 @@ def _gebauer_moller(queue, heads, live, order, stats):
     pushed = 0
     for lcm, g in chosen:
         if not _coprime(heads[g], h):
-            _push(queue, order, g, k, lcm)
+            heapq.heappush(queue, (total_degree(lcm), order.key(lcm), g, k, lcm))
             pushed += 1
     stats.pairs_skipped += len(new) - pushed
     before = len(live)
@@ -219,8 +231,8 @@ def _gebauer_moller(queue, heads, live, order, stats):
     live.append(k)
 
 
-def reduce_basis(polys) -> list:
-    """Interreduce a Groebner basis into its unique reduced form."""
+def reduce_basis(polys, deadline: float | None = None) -> list:
+    """Interreduce a Groebner basis into its unique reduced form; past ``deadline``, raise TimeoutError."""
     polys = [f.monic() for f in polys if f]
     if not polys:
         raise ValueError("nothing to reduce")
@@ -235,7 +247,7 @@ def reduce_basis(polys) -> list:
     reduced: list[Polynomial] = []
     for idx, f in enumerate(minimal):
         others = reduced[:idx] + minimal[idx + 1 :]
-        remainder = normal_form(f, others) if others else f
+        remainder = normal_form(f, others, deadline=deadline) if others else f
         reduced.append(remainder.monic())
     reduced.sort(key=lambda f: order.key(f.leading_monomial))
     return reduced
@@ -262,10 +274,6 @@ def is_reduced_groebner(polys) -> bool:
                 continue
             if any(term_divides(h, t) for t, _ in f.terms):
                 return False
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if _coprime(heads[i], heads[j]):
-                continue
-            if normal_form(s_polynomial(polys[i], polys[j]), polys, top_only=True):
-                return False
-    return True
+    # any() stops the completion loop at its first nonzero remainder, before
+    # a pair is reduced against it, so every remainder is taken modulo polys
+    return not any(_s_pair_remainders(polys, [], [], _pair_all, GroebnerStats()))

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
+from time import perf_counter
 from typing import NoReturn
 
 from .field import Coeff, FieldSpec
@@ -361,7 +362,7 @@ class Polynomial:
 # -- division ------------------------------------------------------------
 
 
-def normal_form(f: Polynomial, divisors, *, top_only: bool = False) -> Polynomial:
+def normal_form(f: Polynomial, divisors, *, top_only: bool = False, deadline: float | None = None) -> Polynomial:
     """Remainder of ``f`` on division by an ordered list of divisors.
 
     Each step cancels the largest remaining term of a term->coefficient dict
@@ -373,6 +374,8 @@ def normal_form(f: Polynomial, divisors, *, top_only: bool = False) -> Polynomia
     the rationals it runs fraction-free on integers, scaling by the divisor's
     head instead of dividing by it and stripping the content after every
     scaling; the scale is divided out at the end, so the result is exact.
+    A head step that starts past ``deadline`` (a ``time.perf_counter``
+    value) raises TimeoutError.
     """
     divisors = list(divisors)
     if not divisors:
@@ -395,6 +398,8 @@ def normal_form(f: Polynomial, divisors, *, top_only: bool = False) -> Polynomia
     ready: dict[int, tuple] = {}  # divisor index -> (head factor, tail terms)
     remainder: list[tuple[Term, Coeff]] = []
     while work:
+        if deadline is not None and perf_counter() > deadline:
+            raise TimeoutError("normal form past its deadline")
         t = max(work) if key is None else max(work, key=key)
         for i, h in enumerate(heads):
             if term_divides(h, t):

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -349,6 +350,21 @@ def test_verify_timeouts_are_named_and_match_across_jobs(tmp_path, capsys):
     assert outputs[0].splitlines() == [
         *(f"TIMEOUT sample {i} (child_seed {s}): no basis within 0 s" for i, s in enumerate(seeds)),
         "verified 6 samples: 0 ok, 6 failed",
+    ]
+
+
+def test_verify_jobs_bounds_each_reduction(tmp_path, capsys):
+    # one reduction of this sample's completion runs for over a minute
+    config = GenerationConfig(field=gbgen.prime_field(7), nvars=5, num_samples=1000, seed=1, verify_fraction=0.0)
+    pair = dataset.generate_sample(config, 567)
+    path = tmp_path / "slow.jsonl"
+    path.write_text(dataset.record_line(pair, config) + "\n")
+    start = time.perf_counter()
+    assert run_cli("verify", "--input", str(path), "--jobs", "2", "--timeout", "2") == 1
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out.splitlines() == [
+        f"TIMEOUT sample 567 (child_seed {pair.seed_used}): no basis within 2 s",
+        "verified 1 samples: 0 ok, 1 failed",
     ]
 
 

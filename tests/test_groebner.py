@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -19,8 +20,8 @@ from gbgen import (
 from gbgen.dataset import GenerationConfig, SamplePair, generate_sample
 from gbgen.fglm import fglm
 from gbgen.groebner import reduce_basis, s_polynomial
-from gbgen.poly import PolyRing
-from gbgen.orders import term_div, term_lcm
+from gbgen.poly import PolyRing, normal_form
+from gbgen.orders import term_div, term_divides, term_lcm
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
@@ -201,7 +202,11 @@ def test_gebauer_moller_drops_queued_pair_and_members():
     assert (stats.pairs_processed, stats.zero_reductions, stats.basis_additions) == (4, 1, 3)
     assert stats.pairs_skipped == 2  # (f1, f2) by criterion B, (f3, f4) coprime
     assert stats.redundant_members == 3  # f0, f1, f2
-    assert (plain.stats.pairs_processed, plain.stats.redundant_members) == (9, 0)
+    # the plain update drops the one coprime pair, (f3, f4), when it forms it
+    stats = plain.stats
+    counts = (stats.pairs_processed, stats.zero_reductions, stats.pairs_skipped, stats.basis_additions,
+              stats.redundant_members)
+    assert counts == (9, 6, 1, 3, 0)
 
 
 def test_timeout_raises_with_stats():
@@ -216,6 +221,20 @@ def test_timeout_raises_with_stats():
         buchberger(F, timeout=0.0)
     assert exc.value.stats is not None
     assert exc.value.timeout == 0.0
+
+
+def test_timeout_bounds_each_reduction():
+    # GF(7) n=5 seed 1 sample 567: one top reduction of its completion runs
+    # for over a minute, so only a deadline that each reduction checks keeps
+    # the cap.  The spot-check coin flip is drawn last, so verify_fraction
+    # leaves the pair as it is.
+    config = GenerationConfig(field=prime_field(7), nvars=5, num_samples=1000, seed=1, verify_fraction=0.0)
+    pair = generate_sample(config, 567)
+    start = time.perf_counter()
+    assert check_pair(pair, timeout=2.0) == "timeout"
+    assert time.perf_counter() - start < 3.0
+    with pytest.raises(TimeoutError):
+        normal_form(R7.parse("x0^2 + x1"), [R7.parse("x0 - 1")], deadline=time.perf_counter() - 1.0)
 
 
 def test_check_pair_on_known_pairs(known_pairs):
@@ -239,3 +258,52 @@ def test_grevlex_completion_matches_lex_ideal():
     member = RQ.parse("x0^2 + x1^2 - 1") * RQ.parse("x1 - 5")
     assert normal_form(member, lex_basis) == RQ.zero()
     assert not normal_form(member.resorted(grevlex(2)), grv_basis)
+
+
+def reference_is_reduced_groebner(polys) -> bool:
+    """The reducedness test as a nested loop over the pairs of ``polys``."""
+    polys = list(polys)
+    if not polys or any(not f for f in polys):
+        return False
+    one = polys[0].ring.field.one()
+    if any(f.leading_coefficient != one for f in polys):
+        return False
+    heads = [f.leading_monomial for f in polys]
+    for i, f in enumerate(polys):
+        for j, h in enumerate(heads):
+            if i != j and any(term_divides(h, t) for t, _ in f.terms):
+                return False
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if not any(map(min, heads[i], heads[j])):
+                continue  # coprime heads
+            if normal_form(s_polynomial(polys[i], polys[j]), polys, top_only=True):
+                return False
+    return True
+
+
+def test_is_reduced_groebner_matches_nested_loop():
+    cases = itertools.product((prime_field(7), prime_field(7919), RATIONALS), ("lex", "grevlex"), (2, 3))
+    # verdicts on the reduced G and its two near misses that stay monic and
+    # interreduced, so that the S-pair test alone decides them
+    by_s_pairs = {True: 0, False: 0}
+    for field, order, n in cases:
+        config = GenerationConfig(field=field, nvars=n, num_samples=10, density=0.6, order=order, seed=40 + n,
+                                  verify_fraction=0.0)
+        for index in range(config.num_samples):
+            pair = generate_sample(config, index)
+            F = [f for f in pair.F if f]
+            G = canon(pair.G)
+            ring = G[0].ring
+            # one tail coefficient of G changed: the first member with a tail gains 1 there
+            k = next(k for k, g in enumerate(G) if len(g.terms) > 1)
+            changed = G[:k] + [G[k] + ring.monomial(field.one(), G[k].terms[1][0])] + G[k + 1 :]
+            shifted = F[:-1] + [F[-1] * ring.parse("x0 + 1")]
+            inputs = [G, changed, G[:-1], F, shifted, [f.monic() for f in F], [f.monic() for f in shifted]]
+            for at, polys in enumerate(inputs):
+                expected = reference_is_reduced_groebner(polys)
+                assert is_reduced_groebner(polys) == expected, (str(field), order, n, index, at)
+                if at < 3:
+                    by_s_pairs[expected] += 1
+    # a lex shape basis has coprime heads, so only grevlex near misses fail it
+    assert by_s_pairs[True] > 100 and by_s_pairs[False] > 30, by_s_pairs
