@@ -480,6 +480,9 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
         if pos == start:
             raise TokenError(pos, "empty polynomial")
 
+    def starts(at: int, prefix: str) -> bool:
+        return isinstance(tokens[at], str) and tokens[at].startswith(prefix)
+
     def number(at: int) -> int:
         digits = tokens[at][1:]
         if not (digits.isdigit() and digits.isascii()) or (digits[0] == "0" and len(digits) > 1):
@@ -507,7 +510,7 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
             raise TokenError(pos, "expected '*' after the sign")
         pos += 1
         if rational:
-            if pos + 1 >= n or not tokens[pos].startswith("N") or not tokens[pos + 1].startswith("D"):
+            if pos + 1 >= n or not starts(pos, "N") or not starts(pos + 1, "D"):
                 raise TokenError(pos, "expected numerator and denominator tokens")
             num, den = number(pos), number(pos + 1)
             if den == 0:
@@ -516,7 +519,7 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
                 raise TokenError(pos, f"N{num} D{den} is not a nonzero fraction in lowest terms")
             pos += 2
         else:
-            if pos >= n or not tokens[pos].startswith("C"):
+            if pos >= n or not starts(pos, "C"):
                 raise TokenError(pos, "expected a residue token")
             coeff = number(pos)
             if tok == "-":
@@ -525,7 +528,7 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
                 raise TokenError(pos, f"residue {coeff} out of range for a term")
             pos += 1
         while pos < n and tokens[pos] == "^":
-            if pos + 2 >= n or not tokens[pos + 1].startswith("x") or not tokens[pos + 2].startswith("E"):
+            if pos + 2 >= n or not starts(pos + 1, "x") or not starts(pos + 2, "E"):
                 raise TokenError(pos, "expected '^ xi Ei'")
             var, exp = number(pos + 1), number(pos + 2)
             if var >= ring.nvars:
@@ -621,13 +624,19 @@ def write_jsonl(samples: Iterable[SamplePair], path, config: GenerationConfig) -
 
 def read_jsonl(path) -> Iterator[SamplePair]:
     """Lazily parse a dataset file, raising JsonlError with the line number."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte reads as a lone surrogate, which the line's UTF-8 check reports
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8")
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise JsonlError(path, line_no, f"not UTF-8: undecodable byte {byte:#04x}") from None
+            except (ValueError, RecursionError) as exc:  # ValueError: also a number over int's digit limit
                 raise JsonlError(path, line_no, f"bad JSON: {exc}") from None
             try:
                 yield sample_from_record(record)

@@ -459,18 +459,16 @@ def _divisor_form(d: Polynomial, mod) -> tuple:
 
 # -- parsing ---------------------------------------------------------------
 
-# One signed term of the renderer's grammar: a sign, then coefficient (n or
-# n/d) and variable (xi or xi^e) factors joined by '*', blanks free between
-# tokens.  A character no token can start with, or an 'x' without an index,
-# is out of the grammar wherever it stands.
+# A product of the renderer's grammar: coefficient (n or n/d) and variable
+# (xi or xi^e) factors joined by '*', blanks free between tokens.
 _FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|x\d+(?:\s*\^\s*\d+)?)"
 _PRODUCT = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
-_TERM_RE = re.compile(rf"\s*([+-]?)\s*({_PRODUCT})\s*")
 # the whole grammar: a first term signed '-' or not at all, later ones '+' or '-'
 _POLYNOMIAL_RE = re.compile(rf"\s*-?\s*{_PRODUCT}(?:\s*[+-]\s*{_PRODUCT})*\s*")
 # a signed term of blank-free text that matched the grammar
 _SIGNED_RE = re.compile(r"([+-]?)([^+-]+)")
-_STRAY_RE = re.compile(r"[^\d\s^*/+\-x]|x(?!\d)")
+# one token of the grammar after optional blanks, for locating an error
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|x(?P<var>\d+)|(?P<op>[-+*/^]))")
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
@@ -544,71 +542,46 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
 def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
     """Raise the ``ParseError`` of text the parser rejected.
 
-    A term-by-term walk: one regex match per term, its factors read with
-    ``str.partition``.  The error names the first token the grammar rejects,
-    and a stray character anywhere in the text takes precedence over the rest.
+    One lexer pass, then one walk over the tokens that checks each against
+    the kind of the one before it; an end token closes the walk.  A
+    character no token starts with takes precedence over every other error
+    and is reported at the end of the token before it.
     """
-
-    def fail(pos: int, message: str):
-        stray = _STRAY_RE.search(text)
-        if stray:
-            at = stray.start()
-            pos, message = len(text[:at].rstrip()), f"unexpected character {text[at]!r}"
-        raise ParseError(text, pos, message)
-
-    def located(f: str, offset: int) -> int:
-        # text position of character ``offset`` of factor ``f`` of the blank-free
-        # body; an earlier factor equal to f would have failed first
-        parts = body.split("*")
-        k = parts.index(f)
-        j = sum(map(len, parts[:k])) + k + offset
-        return [at for at in range(m.start(2), m.end(2)) if not text[at].isspace()][j]
-
-    mod = ring.field.modulus
-    nvars = ring.nvars
-    pos, end = 0, len(text)
-    body = None
-    while pos < end or body is None:
-        m = _TERM_RE.match(text, pos)
-        if m is not None:
-            sign, term = m.groups()
-        if m is None or (sign == "+" if body is None else not sign):
-            # no valid term starts here (a first term takes no '+', a later
-            # one needs a sign): the next token, read against the end of the
-            # previous body, names the error
-            rest = text[pos:].lstrip()
-            if not rest:
-                fail(0, "empty input")
-            at, c = end - len(rest), rest[0]
-            after = rest[1:].lstrip()
-            if c == "-" or c == "+" and body is not None:
-                fail(end - len(after), "expected a coefficient or variable" if after else "dangling sign")
-            if body is None:
-                fail(at, "leading '+' is not part of the grammar" if c == "+"
-                     else "expected a coefficient or variable")
-            if c == "*":
-                fail(end - len(after), "expected a coefficient or variable" if after else "dangling '*'")
-            # '/' after a bare integer or '^' after a bare variable lacks its operand
-            last = body.rpartition("*")[2]
-            if c == "/" and "x" not in last and "/" not in last:
-                fail(at, "expected an integer denominator" if mod is None
-                     else "fractions only make sense over the rationals")
-            if c == "^" and "x" in last and "^" not in last:
-                fail(at, "expected an integer exponent after '^'")
-            # a variable's error position is that of its index
-            fail(at + (c == "x"), "expected '+' or '-' between terms")
-        body = "".join(term.split())
-        for f in body.split("*"):
-            if f[0] == "x":
-                i = int(f.partition("^")[0][1:])
-                if i >= nvars:
-                    fail(located(f, 1), f"variable x{i} out of range for {nvars} variables")
-                continue
-            n, slash, d = f.partition("/")
-            if slash:
-                if mod is not None:
-                    fail(located(f, len(n)), "fractions only make sense over the rationals")
-                if not int(d):
-                    fail(located(f, len(n) + 1), "zero denominator")
+    tokens, pos = [], 0
+    while m := _TOKEN_RE.match(text, pos):
+        tokens.append((m.lastgroup, m.start(m.lastgroup), m[m.lastgroup]))
         pos = m.end()
-    raise AssertionError(f"the grammar match and the term walk disagree on {text!r}")
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ParseError(text, pos, f"unexpected character {rest[0]!r}")
+    if not tokens:
+        raise ParseError(text, 0, "empty input")
+    mod, nvars = ring.field.modulus, ring.nvars
+    # the previous token's kind: None at the start, an operator, "int" or
+    # "var", or "closed" for the integer after a '/' or '^'
+    prev, prev_at = None, 0
+    for kind, at, value in tokens + [("end", len(text), "")]:
+        if kind == "op":
+            kind = value
+        if prev in ("/", "^"):
+            if kind != "int":
+                raise ParseError(text, prev_at, "expected an integer denominator" if prev == "/"
+                                 else "expected an integer exponent after '^'")
+            if prev == "/" and not int(value):
+                raise ParseError(text, at, "zero denominator")
+            kind = "closed"
+        elif prev in ("int", "var", "closed"):
+            if (prev, kind) == ("int", "/") and mod is not None:
+                raise ParseError(text, at, "fractions only make sense over the rationals")
+            if kind not in ("+", "-", "*", "end") and (prev, kind) not in (("int", "/"), ("var", "^")):
+                raise ParseError(text, at, "expected '+' or '-' between terms")
+        elif kind not in ("int", "var") and (prev, kind) != (None, "-"):
+            # an operand is due after a sign or '*', and at the start, where a '-' may come first
+            if kind == "end":
+                raise ParseError(text, at, "dangling '*'" if prev == "*" else "dangling sign")
+            raise ParseError(text, at, "leading '+' is not part of the grammar" if (prev, kind) == (None, "+")
+                             else "expected a coefficient or variable")
+        if kind == "var" and int(value) >= nvars:
+            raise ParseError(text, at, f"variable x{int(value)} out of range for {nvars} variables")
+        prev, prev_at = kind, at
+    raise AssertionError(f"the grammar match and the token walk disagree on {text!r}")

@@ -380,6 +380,24 @@ def test_verify_jobs_reports_malformed_line(tmp_path, capsys):
     assert err.startswith(f"gbgen: {path}:6: bad JSON: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["profile", "verify"])
+def test_undecodable_line_is_located(tmp_path, capsys, command):
+    make_dataset(tmp_path, m="2")
+    first, second = (tmp_path / "ds.jsonl").read_bytes().splitlines(keepends=True)
+    path = tmp_path / "bad.jsonl"
+    for content, line_no, message in [
+        (b"\xff\xfe" + first, 1, "not UTF-8: undecodable byte 0xff"),
+        (first + second[:40] + b"\xe9" + second[40:], 2, "not UTF-8: undecodable byte 0xe9"),
+        (first + b"[" * 200_000 + b"\n", 2, "bad JSON: maximum recursion depth exceeded"),
+        (first + b'{"index": ' + b"1" * 5000 + b"}\n", 2, "bad JSON: Exceeds the limit (4300"),
+    ]:
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert run_cli(command, "--input", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gbgen: {path}:{line_no}: {message}") and err.count("\n") == 1
+
+
 def test_verify_caps_the_oracle_by_default(tmp_path, monkeypatch, capsys):
     prefix = make_dataset(tmp_path, m="3")
     seen = []

@@ -692,6 +692,22 @@ def test_token_error_reports_position():
     assert exc.value.pos == 6
 
 
+def test_token_that_is_no_str_is_located():
+    # where a token's prefix is checked, one that is no str fails as any wrong token there
+    r7, rq = PolyRing(F7, 2, lex(2)), PolyRing(RATIONALS, 2, lex(2))
+    cases = [
+        (r7, ["+", "*", None], 2, "expected a residue token"),
+        (r7, ["+", "*", "C1", "^", None, "E1"], 3, "expected '^ xi Ei'"),
+        (r7, ["+", "*", "C1", "^", "x0", 7], 3, "expected '^ xi Ei'"),
+        (rq, ["+", "*", None, "D1"], 2, "expected numerator and denominator tokens"),
+        (rq, ["+", "*", "N1", None], 2, "expected numerator and denominator tokens"),
+    ]
+    for ring, tokens, pos, message in cases:
+        with pytest.raises(TokenError) as exc:
+            parse_prefix_tokens(tokens, ring)
+        assert (exc.value.pos, str(exc.value)) == (pos, f"token {pos}: {message}"), tokens
+
+
 # -- JSONL and sidecars -------------------------------------------------------
 
 

@@ -434,6 +434,16 @@ PARSE_ERRORS = [
     (RQ, "x0^-1", 2, "expected an integer exponent after '^'"),
     (RQ, "-", 1, "dangling sign"),
     (RQ, "x0 + x1 $", 7, "unexpected character '$'"),
+    (RQ, "1/", 1, "expected an integer denominator"),
+    (RQ, "x0^", 2, "expected an integer exponent after '^'"),
+    (R7, "x0*1/2", 4, "fractions only make sense over the rationals"),
+    (RQ, "1/2/3", 3, "expected '+' or '-' between terms"),
+    (RQ, "x0^2^3", 4, "expected '+' or '-' between terms"),
+    (RQ, "2^3", 1, "expected '+' or '-' between terms"),
+    (RQ, "x0/2", 2, "expected '+' or '-' between terms"),
+    (RQ, "- -x1", 2, "expected a coefficient or variable"),
+    (RQ, "   ", 0, "empty input"),
+    (RQ, "x0 + x", 4, "unexpected character 'x'"),
 ]
 
 
