@@ -456,13 +456,16 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
     polys = []
     # a token holding a blank would shift every later token of the split
     if text.count(" ") == len(tokens) - 1:
-        for member in text.split(f" {SEP} "):
-            terms = _member_terms(member, ring)
-            if terms is None:
-                break
-            polys.append(Polynomial(ring, _canonical(ring, terms)))
-        else:
-            return polys
+        try:
+            for member in text.split(f" {SEP} "):
+                terms = _member_terms(member, ring)
+                if terms is None:
+                    break
+                polys.append(Polynomial(ring, _canonical(ring, terms)))
+            else:
+                return polys
+        except ValueError:  # a number longer than int() reads, which the walk names
+            pass
     _raise_token_error(tokens, ring)
 
 
@@ -487,7 +490,10 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
         digits = tokens[at][1:]
         if not (digits.isdigit() and digits.isascii()) or (digits[0] == "0" and len(digits) > 1):
             raise TokenError(at, f"malformed number in {tokens[at]!r}")
-        return int(digits)
+        try:
+            return int(digits)
+        except ValueError:  # longer than int()'s digit limit
+            raise TokenError(at, f"number of {len(digits)} digits is too long to read") from None
 
     while pos < n:
         tok = tokens[pos]

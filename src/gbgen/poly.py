@@ -459,6 +459,9 @@ def _divisor_form(d: Polynomial, mod) -> tuple:
 
 # -- parsing ---------------------------------------------------------------
 
+# A monomial as _monomial_forms writes it: xi or xi^e factors joined by '*'.
+# [0-9], not \d, which also matches '٣'.
+_LAYOUT_MONOMIAL_RE = re.compile(r"x[0-9]+(?:\^[0-9]+)?(?:\*x[0-9]+(?:\^[0-9]+)?)*")
 # A product of the renderer's grammar: coefficient (n or n/d) and variable
 # (xi or xi^e) factors joined by '*', blanks free between tokens.
 _FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|x\d+(?:\s*\^\s*\d+)?)"
@@ -472,6 +475,56 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|x(?P<var>\d+)|(?P<op>[-+*/^]))")
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
+def _layout_exponents(text: str, nvars: int):
+    """The exponent tuple of a monomial as :func:`_monomial_forms` writes it: ``x0^2*x1`` gives (2, 1).
+
+    None for any other text and for a variable out of range.
+    """
+    entry = _monomial_exponents(text, nvars) if _LAYOUT_MONOMIAL_RE.fullmatch(text) else None
+    return entry and entry[0]
+
+
+def _layout_terms(ring: PolyRing, text: str) -> list | None:
+    """The (term, coeff) pairs of text in the renderer's layout, None for any other text.
+
+    The layout is :func:`_render`'s: the first term may carry an attached
+    '-', each later one follows ' + ' or ' - ', and a term is ``n``, ``n/d``
+    (over Q only), ``n*mono`` or ``mono``, in ASCII digits.  It costs one
+    split at the blanks and, per term, a check of its coefficient digits and
+    a lookup of its monomial in :func:`_layout_exponents`.
+    """
+    # with the first term's sign set apart too, the parts alternate sign, term
+    parts = (f"- {text[1:]}" if text[:1] == "-" else f"+ {text}").split(" ")
+    if len(parts) % 2:
+        return None
+    mod, nvars = ring.field.modulus, ring.nvars
+    constant = (0,) * nvars
+    terms: list[tuple[Term, Coeff]] = []
+    for sign, body in zip(parts[::2], parts[1::2]):
+        if body[:1] == "x":
+            num, den, exps = 1, 1, _layout_exponents(body, nvars)
+        else:
+            digits, star, mono = body.partition("*")
+            exps = _layout_exponents(mono, nvars) if star else constant
+            den = 1
+            if not (digits.isdigit() and digits.isascii()):
+                digits, _, den = digits.partition("/")
+                if mod is not None or not (digits.isdigit() and den.isdigit() and body.isascii()):
+                    return None
+                den = int(den)
+                if not den:
+                    return None
+            num = int(digits)
+        if exps is None:
+            return None
+        if sign == "-":
+            num = -num
+        elif sign != "+":
+            return None
+        terms.append((exps, num % mod if mod is not None else Fraction(num, den)))
+    return terms
+
+
 def _monomial_exponents(text: str, nvars: int):
     """(exponents, factor) of the blank-free factors after a term's leading coefficient.
 
@@ -499,16 +552,15 @@ def _monomial_exponents(text: str, nvars: int):
     return tuple(exps), factor
 
 
-def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    """Parse the renderer's grammar: signed *-separated coefficient/monomial terms.
+def _grammar_terms(ring: PolyRing, text: str) -> list | None:
+    """The (term, coeff) pairs of text in the renderer's grammar, None if a check fails.
 
-    Valid text costs one match of the whole grammar and, per term, a
-    partition of its leading coefficient and a lookup of the rest in the
-    monomial table.  Text that fails any check goes to
-    :func:`_raise_parse_error`, which locates the error.
+    One match of the whole grammar, then, per term of the blank-free text, a
+    partition of its leading coefficient and a read of the rest, later
+    coefficient factors included, by :func:`_monomial_exponents`.
     """
     if _POLYNOMIAL_RE.fullmatch(text) is None:
-        _raise_parse_error(ring, text)
+        return None
     mod = ring.field.modulus
     nvars = ring.nvars
     terms: list[tuple[Term, Coeff]] = []
@@ -524,18 +576,39 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             if slash:
                 den = int(d)
                 if mod is not None or not den:
-                    _raise_parse_error(ring, text)
+                    return None
         entry = _monomial_exponents(mono, nvars)
         if entry is None:
-            _raise_parse_error(ring, text)
+            return None
         exps, factor = entry
         if factor is not None:
             if mod is not None and isinstance(factor, Fraction):
-                _raise_parse_error(ring, text)
+                return None
             num *= factor
         if sign == "-":
             num = -num
         terms.append((exps, num % mod if mod is not None else Fraction(num, den)))
+    return terms
+
+
+def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
+    """Parse the renderer's grammar: signed *-separated coefficient/monomial terms.
+
+    Two routes, chosen by the text itself.  Text in the layout the renderer
+    writes takes :func:`_layout_terms`, one split and one pass over its
+    terms.  Any other text, such as other blanks, a coefficient after a
+    variable or non-ASCII digits, takes :func:`_grammar_terms`, which reads
+    the whole grammar.  Text that neither route reads goes to
+    :func:`_raise_parse_error`, which locates the error.
+    """
+    try:
+        terms = _layout_terms(ring, text)
+        if terms is None:
+            terms = _grammar_terms(ring, text)
+    except ValueError:  # an integer longer than int()'s digit limit, which the error walk names
+        terms = None
+    if terms is None:
+        _raise_parse_error(ring, text)
     return Polynomial(ring, _canonical(ring, terms))
 
 
@@ -567,9 +640,6 @@ def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
             if kind != "int":
                 raise ParseError(text, prev_at, "expected an integer denominator" if prev == "/"
                                  else "expected an integer exponent after '^'")
-            if prev == "/" and not int(value):
-                raise ParseError(text, at, "zero denominator")
-            kind = "closed"
         elif prev in ("int", "var", "closed"):
             if (prev, kind) == ("int", "/") and mod is not None:
                 raise ParseError(text, at, "fractions only make sense over the rationals")
@@ -581,7 +651,16 @@ def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
                 raise ParseError(text, at, "dangling '*'" if prev == "*" else "dangling sign")
             raise ParseError(text, at, "leading '+' is not part of the grammar" if (prev, kind) == (None, "+")
                              else "expected a coefficient or variable")
-        if kind == "var" and int(value) >= nvars:
-            raise ParseError(text, at, f"variable x{int(value)} out of range for {nvars} variables")
+        if kind in ("int", "var"):
+            try:
+                number = int(value)
+            except ValueError:  # longer than int()'s digit limit
+                raise ParseError(text, at, f"integer of {len(value)} digits is too long to read") from None
+            if prev == "/" and not number:
+                raise ParseError(text, at, "zero denominator")
+            if kind == "var" and number >= nvars:
+                raise ParseError(text, at, f"variable x{number} out of range for {nvars} variables")
+            if prev in ("/", "^"):
+                kind = "closed"
         prev, prev_at = kind, at
     raise AssertionError(f"the grammar match and the token walk disagree on {text!r}")

@@ -398,6 +398,19 @@ def test_undecodable_line_is_located(tmp_path, capsys, command):
         assert err.startswith(f"gbgen: {path}:{line_no}: {message}") and err.count("\n") == 1
 
 
+def test_text_outside_the_layout_reads_and_an_overlong_integer_is_located(tmp_path, capsys):
+    header = {"index": 0, "field": {"kind": "prime", "modulus": 7}, "nvars": 2, "order": "lex", "s": 1, "seed": 1}
+    path = tmp_path / "edited.jsonl"
+    path.write_text(json.dumps({**header, "F": ["x0*2  +x1"], "G": ["x0", "x1"]}) + "\n")
+    assert run_cli("solve", "--input", str(path)) == 0
+    assert capsys.readouterr().out.splitlines() == ["sample 0: 1 solutions ['(0, 0)'] [ok]", "solved 1 samples, 0 failures"]
+    path.write_text(json.dumps({**header, "F": ["1" * 5000 + "*x0"], "G": ["x0", "x1"]}) + "\n")
+    assert run_cli("profile", "--input", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gbgen: {path}:1: at position 0 in ")
+    assert err.endswith(": integer of 5000 digits is too long to read\n") and err.count("\n") == 1
+
+
 def test_verify_caps_the_oracle_by_default(tmp_path, monkeypatch, capsys):
     prefix = make_dataset(tmp_path, m="3")
     seen = []

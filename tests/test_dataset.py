@@ -329,7 +329,7 @@ def test_rendering_matches_uncached_reference():
 
 
 def test_rendering_caches_stay_bounded():
-    caches = (poly._monomial_forms, field_module._residue_cache, poly._monomial_exponents, dataset._power_exponents)
+    caches = (poly._monomial_forms, field_module._residue_cache, poly._layout_exponents, dataset._power_exponents)
     for cache in caches:
         cache.cache_clear()
     ring = PolyRing(F7, 2, lex(2))
@@ -706,6 +706,23 @@ def test_token_that_is_no_str_is_located():
         with pytest.raises(TokenError) as exc:
             parse_prefix_tokens(tokens, ring)
         assert (exc.value.pos, str(exc.value)) == (pos, f"token {pos}: {message}"), tokens
+
+
+def test_token_number_past_the_digit_limit_is_located():
+    # int() refuses more than 4300 digits by default; the walk names the token instead
+    big = "1" * 5000
+    r7, rq = PolyRing(F7, 2, lex(2)), PolyRing(RATIONALS, 2, lex(2))
+    cases = [
+        (r7, ["+", "*", "C" + big], 2),
+        (r7, ["+", "*", "C1", "^", "x" + big, "E1"], 4),
+        (r7, ["+", "*", "C1", "^", "x0", "E" + big], 5),
+        (rq, ["+", "*", "N" + big, "D1"], 2),
+        (rq, ["+", "*", "N1", "D" + big], 3),
+    ]
+    for ring, tokens, pos in cases:
+        with pytest.raises(TokenError) as exc:
+            parse_prefix_tokens(tokens, ring)
+        assert (exc.value.pos, str(exc.value)) == (pos, f"token {pos}: number of 5000 digits is too long to read")
 
 
 # -- JSONL and sidecars -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, division, rendering and parsing."""
 
+import itertools
 import random
 import re
 from collections import Counter
@@ -466,9 +467,32 @@ def test_parse_matches_reference_on_corpora(field, nvars, order):
             assert_parses_like_reference(f.ring, str(f))
 
 
+def test_rendered_text_takes_the_layout_route(monkeypatch):
+    # the grammar route is the slow one; rendered text, zero members included, never needs it
+    def grammar_route(ring, text):
+        raise AssertionError(f"rendered text left the layout route: {text!r}")
+
+    monkeypatch.setattr(poly, "_grammar_terms", grammar_route)
+    fields = (prime_field(2), prime_field(7), prime_field(7919), prime_field(2**31 - 1), RATIONALS)
+    zeros = 0
+    for field, order, nvars in itertools.product(fields, ("lex", "grlex", "grevlex"), range(1, 6)):
+        config = GenerationConfig(field=field, nvars=nvars, num_samples=8, seed=3, order=order, density=0.5,
+                                  verify_fraction=0.0)
+        for pair in generate_dataset(config):
+            for f in pair.F + pair.G:
+                assert f.ring.parse(str(f)) == f
+                zeros += not f
+    assert zeros
+
+
+# edits of rendered text that leave the renderer's layout, or the grammar
 PARSE_VARIANTS = [
     "  x0 +x0", "x0\t-\nx0", " - 3 * x0 ^ 2 * x1 + 1 / 2 ", "x0*x0", "2*3*x0", "x0*2", "x0*2*x0^0*x1",
     "3/6", "-4/8*x1 + 1/2*x1", "x0^00 + 007", "0", "0*x0 - 0", "x1^2*x0^3", "x0\u00a0+\u3000x1", "x\u0663",
+    "x0  + x1", "x0 +x1", "x0- x1", "- 3*x0 + 1", " -x0 + 1", "x0 + 1 ", "x0\t+ x1", "x0 + \u0663*x1",
+    "x0^\u0663 - 2", "1_0*x0", "x0 + 3*4", "x0 - 3*", "1/2*x0 + x1", "x1 + 1/0", "x0^ + 1", "x0 - x2",
+    "-x1^2*x0 - 5/3", "x0 + -1", "x0 -", "-", "--x0", "x0^2*x1 + x", "x0 + *x1", "x0 + 2/*x1", "2/3/4*x0",
+    "x0 * x1", "2 / 3", "x0 ^ 2",
 ]
 
 
@@ -481,9 +505,11 @@ def test_parse_matches_reference_on_variants(ring):
     assert R7.parse("2*3*x0 + x0*2") == R7.parse("x0")
 
 
-_PIECES = list("x0123456789^*/+- \t") + [
+_PIECES = list("x0123456789^*/+- \t_") + [
     "x0", "x1", "x2", "x5", " + ", " - ", " * ", "3/6", "1/0", "^2", "^-1", "00", "x", "y", "$",
     "\u00a0", "\x1c", "\u0663",
+    # pieces of rendered text, so that many draws are in or near the renderer's layout
+    "-3*x0^2*x1", " + 1/2*x1", " - x1^3", "x0*x1", "2*", "*x0", "1_0",
 ]
 
 
@@ -494,12 +520,26 @@ def test_parse_matches_reference_on_random_text(text):
         assert_parses_like_reference(ring, text)
 
 
+def test_integer_past_the_digit_limit_is_located():
+    # int() refuses more than 4300 digits by default; the error walk names the integer instead
+    big = "1" * 5000
+    cases = [
+        (RQ, big + "*x0", 0), (RQ, "x0 + x" + big, 6), (RQ, "x0^" + big + " + 1", 3),
+        (R7, "x1 - 2*x" + big, 8), (RQ, "x0 + 1/" + big, 7), (RQ, "x0  - " + big, 6),
+    ]
+    for ring, text, pos in cases:
+        with pytest.raises(ParseError) as exc:
+            ring.parse(text)
+        message = f"at position {pos} in {text!r}: integer of 5000 digits is too long to read"
+        assert (exc.value.pos, str(exc.value)) == (pos, message)
+
+
 def test_monomial_table_is_keyed_by_arity():
     assert PolyRing(RATIONALS, 4, lex(4)).parse("x3").terms == (((0, 0, 0, 1), 1),)
     with pytest.raises(ParseError) as exc:
         RQ.parse("x3")
     assert (exc.value.pos, str(exc.value)) == (1, "at position 1 in 'x3': variable x3 out of range for 2 variables")
-    assert poly._monomial_exponents.cache_info().maxsize == poly._MONOMIAL_CACHE_SIZE
+    assert poly._layout_exponents.cache_info().maxsize == poly._MONOMIAL_CACHE_SIZE
 
 
 def test_parse_reads_later_coefficient_factors_like_reference():
