@@ -12,7 +12,10 @@ criterion M and the coprime criterion keep, drops queued pairs by
 criterion B, and stops pairing members whose head the new head divides.
 Those redundant members stay in the reducer list: reducing against the
 rest alone gives the same basis, but some reductions then run for minutes
-instead of milliseconds.  A completion's timeout is one deadline, checked
+instead of milliseconds.  Members stay packed (see :func:`gbgen.poly._reduce`)
+for the whole completion: each S-polynomial goes straight into the division
+kernel's dict, and only each member's head, for the pair update, and the
+reduced basis are unpacked.  A completion's timeout is one deadline, checked
 at every head step of every reduction.  The returned basis is always fully
 interreduced, monic and sorted ascending by leading term, so two runs over
 the same ideal agree member for member.
@@ -25,14 +28,13 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd
 
-from .orders import term_div, term_divides, term_lcm, total_degree
-from .poly import Polynomial, _cleared, _combination, normal_form
+from .orders import term_divides, term_lcm, total_degree
+from .poly import Polynomial, _member, _packed, _reduce
 
 __all__ = [
     "GroebnerStats",
     "GroebnerResult",
     "GroebnerTimeout",
-    "s_polynomial",
     "buchberger",
     "reduce_basis",
     "is_reduced_groebner",
@@ -74,43 +76,9 @@ class GroebnerTimeout(Exception):
         self.stats = stats
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S(f, g): both leading terms lifted to their lcm and cancelled."""
-    if not f or not g:
-        raise ValueError("S-polynomials need nonzero inputs")
-    if f.ring != g.ring:
-        raise ValueError("ring mismatch")
-    ring = f.ring
-    tf, cf = f.leading_term
-    tg, cg = g.leading_term
-    lcm = term_lcm(tf, tg)
-    # the two heads cancel by construction, so only the tails are combined
-    parts = [
-        (ring.field.inv(cf), term_div(lcm, tf), f.terms[1:]),
-        (-ring.field.inv(cg), term_div(lcm, tg), g.terms[1:]),
-    ]
-    return Polynomial(ring, _combination(ring, parts))
-
-
 def _coprime(s, t) -> bool:
     """Whether two monomials share no variable; then S(f, g) reduces to zero [Buchberger 1979]."""
     return not any(map(min, s, t))
-
-
-def _primitive(f: Polynomial) -> Polynomial:
-    """Scale a rational polynomial to coprime integer coefficients.
-
-    Completion only ever needs basis members up to a nonzero scalar, and
-    content-free integer coefficients stop the fraction growth that makes
-    exact rational reductions crawl.  Prime-field input passes through.
-    """
-    if not f or f.ring.field.modulus is not None:
-        return f
-    den_lcm, cleared = _cleared(f.terms)
-    scale = Fraction(den_lcm, gcd(*(c for _, c in cleared)))
-    if f.leading_coefficient < 0:
-        scale = -scale
-    return f.scaled(scale)
 
 
 def buchberger(polys, timeout: float | None = None, chain_criterion: bool = False) -> GroebnerResult:
@@ -134,13 +102,13 @@ def buchberger(polys, timeout: float | None = None, chain_criterion: bool = Fals
     start = time.perf_counter()
     deadline = None if timeout is None else start + timeout
     stats = GroebnerStats()
-    basis: list[Polynomial] = []  # every member, redundant ones too: the reducers
+    basis: list = []  # every member's packed form, redundant ones too: the reducers
     live: list[int] = []  # the members pairs are still formed with
     update = _gebauer_moller if chain_criterion else _pair_all
     try:
         for _ in _s_pair_remainders(gens, basis, live, update, stats, deadline):
             pass
-        reduced = reduce_basis([basis[k] for k in live], deadline=deadline)
+        reduced = _unpacked(ring, _interreduced(ring, [basis[k] for k in live], deadline))
     except TimeoutError:
         raise GroebnerTimeout(timeout, stats) from None
     finally:
@@ -151,34 +119,60 @@ def buchberger(polys, timeout: float | None = None, chain_criterion: bool = Fals
 def _s_pair_remainders(gens, basis, live, update, stats, deadline=None):
     """Buchberger's completion loop over ``gens``: yield each S-pair's remainder, zero or not.
 
-    ``gens`` and every nonzero remainder join ``basis``, and ``update`` forms
-    their pairs and keeps ``live``.  Past ``deadline``, raise TimeoutError.
+    Every member stays a packed form (see :func:`gbgen.poly._member`) for the
+    whole loop: ``gens`` and every nonzero remainder join ``basis`` so, and
+    ``update`` forms their pairs from their heads, unpacked once each, and
+    keeps ``live``.  A remainder is yielded as its form, or None for zero.
+    Past ``deadline``, raise TimeoutError.
     """
-    order = gens[0].ring.order
+    ring = gens[0].ring
+    packing = ring.order.packing
+    low, guard, mod = packing.low, packing.guard, ring.field.modulus
     heads: list = []
-    queue: list = []  # (degree of lcm, order key of lcm, i, j, lcm)
+    queue: list = []  # (degree of lcm, packed key of lcm, i, j, lcm)
     for f in gens:
-        basis.append(_primitive(f))
-        heads.append(basis[-1].leading_monomial)
-        update(queue, heads, live, order, stats)
+        basis.append(_packed(f))
+        heads.append(f.leading_monomial)
+        update(queue, heads, live, packing, stats)
     while queue:
-        _, _, i, j, _ = heapq.heappop(queue)
-        # only the head decides what happens next, and basis members matter
-        # only up to scale, so a top-reduced primitive remainder is enough
-        spoly = s_polynomial(basis[i], basis[j])
-        remainder = _primitive(normal_form(spoly, basis, top_only=True, deadline=deadline))
+        _, key, i, j, _ = heapq.heappop(queue)
+        # S(f, g) with both heads lifted to their lcm: over GF(p) each side
+        # times its inverse lead, over Q fraction-free, each side times the
+        # other's lead; only the tails are formed, as the heads cancel
+        hi, ai, tail_i = basis[i]
+        hj, aj, tail_j = basis[j]
+        if mod is None:
+            g = gcd(ai, aj)
+            ai, aj = aj // g, ai // g
+        lcm = key ^ low
+        shift = lcm - hi
+        work = {k + shift: ai * v for k, v in tail_i}
+        get = work.get
+        shift = lcm - hj
+        for k, v in tail_j:
+            k += shift
+            prev = get(k)
+            work[k] = -aj * v if prev is None else prev - aj * v
+        for k in work:
+            if k & guard:
+                raise packing.overflow(k)
+        # only the head decides what happens next, and members matter only up
+        # to scale, so the top-reduced remainder becomes a member as it is
+        terms, _ = _reduce(ring, work, basis, True, deadline)
         stats.pairs_processed += 1
-        if remainder:
+        if terms:
+            remainder = _member(terms, mod)
             basis.append(remainder)
-            heads.append(remainder.leading_monomial)
+            heads.append(packing.unpack(remainder[0]))
             stats.basis_additions += 1
-            update(queue, heads, live, order, stats)
+            update(queue, heads, live, packing, stats)
         else:
+            remainder = None
             stats.zero_reductions += 1
         yield remainder
 
 
-def _pair_all(queue, heads, live, order, stats):
+def _pair_all(queue, heads, live, packing, stats):
     """The plain update: pair the newest member with every earlier one whose head shares a variable with it."""
     k = len(heads) - 1
     h = heads[k]
@@ -187,11 +181,11 @@ def _pair_all(queue, heads, live, order, stats):
             stats.pairs_skipped += 1
             continue
         lcm = term_lcm(heads[g], h)
-        heapq.heappush(queue, (total_degree(lcm), order.key(lcm), g, k, lcm))
+        heapq.heappush(queue, (total_degree(lcm), packing.key(lcm), g, k, lcm))
     live.append(k)
 
 
-def _gebauer_moller(queue, heads, live, order, stats):
+def _gebauer_moller(queue, heads, live, packing, stats):
     """The Gebauer-Moller update for the newest member [Gebauer & Moller 1988].
 
     With h the new head: a queued pair whose lcm h divides is dropped unless
@@ -222,7 +216,7 @@ def _gebauer_moller(queue, heads, live, order, stats):
     pushed = 0
     for lcm, g in chosen:
         if not _coprime(heads[g], h):
-            heapq.heappush(queue, (total_degree(lcm), order.key(lcm), g, k, lcm))
+            heapq.heappush(queue, (total_degree(lcm), packing.key(lcm), g, k, lcm))
             pushed += 1
     stats.pairs_skipped += len(new) - pushed
     before = len(live)
@@ -233,24 +227,45 @@ def _gebauer_moller(queue, heads, live, order, stats):
 
 def reduce_basis(polys, deadline: float | None = None) -> list:
     """Interreduce a Groebner basis into its unique reduced form; past ``deadline``, raise TimeoutError."""
-    polys = [f.monic() for f in polys if f]
+    polys = [f for f in polys if f]
     if not polys:
         raise ValueError("nothing to reduce")
-    order = polys[0].ring.order
-    polys.sort(key=lambda f: order.key(f.leading_monomial))
-    minimal: list[Polynomial] = []
-    for f in polys:
-        lt = f.leading_monomial
-        if any(term_divides(g.leading_monomial, lt) for g in minimal):
-            continue
-        minimal.append(f)
-    reduced: list[Polynomial] = []
-    for idx, f in enumerate(minimal):
-        others = reduced[:idx] + minimal[idx + 1 :]
-        remainder = normal_form(f, others, deadline=deadline) if others else f
-        reduced.append(remainder.monic())
-    reduced.sort(key=lambda f: order.key(f.leading_monomial))
+    ring = polys[0].ring
+    return _unpacked(ring, _interreduced(ring, [_packed(f) for f in polys], deadline))
+
+
+def _interreduced(ring, members, deadline=None) -> list:
+    """The packed forms of the reduced basis of a Groebner basis given as packed forms.
+
+    Members whose head another's divides drop out, and each of the rest is
+    reduced in full by the others; the result is sorted ascending by head,
+    each tail descending.
+    """
+    packing = ring.order.packing
+    low, guard, mod = packing.low, packing.guard, ring.field.modulus
+    members = sorted(members, key=lambda m: m[0] ^ low)
+    minimal: list = []
+    for m in members:
+        if all((m[0] - h) & guard for h, _, _ in minimal):
+            minimal.append(m)
+    reduced: list = []
+    for idx, (head, lead, tail) in enumerate(minimal):
+        work = dict(tail)
+        work[head] = lead if mod is None else pow(lead, -1, mod)
+        terms, _ = _reduce(ring, work, reduced + minimal[idx + 1 :], deadline=deadline)
+        reduced.append(_member(terms, mod))
+    reduced.sort(key=lambda m: m[0] ^ low)
     return reduced
+
+
+def _unpacked(ring, members) -> list:
+    """The monic polynomials of packed forms whose tails are descending."""
+    unpack, mod = ring.order.packing.unpack, ring.field.modulus
+    if mod is None:
+        return [Polynomial(ring, ((unpack(h), Fraction(1)),) + tuple((unpack(k), Fraction(v, lead)) for k, v in tail))
+                for h, lead, tail in members]
+    return [Polynomial(ring, ((unpack(h), 1),) + tuple((unpack(k), v * lead % mod) for k, v in tail))
+            for h, lead, tail in members]
 
 
 def is_reduced_groebner(polys) -> bool:

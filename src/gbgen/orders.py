@@ -1,22 +1,29 @@
-"""Exponent vectors and the three supported monomial orders.
+"""Exponent vectors, the three supported monomial orders and their packed layouts.
 
 A term is a plain tuple of non-negative ints, one exponent per variable.
 Variable 0 is the most significant under lex, so x0 > x1 > ... > x{n-1}.
 Orders are encoded as sort keys: a term precedes another exactly when its
 key tuple is smaller, which keeps comparison allocation-light and lets
-``sorted`` do the heavy lifting.
+``sorted`` do the heavy lifting.  The division kernel works on packed
+monomials instead: each order lays a term out as one int (see
+:class:`Packing`), on which a product is one addition, a divisibility test
+one subtraction and a mask, and the order one comparison of ints.
 """
 
 import enum
 from dataclasses import dataclass
-from operator import eq, ge, gt, itemgetter, le, lt, neg, sub
+from functools import cached_property
+from operator import eq, ge, gt, itemgetter, le, lt, mul, neg
 
 Term = tuple[int, ...]
 
-
-def term_div(a: Term, b: Term) -> Term:
-    """Componentwise difference a - b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
+# Bits of one field of a packed monomial.  The top bit of each field is a
+# guard: every packed value keeps it clear, so a field is at most
+# EXPONENT_LIMIT, and a sum of two packed values sets it exactly where a
+# field overflowed.  15 bits keep a two-variable lex monomial in one
+# machine digit of a Python int.
+FIELD_BITS = 15
+EXPONENT_LIMIT = (1 << FIELD_BITS - 1) - 1
 
 
 def term_divides(a: Term, b: Term) -> bool:
@@ -62,6 +69,67 @@ _KEY_FNS = {
 
 
 @dataclass(frozen=True)
+class Packing:
+    """The packed layout of an order's monomials: one int per exponent vector.
+
+    Fields of FIELD_BITS bits, most significant first: lex packs
+    ``[e0|...|e(n-1)]``, grlex ``[deg|e0|...|e(n-1)]`` and grevlex
+    ``[deg|e(n-1)|...|e0]``.  Under lex and grlex the packed value orders
+    like the term; under grevlex ``v ^ low`` does, ``low`` being the value
+    bits of the exponent fields.  ``flip`` is ``~low``: ``v ^ flip`` turns the
+    order around, the key a min-heap needs to give the largest term first.
+    Packed values add as the monomials multiply, and ``a`` divides ``b``
+    exactly when ``(b - a) & guard`` is 0.
+    """
+
+    graded: bool
+    low: int
+    guard: int
+    weights: tuple[int, ...]  # the packed value of each variable
+    shifts: tuple[int, ...]  # the bit position of each variable's field
+
+    @staticmethod
+    def of(kind: "OrderKind", n: int) -> "Packing":
+        w = FIELD_BITS
+        graded = kind is not OrderKind.LEX
+        grevlex = kind is OrderKind.GREVLEX
+        shifts = tuple(w * i for i in (range(n) if grevlex else reversed(range(n))))
+        low = sum(EXPONENT_LIMIT << s for s in shifts) if grevlex else 0
+        guard = sum(1 << w * i + w - 1 for i in range(n + graded))
+        degree = 1 << w * n if graded else 0
+        return Packing(graded, low, guard, tuple(degree + (1 << s) for s in shifts), shifts)
+
+    @property
+    def flip(self) -> int:
+        return ~self.low
+
+    def pack(self, t: Term) -> int:
+        """The packed value of ``t``; a ValueError names a field past EXPONENT_LIMIT."""
+        if (sum(t) if self.graded else max(t)) > EXPONENT_LIMIT:
+            raise _overflow(t)
+        return sum(map(mul, t, self.weights))
+
+    def key(self, t: Term) -> int:
+        """An int that orders terms as the order's sort key does."""
+        return self.pack(t) ^ self.low
+
+    def unpack(self, v: int) -> Term:
+        return tuple([v >> s & EXPONENT_LIMIT for s in self.shifts])
+
+    def overflow(self, v: int) -> ValueError:
+        """The error for a sum of packed values that set a guard bit of ``v``."""
+        mask = (1 << FIELD_BITS) - 1
+        return _overflow(tuple([v >> s & mask for s in self.shifts]))
+
+
+def _overflow(t: Term) -> ValueError:
+    for i, e in enumerate(t):
+        if e > EXPONENT_LIMIT:
+            return ValueError(f"exponent {e} of x{i} is past the limit {EXPONENT_LIMIT} of a packed monomial")
+    return ValueError(f"total degree {sum(t)} is past the limit {EXPONENT_LIMIT} of a packed monomial")
+
+
+@dataclass(frozen=True)
 class TermOrder:
     """A monomial order on terms of a fixed arity."""
 
@@ -76,6 +144,11 @@ class TermOrder:
     def key(self):
         """Sort key function: key(a) < key(b) iff a precedes b."""
         return _KEY_FNS[self.kind]
+
+    @cached_property
+    def packing(self) -> Packing:
+        """The packed layout of this order's monomials, built on first use."""
+        return Packing.of(self.kind, self.arity)
 
     def strictly_descending(self, terms) -> bool:
         """True when each of a sequence of terms is strictly larger than the next.

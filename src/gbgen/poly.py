@@ -12,13 +12,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
 from time import perf_counter
 from typing import NoReturn
 
 from .field import Coeff, FieldSpec
-from .orders import Term, TermOrder, term_divides, term_div
+from .orders import Term, TermOrder
 
 __all__ = [
     "PolyRing",
@@ -28,11 +29,21 @@ __all__ = [
 ]
 
 
+# Characters a ParseError quotes on each side of its position; a longer text
+# is cut to that window, with an ellipsis where it was cut.
+_QUOTE_RADIUS = 40
+
+
 class ParseError(ValueError):
     """Polynomial text that does not match the expected grammar."""
 
     def __init__(self, text: str, pos: int, message: str):
-        super().__init__(f"at position {pos} in {text!r}: {message}")
+        if len(text) <= 2 * _QUOTE_RADIUS:
+            quoted = repr(text)
+        else:
+            start, end = max(0, pos - _QUOTE_RADIUS), pos + _QUOTE_RADIUS
+            quoted = f"{'...' if start else ''}{text[start:end]!r}{'...' if end < len(text) else ''}"
+        super().__init__(f"at position {pos} in {quoted}: {message}")
         self.pos = pos
 
 
@@ -210,13 +221,15 @@ def _render(f: "Polynomial") -> tuple[str, str]:
 class Polynomial:
     """Immutable sparse polynomial; ``terms`` is canonical and descending."""
 
-    # _forms: the (text, tokens) pair of _render, None until the first render
-    __slots__ = ("ring", "terms", "_forms")
+    # _forms: the (text, tokens) pair of _render, None until the first render;
+    # _packed: the packed divisor form of _packed, None until the first division by it
+    __slots__ = ("ring", "terms", "_forms", "_packed")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
         self.terms = terms
         self._forms = None
+        self._packed = None
 
     # -- inspection ----------------------------------------------------
 
@@ -365,96 +378,154 @@ class Polynomial:
 def normal_form(f: Polynomial, divisors, *, top_only: bool = False, deadline: float | None = None) -> Polynomial:
     """Remainder of ``f`` on division by an ordered list of divisors.
 
-    Each step cancels the largest remaining term of a term->coefficient dict
-    by the first divisor whose leading monomial divides it; a term no head
-    divides moves to the remainder.  With ``top_only`` the loop stops at the
-    first such term and returns it with the rest unreduced: zero exactly when
-    the full remainder is, else with the same leading term.  Over GF(p) a
-    step multiplies by the inverse of the divisor's head coefficient.  Over
-    the rationals it runs fraction-free on integers, scaling by the divisor's
-    head instead of dividing by it and stripping the content after every
-    scaling; the scale is divided out at the end, so the result is exact.
-    A head step that starts past ``deadline`` (a ``time.perf_counter``
-    value) raises TimeoutError.
+    Each step cancels the largest remaining term by the first divisor whose
+    leading monomial divides it; a term no head divides moves to the
+    remainder.  With ``top_only`` the loop stops at the first such term and
+    returns it with the rest unreduced: zero exactly when the full remainder
+    is, else with the same leading term.  The steps are :func:`_reduce`'s,
+    on packed monomials; each divisor's packed form is kept on it.  A head
+    step that starts past ``deadline`` (a ``time.perf_counter`` value)
+    raises TimeoutError.
     """
     divisors = list(divisors)
     if not divisors:
         raise ValueError("need at least one divisor")
     ring = f.ring
-    heads = []
     for d in divisors:
         if d.ring is not ring and d.ring != ring:
             raise ValueError("divisors must share the dividend's ring")
         if not d:
             raise ValueError("zero polynomial among the divisors")
-        heads.append(d.leading_monomial)
+    if not f:
+        return f
+    forms = [_packed(d) for d in divisors]
+    head, lead, tail = _packed(f)
     mod = ring.field.modulus
-    key = None if ring.order.kind.value == "lex" else ring.order.key
+    hc = f.leading_coefficient
+    work = dict(tail)
+    # the packed form is f itself over GF(p), and f scaled by lead / hc over Q
+    work[head] = lead if mod is None else hc
+    terms, scale = _reduce(ring, work, forms, top_only, deadline)
+    packing = ring.order.packing
+    if top_only and terms:
+        flip = packing.flip
+        terms[1:] = sorted(terms[1:], key=lambda term: term[0] ^ flip)
     if mod is None:
-        den, cleared = _cleared(f.terms)
-        work, scale = dict(cleared), Fraction(den)
-    else:
-        work = dict(f.terms)
-    ready: dict[int, tuple] = {}  # divisor index -> (head factor, tail terms)
-    remainder: list[tuple[Term, Coeff]] = []
-    while work:
+        factor = hc / lead / scale
+        return Polynomial(ring, tuple((packing.unpack(t), c * factor) for t, c in terms))
+    return Polynomial(ring, tuple((packing.unpack(t), c) for t, c in terms))
+
+
+def _reduce(ring: PolyRing, work: dict, divisors, top_only: bool = False, deadline: float | None = None):
+    """The division kernel: reduce ``work``, a dict from packed monomial to raw coefficient, by packed forms.
+
+    Every division goes through this loop.  Each head comes from a heap of
+    the keys that turn the order around (see :class:`gbgen.orders.Packing`),
+    pushed when a term first enters ``work``: a processed head never comes
+    back, since every later product is smaller, so a term is pushed once,
+    and a term whose coefficient cancelled is skipped when it comes up.
+    ``divisors`` are (head, lead, tail) forms as :func:`_member` builds
+    them.  Over GF(p) coefficients are reduced when they come up, and a step
+    multiplies the divisor by the head coefficient times the inverse lead.
+    Over Q the loop runs fraction-free on integers: a step scales the work
+    (and the remainder so far) by the divisor's lead over its gcd with the
+    head coefficient and strips the content after each scaling.
+
+    Returns (terms, scale): the remainder's terms are ``work``'s, after
+    division, over ``scale`` (1 over GF(p)), head first and descending.  With
+    ``top_only`` they are the first irreducible head and the rest of
+    ``work`` unreduced, in no order; ``work`` is consumed either way.  Past
+    ``deadline`` a head step raises TimeoutError, and a product with a
+    field past the packed limit raises ValueError.
+    """
+    packing = ring.order.packing
+    guard, flip = packing.guard, packing.flip
+    mod = ring.field.modulus
+    heap = [t ^ flip for t in work]
+    heapify(heap)
+    get, pop = work.get, work.pop
+    remainder: list[tuple[int, Coeff]] = []
+    scale = Fraction(1)
+    while heap:
+        t = heappop(heap) ^ flip
+        c = pop(t)
+        if mod is not None:
+            c %= mod
+        if not c:
+            continue
         if deadline is not None and perf_counter() > deadline:
             raise TimeoutError("normal form past its deadline")
-        t = max(work) if key is None else max(work, key=key)
-        for i, h in enumerate(heads):
-            if term_divides(h, t):
+        for h, lead, tail in divisors:
+            if not (t - h) & guard:
                 break
         else:
             if top_only:
-                break
+                if mod is None:
+                    return [(t, c)] + [(k, v) for k, v in work.items() if v], scale
+                return [(t, c)] + [(k, r) for k, v in work.items() if (r := v % mod)], scale
             # every later head is strictly smaller, so appending keeps order
-            c = work.pop(t)
-            remainder.append((t, c if mod is not None else c / scale))
+            remainder.append((t, c))
             continue
-        c = work.pop(t)
-        if i not in ready:
-            ready[i] = _divisor_form(divisors[i], mod)
-        lead, tail = ready[i]
+        shift = t - h
         if mod is None:
             g = gcd(c, lead)
             a, b = lead // g, c // g
             if a != 1:
-                work = {k: v * a for k, v in work.items()}
+                for k in work:
+                    work[k] *= a
+                remainder = [(k, v * a) for k, v in remainder]
                 scale *= a
         else:
             a, b = 1, c * lead % mod
-        shift = term_div(t, h)
-        for gt, gc in tail:
-            k = tuple(map(add, gt, shift))
-            v = work.get(k, 0) - b * gc
-            if mod is not None:
-                v %= mod
-            if v:
-                work[k] = v
+        for k, v in tail:
+            k += shift
+            prev = get(k)
+            if prev is None:
+                if k & guard:
+                    raise packing.overflow(k)
+                heappush(heap, k ^ flip)
+                work[k] = -b * v
             else:
-                work.pop(k, None)
-        if a != 1 and work:
-            content = gcd(*work.values())
+                work[k] = prev - b * v
+        if a != 1:
+            content = gcd(*work.values(), *(v for _, v in remainder))
             if content > 1:
-                work = {k: v // content for k, v in work.items()}
+                for k in work:
+                    work[k] //= content
+                remainder = [(k, v // content) for k, v in remainder]
                 scale /= content
-    if mod is None:
-        work = {t: v / scale for t, v in work.items()}
-    return Polynomial(ring, tuple(remainder) + _descending(ring, [(t, v) for t, v in work.items() if v]))
+    return remainder, scale
 
 
-def _cleared(terms) -> tuple[int, list]:
-    """(den, terms times den) for rational terms, den the lcm of their denominators."""
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, [(t, c.numerator * (den // c.denominator)) for t, c in terms]
+def _member(terms: list, mod) -> tuple:
+    """The packed form (head, lead, tail) of nonzero packed terms, head first.
 
-
-def _divisor_form(d: Polynomial, mod) -> tuple:
-    """(inverse head coefficient, tail) over GF(p); (head, tail) cleared of denominators over Q."""
+    Over GF(p) lead is the inverse of the head coefficient and the tail keeps
+    its coefficients.  Over Q the terms are integers, scaled here to coprime
+    ones with a positive head, and lead is the head coefficient: a divisor
+    or a completion member matters only up to scale, and content-free
+    integers stop the coefficient growth that makes exact reductions crawl.
+    """
+    head, c = terms[0]
     if mod is not None:
-        return pow(d.leading_coefficient, -1, mod), d.terms[1:]
-    _, terms = _cleared(d.terms)
-    return terms[0][1], terms[1:]
+        return head, pow(c, -1, mod), terms[1:]
+    g = gcd(*(v for _, v in terms))
+    if c < 0:
+        g = -g
+    return head, c // g, [(k, v // g) for k, v in terms[1:]]
+
+
+def _packed(f: Polynomial) -> tuple:
+    """The packed form of nonzero ``f`` (see :func:`_member`), kept on ``f`` after the first call."""
+    if f._packed is None:
+        pack = f.ring.order.packing.pack
+        mod = f.ring.field.modulus
+        terms = f.terms
+        if mod is None:  # cleared of denominators
+            den = lcm(*(c.denominator for _, c in terms))
+            terms = [(t, c.numerator * (den // c.denominator)) for t, c in terms]
+        f._packed = _member([(pack(t), c) for t, c in terms], mod)
+    return f._packed
 
 
 # -- parsing ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Completion oracle: S-polynomials, Buchberger, basis predicates."""
 
 import itertools
+import json
+import pathlib
 import random
 import time
 
@@ -19,12 +21,33 @@ from gbgen import (
 )
 from gbgen.dataset import GenerationConfig, SamplePair, generate_sample
 from gbgen.fglm import fglm
-from gbgen.groebner import reduce_basis, s_polynomial
-from gbgen.poly import PolyRing, normal_form
-from gbgen.orders import term_div, term_divides, term_lcm
+from gbgen.groebner import reduce_basis
+from gbgen.poly import Polynomial, PolyRing, normal_form
+from gbgen.orders import term_divides, term_lcm
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
+
+
+def term_div(a, b):
+    """Componentwise difference a - b of two exponent vectors, b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def s_polynomial(f, g):
+    """S(f, g): both leading terms lifted to their lcm and cancelled.
+
+    The completion loop forms S-polynomials on packed members; this is the
+    textbook formula on polynomials, for the tests.
+    """
+    if not f or not g:
+        raise ValueError("S-polynomials need nonzero inputs")
+    field = f.ring.field
+    (tf, cf), (tg, cg) = f.leading_term, g.leading_term
+    lcm = term_lcm(tf, tg)
+    left = f.ring.monomial(field.inv(cf), term_div(lcm, tf)) * Polynomial(f.ring, f.terms[1:])
+    right = g.ring.monomial(field.inv(cg), term_div(lcm, tg)) * Polynomial(g.ring, g.terms[1:])
+    return left - right
 
 
 def canon(basis):
@@ -165,6 +188,25 @@ def test_determinism():
     assert a.stats.zero_reductions == b.stats.zero_reductions
 
 
+def test_buchberger_matches_pinned_bases_and_counters():
+    # bases and counters of both updates, pinned by tests/data/make_buchberger_pins.py
+    # before the completion loop kept its members packed
+    pins = json.loads((pathlib.Path(__file__).parent / "data" / "buchberger_pins.json").read_text())
+    fields = {"f2": prime_field(2), "f7": prime_field(7), "f7919": prime_field(7919), "q": RATIONALS}
+    seen = set()
+    for case in pins["cases"]:
+        config = GenerationConfig(field=fields[case["field"]], nvars=case["nvars"], num_samples=40, order=case["order"],
+                                  seed=pins["seed"], density=pins["density"], verify_fraction=0.0)
+        F = [f for f in generate_sample(config, case["index"]).F if f]
+        for update in ("plain", "chain"):
+            result = buchberger(F, chain_criterion=update == "chain")
+            where = (case["field"], case["order"], case["nvars"], case["index"], update)
+            assert [str(g) for g in result.basis] == case["basis"], where
+            assert [getattr(result.stats, c) for c in pins["counters"]] == case[update], where
+        seen.add((case["field"], case["order"]))
+    assert len(seen) == 12
+
+
 def test_chain_criterion_agrees():
     cases = itertools.product((prime_field(7), prime_field(7919), RATIONALS), ("lex", "grlex", "grevlex"), (2, 3))
     for field, order, n in cases:
@@ -224,17 +266,31 @@ def test_timeout_raises_with_stats():
 
 
 def test_timeout_bounds_each_reduction():
-    # GF(7) n=5 seed 1 sample 567: one top reduction of its completion runs
-    # for over a minute, so only a deadline that each reduction checks keeps
-    # the cap.  The spot-check coin flip is drawn last, so verify_fraction
-    # leaves the pair as it is.
+    # GF(7) n=5 seed 1 sample 201: its completion runs for over a minute, and
+    # the cap must still hold within each reduction.  The spot-check coin
+    # flip is drawn last, so verify_fraction leaves the pair as it is.
     config = GenerationConfig(field=prime_field(7), nvars=5, num_samples=1000, seed=1, verify_fraction=0.0)
-    pair = generate_sample(config, 567)
+    pair = generate_sample(config, 201)
     start = time.perf_counter()
     assert check_pair(pair, timeout=2.0) == "timeout"
     assert time.perf_counter() - start < 3.0
     with pytest.raises(TimeoutError):
         normal_form(R7.parse("x0^2 + x1"), [R7.parse("x0 - 1")], deadline=time.perf_counter() - 1.0)
+
+
+def test_exponent_past_the_packed_limit_is_located():
+    # in a generator, and in a product the completion forms: x0 - x1^10000
+    # reduces the S-polynomial of the two to x1^20000 + 1
+    cases = [
+        ([R7.parse("x0^40000 - x1"), R7.parse("x1^2")], "exponent 40000 of x0"),
+        ([R7.parse("x0 - x1^10000"), R7.parse("x0^2 + 1")], "exponent 20000 of x1"),
+        ([RQ.parse("x0*x1 - x1^10000"), RQ.parse("x0^2 + 1")], "exponent 19999 of x1"),
+    ]
+    for F, named in cases:
+        for chain in (False, True):
+            with pytest.raises(ValueError) as exc:
+                buchberger(F, chain_criterion=chain)
+            assert str(exc.value) == f"{named} is past the limit 16383 of a packed monomial", (F, chain)
 
 
 def test_check_pair_on_known_pairs(known_pairs):

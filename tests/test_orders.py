@@ -4,11 +4,16 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gbgen import grevlex, grlex, lex
 from gbgen.orders import order_by_name
-from gbgen.orders import term_div, term_divides, term_lcm, total_degree
+from gbgen.orders import term_divides, term_lcm, total_degree
+
+
+def term_div(a, b):
+    """Componentwise difference a - b of two exponent vectors, b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def term_mul(a, b):
@@ -148,3 +153,20 @@ def test_divisibility_respects_every_order():
             b = term_mul(a, extra)
             if b != a:
                 assert cmp(order, a, b) == -1
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((lex, grlex, grevlex)), st.integers(1, 5), st.data())
+def test_packed_monomials_follow_their_terms(make, arity, data):
+    # order, divisibility, product and unpacking of packed values agree with
+    # the exponent tuples, and the heap key turns the order around
+    order = make(arity)
+    packing = order.packing
+    terms = st.tuples(*[st.integers(0, 3000)] * arity)
+    a, b = data.draw(terms), data.draw(terms)
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == a and packing.unpack(pa + pb) == term_mul(a, b)
+    assert cmp(order, a, b) == (packing.key(a) > packing.key(b)) - (packing.key(a) < packing.key(b))
+    assert ((pa ^ packing.flip) < (pb ^ packing.flip)) == (cmp(order, a, b) == 1)
+    assert (not (pb - pa) & packing.guard) == term_divides(a, b)
+    assert (not (pa - pb) & packing.guard) == term_divides(b, a)

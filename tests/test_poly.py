@@ -1,6 +1,7 @@
 """Polynomial arithmetic, division, rendering and parsing."""
 
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gbgen import poly
 from gbgen import GenerationConfig, RATIONALS, generate_dataset, grevlex, grlex, lex, prime_field
+from gbgen.orders import EXPONENT_LIMIT
 from gbgen.poly import ParseError, PolyRing, normal_form
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
@@ -286,6 +288,120 @@ def test_normal_form_first_divisor_wins():
     assert quotients[0] == ring.parse("x1") and not quotients[1]
 
 
+def reference_normal_form(f, divisors, top_only=False):
+    """The division loop before packed monomials, kept as the reference.
+
+    A dict from exponent tuple to coefficient, whose head each step finds by
+    ``max`` under the order's key.  Over GF(p) a step multiplies by the
+    inverse of the divisor's head coefficient; over Q it runs fraction-free
+    on integers, scaling by the divisor's head, stripping the content after
+    every scaling and dividing the scale out at the end.
+    """
+    ring = f.ring
+    mod = ring.field.modulus
+    key = ring.order.key
+
+    def cleared(terms):
+        den = math.lcm(*(c.denominator for _, c in terms))
+        return den, [(t, c.numerator * (den // c.denominator)) for t, c in terms]
+
+    if mod is None:
+        den, terms = cleared(f.terms)
+        work, scale = dict(terms), Fraction(den)
+    else:
+        work = dict(f.terms)
+    forms = []
+    for d in divisors:
+        if mod is None:
+            terms = cleared(d.terms)[1]
+            forms.append((terms[0][0], terms[0][1], terms[1:]))
+        else:
+            forms.append((d.terms[0][0], pow(d.terms[0][1], -1, mod), d.terms[1:]))
+    remainder = []
+    while work:
+        t = max(work, key=key)
+        for h, lead, tail in forms:
+            if all(a <= b for a, b in zip(h, t)):
+                break
+        else:
+            if top_only:
+                break
+            c = work.pop(t)
+            remainder.append((t, c if mod is not None else c / scale))
+            continue
+        c = work.pop(t)
+        if mod is None:
+            g = math.gcd(c, lead)
+            a, b = lead // g, c // g
+            if a != 1:
+                work = {k: v * a for k, v in work.items()}
+                scale *= a
+        else:
+            a, b = 1, c * lead % mod
+        shift = tuple(x - y for x, y in zip(t, h))
+        for gt, gc in tail:
+            k = tuple(x + y for x, y in zip(gt, shift))
+            v = work.get(k, 0) - b * gc
+            if mod is not None:
+                v %= mod
+            if v:
+                work[k] = v
+            else:
+                work.pop(k, None)
+        if a != 1 and work:
+            content = math.gcd(*work.values())
+            if content > 1:
+                work = {k: v // content for k, v in work.items()}
+                scale /= content
+    if mod is None:
+        work = {t: v / scale for t, v in work.items()}
+    rest = sorted(work.items(), key=lambda term: key(term[0]), reverse=True)
+    return poly.Polynomial(ring, tuple(remainder) + tuple(rest))
+
+
+DIVISION_FIELDS = (prime_field(2), prime_field(7), prime_field(7919), RATIONALS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DIVISION_FIELDS), st.sampled_from((lex, grlex, grevlex)), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_normal_form_matches_reference_division(field, order, n, seed):
+    ring = PolyRing(field, n, order(n))
+    rng = random.Random(seed)
+    divisors = [g for g in (random_poly(ring, rng, max_terms=4, max_exp=3) for _ in range(rng.randint(1, 4))) if g]
+    if not divisors:
+        return
+    f = random_poly(ring, rng, max_exp=3)
+    if rng.random() < 0.5:
+        # a combination of the divisors plus a little, so that some remainders are zero or small
+        f = f * divisors[0] + random_poly(ring, rng, max_terms=2, max_exp=2) * divisors[-1]
+    for top_only in (False, True):
+        assert normal_form(f, divisors, top_only=top_only) == reference_normal_form(f, divisors, top_only), top_only
+
+
+def test_exponent_past_the_packed_limit_is_located():
+    # a packed monomial holds each exponent, and under a graded order the
+    # total degree, up to EXPONENT_LIMIT; past it the division names the
+    # variable and the limit instead of wrapping into the next field
+    limit = EXPONENT_LIMIT
+    assert limit == 16383
+    cases = [
+        (R7, "x0^40000", "x0 - 1", "exponent 40000 of x0"),  # in the dividend
+        (R7, "x1", "x0^40000 + x1", "exponent 40000 of x0"),  # in a divisor
+        (R7, "x0^2", "x0 - x1^10000", "exponent 20000 of x1"),  # in a product of the kernel
+        (RQ, "x0^2 + x1", "x0 + 1/2*x1^16383", "exponent 32766 of x1"),
+        (PolyRing(RATIONALS, 2, grevlex(2)), "x0^10000*x1^10000", "x0", "total degree 20000"),
+        (PolyRing(prime_field(7), 2, grlex(2)), "x1", "x0^9000*x1^9000 + 1", "total degree 18000"),
+    ]
+    for ring, f, d, named in cases:
+        with pytest.raises(ValueError) as exc:
+            normal_form(ring.parse(f), [ring.parse(d)])
+        assert str(exc.value) == f"{named} is past the limit {limit} of a packed monomial", (f, d)
+    # at the limit the division runs
+    at_limit = R7.parse(f"x0^{limit} + x1^{limit}")
+    assert normal_form(at_limit, [R7.parse("x0 - 1")]) == R7.parse(f"x1^{limit} + 1")
+
+
 def test_normal_form_zero_divisor_rejected():
     with pytest.raises(ValueError):
         normal_form(RQ.one(), [RQ.zero()])
@@ -530,8 +646,29 @@ def test_integer_past_the_digit_limit_is_located():
     for ring, text, pos in cases:
         with pytest.raises(ParseError) as exc:
             ring.parse(text)
-        message = f"at position {pos} in {text!r}: integer of 5000 digits is too long to read"
+        # the message quotes 40 characters on each side of the position, each position here under 40
+        message = f"at position {pos} in {text[:pos + 40]!r}...: integer of 5000 digits is too long to read"
         assert (exc.value.pos, str(exc.value)) == (pos, message)
+
+
+def test_parse_error_quotes_a_window_of_long_text():
+    # up to 80 characters the whole text is quoted; past that, 40 on each side
+    # of the position, with an ellipsis on each side that was cut
+    expected = ": expected a coefficient or variable"
+    for text, quoted in (("x0 ++ " + "1" * 74, None), ("x0 ++ " + "1" * 75, repr("x0 ++ " + "1" * 38) + "...")):
+        with pytest.raises(ParseError) as exc:
+            RQ.parse(text)
+        assert str(exc.value) == f"at position 4 in {quoted or repr(text)}{expected}"
+    middle = "x0 + " * 20 + "x0 ++ 1" + " + x1" * 20
+    pos = middle.index("++") + 1
+    with pytest.raises(ParseError) as exc:
+        RQ.parse(middle)
+    assert (exc.value.pos, str(exc.value)) == (
+        pos, f"at position {pos} in ...{middle[pos - 40:pos + 40]!r}...: expected a coefficient or variable")
+    tail = "x0 + " * 20 + "$"
+    with pytest.raises(ParseError) as exc:
+        RQ.parse(tail)
+    assert str(exc.value) == f"at position 99 in ...{tail[59:]!r}: unexpected character '$'"
 
 
 def test_monomial_table_is_keyed_by_arity():
