@@ -17,7 +17,9 @@ GBGEN_SEED environment variable supplies the default (0 if unset).  The
 argument parser is built once per process, and GBGEN_SEED is still read
 on every call that omits --seed.  Exit status is 0 on success, 1 when
 verification or solving finds a failure, an input file has a malformed
-line or a file cannot be opened, read or written, 2 on bad arguments (a
+line (an exponent past the packed limit of 16383 included), a computation
+forms a monomial past that limit or a file cannot be opened, read or
+written, 2 on bad arguments (a
 GBGEN_SEED that is not an integer, and generation values that cannot work
 together, such as --s-max below --n, included).
 """
@@ -52,6 +54,7 @@ from .dataset import (
 )
 from .field import FieldSpec, RATIONALS, prime_field
 from .fglm import DimensionError, fglm
+from .orders import ExponentLimitError
 from .solve import solve_shape
 
 __all__ = ["main", "build_parser"]
@@ -258,7 +261,11 @@ def cmd_generate(args) -> int:
 
 
 def _check_sample(timeout, pair):
-    return pair.index, pair.seed_used, check_pair(pair, timeout)
+    try:
+        outcome = check_pair(pair, timeout)
+    except ExponentLimitError as exc:
+        outcome = f"cannot complete F: {exc}"
+    return pair.index, pair.seed_used, outcome
 
 
 def cmd_verify(args) -> int:
@@ -271,6 +278,8 @@ def cmd_verify(args) -> int:
             print(f"TIMEOUT sample {index} (child_seed {seed}): no basis within {args.timeout:g} s")
         elif outcome == "mismatch":
             print(f"FAIL sample {index}: completion of F does not give G")
+        elif outcome != "ok":
+            print(f"FAIL sample {index}: {outcome}")
         failures += outcome != "ok"
     print(f"verified {total} samples: {total - failures} ok, {failures} failed")
     return 1 if failures else 0
@@ -439,7 +448,8 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
         return code
-    except JsonlError as exc:
+    except (JsonlError, ExponentLimitError) as exc:
+        # a malformed line, or a monomial past the packed limit in a computation
         print(f"gbgen: {exc}", file=sys.stderr)
         return 1
     except _Abort as exc:

@@ -21,7 +21,7 @@ from .backward import backward_transform
 from .field import FieldSpec
 from .fglm import fglm
 from .groebner import GroebnerTimeout, buchberger, is_reduced_groebner
-from .orders import OrderKind, TermOrder, lex, order_by_name
+from .orders import EXPONENT_LIMIT, ExponentLimitError, OrderKind, TermOrder, _overflow, lex, order_by_name, within_limit
 from .poly import _MONOMIAL_CACHE_SIZE, Polynomial, PolyRing, _canonical, _render, _shared_ring
 from .shapegen import sample_shape_basis
 
@@ -107,6 +107,10 @@ class GenerationConfig:
             raise ValueError("s_max must be at least 1")
         if self.effective_s_max < self.nvars:
             raise ValueError(f"s_max {self.effective_s_max} below the basis size {self.nvars}")
+        # F = U1 * P * U2 * G: each triangular sweep adds up to max_entry_degree
+        if (top := self.max_degree + 2 * self.max_entry_degree) > EXPONENT_LIMIT:
+            raise ValueError(f"max_degree {self.max_degree} and max_entry_degree {self.max_entry_degree} give F "
+                             f"degrees up to {top}, past the limit {EXPONENT_LIMIT} of a packed monomial")
         # Built once; the ring comes from the shared cache, so twin configs
         # share it.  Plain attributes, not fields, so that equality, hashing,
         # repr and to_dict see only the knobs.
@@ -213,7 +217,8 @@ def check_pair(pair: SamplePair, timeout: float | None = None) -> str:
     (sorted by the order key), "mismatch" when it differs, F has no nonzero
     member or G has a zero one (a reduced basis never does), and "timeout"
     when the completion runs past ``timeout`` seconds.  Only F and G are
-    consulted, never the transform that built F.
+    consulted, never the transform that built F.  A completion that forms a
+    monomial past the packed limit raises ExponentLimitError.
     """
     gens = [f for f in pair.F if f]
     if not gens or not all(pair.G):
@@ -324,7 +329,9 @@ def profile_dataset(samples: Iterable[SamplePair], check_groebner: bool = True) 
     """Aggregate size, degree, term-count and reducedness statistics.
 
     Zero polynomials count toward sizes and term totals but are excluded
-    from the degree extremes (they have none).
+    from the degree extremes (they have none).  A reducedness check that
+    forms a monomial past the packed limit raises ExponentLimitError, which
+    names the sample.
     """
     names = ["size", "max_degree", "min_degree", "num_terms"]
     if check_groebner:
@@ -342,7 +349,11 @@ def profile_dataset(samples: Iterable[SamplePair], check_groebner: bool = True) 
                 stats[col]["max_degree"].append(max(degrees))
                 stats[col]["min_degree"].append(min(degrees))
             if check_groebner:
-                stats[col]["groebner_ratio"].append(1.0 if nonzero and is_reduced_groebner(nonzero) else 0.0)
+                try:
+                    reduced = bool(nonzero) and is_reduced_groebner(nonzero)
+                except ExponentLimitError as exc:
+                    raise ExponentLimitError(f"sample {pair.index}, {col}: {exc}") from None
+                stats[col]["groebner_ratio"].append(1.0 if reduced else 0.0)
     metrics = {col: {name: _mean_std(vals) for name, vals in by.items()} for col, by in stats.items()}
     return DatasetProfile(num_samples=count, metrics=metrics)
 
@@ -393,11 +404,13 @@ _RATIONAL_PARTS_RE = re.compile(r"([+-]) \* N([0-9]+) D([0-9]+)((?: \^ x[0-9]+ E
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
-def _power_exponents(powers: str, nvars: int):
+def _power_exponents(powers: str, nvars: int, graded: bool):
     """The exponent tuple of a term's power triples: `` ^ x0 E2 ^ x1 E1`` gives (2, 1).
 
     The inverse of the tokens of :func:`gbgen.poly._monomial_forms`; the
-    exponents of a repeated variable add up.  None for a variable out of range.
+    exponents of a repeated variable add up.  None for a variable out of
+    range and for an exponent past EXPONENT_LIMIT, or with ``graded`` a total
+    degree past it, which no packed monomial holds.
     """
     exps = [0] * nvars
     for triple in powers.split(" ^ x")[1:]:
@@ -406,18 +419,20 @@ def _power_exponents(powers: str, nvars: int):
         if i >= nvars:
             return None
         exps[i] += int(e)
+    if not within_limit(exps, graded):
+        return None
     return tuple(exps)
 
 
 def _member_terms(member: str, ring: PolyRing) -> list | None:
     """The (term, coeff) pairs of one member of a system's token text, None if a check fails."""
-    mod, nvars = ring.field.modulus, ring.nvars
+    mod, nvars, graded = ring.field.modulus, ring.nvars, ring.order.packing.graded
     terms = []
     if mod is None:
         if _RATIONAL_MEMBER_RE.fullmatch(member) is None:
             return None
         for sign, num, den, powers in _RATIONAL_PARTS_RE.findall(member):
-            exps, den = _power_exponents(powers, nvars), int(den)
+            exps, den = _power_exponents(powers, nvars, graded), int(den)
             coeff = Fraction(-int(num) if sign == "-" else int(num), den)
             if exps is None or coeff.denominator != den:
                 return None
@@ -426,7 +441,7 @@ def _member_terms(member: str, ring: PolyRing) -> list | None:
     if _PRIME_MEMBER_RE.fullmatch(member) is None:
         return None
     for residue, powers in _PRIME_PARTS_RE.findall(member):
-        exps, coeff = _power_exponents(powers, nvars), int(residue)
+        exps, coeff = _power_exponents(powers, nvars, graded), int(residue)
         if exps is None or coeff >= mod:
             return None
         terms.append((exps, coeff))
@@ -474,8 +489,10 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
 
     A token-by-token walk that checks each variable index, exponent and
     residue as it reads them, and names the first token the grammar rejects.
+    A term past the packed limit is named at the variable that takes it past.
     """
     rational = ring.field.modulus is None
+    graded = ring.order.packing.graded
     pos = start = 0
     n = len(tokens)
 
@@ -533,6 +550,7 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
             if not 0 < coeff < ring.field.modulus:
                 raise TokenError(pos, f"residue {coeff} out of range for a term")
             pos += 1
+        exps = [0] * ring.nvars
         while pos < n and tokens[pos] == "^":
             if pos + 2 >= n or not starts(pos + 1, "x") or not starts(pos + 2, "E"):
                 raise TokenError(pos, "expected '^ xi Ei'")
@@ -541,6 +559,9 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
                 raise TokenError(pos + 1, f"variable x{var} out of range")
             if exp < 1:
                 raise TokenError(pos + 2, "exponent tokens must be positive")
+            exps[var] += exp
+            if not within_limit(exps, graded):
+                raise TokenError(pos + 1, str(_overflow(tuple(exps))))
             pos += 3
     flush()
     raise AssertionError(f"the token grammar and the token walk disagree on {tokens!r}")

@@ -36,7 +36,6 @@ __all__ = [
     "GroebnerResult",
     "GroebnerTimeout",
     "buchberger",
-    "reduce_basis",
     "is_reduced_groebner",
 ]
 
@@ -225,21 +224,12 @@ def _gebauer_moller(queue, heads, live, packing, stats):
     live.append(k)
 
 
-def reduce_basis(polys, deadline: float | None = None) -> list:
-    """Interreduce a Groebner basis into its unique reduced form; past ``deadline``, raise TimeoutError."""
-    polys = [f for f in polys if f]
-    if not polys:
-        raise ValueError("nothing to reduce")
-    ring = polys[0].ring
-    return _unpacked(ring, _interreduced(ring, [_packed(f) for f in polys], deadline))
-
-
-def _interreduced(ring, members, deadline=None) -> list:
+def _interreduced(ring, members, deadline) -> list:
     """The packed forms of the reduced basis of a Groebner basis given as packed forms.
 
     Members whose head another's divides drop out, and each of the rest is
     reduced in full by the others; the result is sorted ascending by head,
-    each tail descending.
+    each tail descending.  Past ``deadline``, raise TimeoutError.
     """
     packing = ring.order.packing
     low, guard, mod = packing.low, packing.guard, ring.field.modulus

@@ -26,6 +26,15 @@ FIELD_BITS = 15
 EXPONENT_LIMIT = (1 << FIELD_BITS - 1) - 1
 
 
+class ExponentLimitError(ValueError):
+    """A monomial with a field past EXPONENT_LIMIT, which no packed value holds."""
+
+
+def within_limit(t: Term, graded: bool) -> bool:
+    """Whether ``t`` has a packed value: every exponent, and with ``graded`` the total degree, at most EXPONENT_LIMIT."""
+    return (sum(t) if graded else max(t)) <= EXPONENT_LIMIT
+
+
 def term_divides(a: Term, b: Term) -> bool:
     """True when the monomial with exponents ``a`` divides the one with ``b``."""
     return all(map(le, a, b))
@@ -104,8 +113,8 @@ class Packing:
         return ~self.low
 
     def pack(self, t: Term) -> int:
-        """The packed value of ``t``; a ValueError names a field past EXPONENT_LIMIT."""
-        if (sum(t) if self.graded else max(t)) > EXPONENT_LIMIT:
+        """The packed value of ``t``; an ExponentLimitError names a field past EXPONENT_LIMIT."""
+        if not within_limit(t, self.graded):
             raise _overflow(t)
         return sum(map(mul, t, self.weights))
 
@@ -116,17 +125,18 @@ class Packing:
     def unpack(self, v: int) -> Term:
         return tuple([v >> s & EXPONENT_LIMIT for s in self.shifts])
 
-    def overflow(self, v: int) -> ValueError:
+    def overflow(self, v: int) -> ExponentLimitError:
         """The error for a sum of packed values that set a guard bit of ``v``."""
         mask = (1 << FIELD_BITS) - 1
         return _overflow(tuple([v >> s & mask for s in self.shifts]))
 
 
-def _overflow(t: Term) -> ValueError:
+def _overflow(t: Term) -> ExponentLimitError:
+    """The error for ``t``, one of whose fields is past EXPONENT_LIMIT: a named exponent, else the total degree."""
     for i, e in enumerate(t):
         if e > EXPONENT_LIMIT:
-            return ValueError(f"exponent {e} of x{i} is past the limit {EXPONENT_LIMIT} of a packed monomial")
-    return ValueError(f"total degree {sum(t)} is past the limit {EXPONENT_LIMIT} of a packed monomial")
+            return ExponentLimitError(f"exponent {e} of x{i} is past the limit {EXPONENT_LIMIT} of a packed monomial")
+    return ExponentLimitError(f"total degree {sum(t)} is past the limit {EXPONENT_LIMIT} of a packed monomial")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from time import perf_counter
 from typing import NoReturn
 
 from .field import Coeff, FieldSpec
-from .orders import Term, TermOrder
+from .orders import Term, TermOrder, _overflow, within_limit
 
 __all__ = [
     "PolyRing",
@@ -375,7 +375,7 @@ class Polynomial:
 # -- division ------------------------------------------------------------
 
 
-def normal_form(f: Polynomial, divisors, *, top_only: bool = False, deadline: float | None = None) -> Polynomial:
+def normal_form(f: Polynomial, divisors, *, top_only: bool = False) -> Polynomial:
     """Remainder of ``f`` on division by an ordered list of divisors.
 
     Each step cancels the largest remaining term by the first divisor whose
@@ -383,9 +383,7 @@ def normal_form(f: Polynomial, divisors, *, top_only: bool = False, deadline: fl
     remainder.  With ``top_only`` the loop stops at the first such term and
     returns it with the rest unreduced: zero exactly when the full remainder
     is, else with the same leading term.  The steps are :func:`_reduce`'s,
-    on packed monomials; each divisor's packed form is kept on it.  A head
-    step that starts past ``deadline`` (a ``time.perf_counter`` value)
-    raises TimeoutError.
+    on packed monomials; each divisor's packed form is kept on it.
     """
     divisors = list(divisors)
     if not divisors:
@@ -405,7 +403,7 @@ def normal_form(f: Polynomial, divisors, *, top_only: bool = False, deadline: fl
     work = dict(tail)
     # the packed form is f itself over GF(p), and f scaled by lead / hc over Q
     work[head] = lead if mod is None else hc
-    terms, scale = _reduce(ring, work, forms, top_only, deadline)
+    terms, scale = _reduce(ring, work, forms, top_only)
     packing = ring.order.packing
     if top_only and terms:
         flip = packing.flip
@@ -546,12 +544,13 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|x(?P<var>\d+)|(?P<op>[-+*/^]))")
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
-def _layout_exponents(text: str, nvars: int):
+def _layout_exponents(text: str, nvars: int, graded: bool):
     """The exponent tuple of a monomial as :func:`_monomial_forms` writes it: ``x0^2*x1`` gives (2, 1).
 
-    None for any other text and for a variable out of range.
+    None for any other text, for a variable out of range and for a monomial
+    past the packed limit (see :func:`_monomial_exponents`).
     """
-    entry = _monomial_exponents(text, nvars) if _LAYOUT_MONOMIAL_RE.fullmatch(text) else None
+    entry = _monomial_exponents(text, nvars, graded) if _LAYOUT_MONOMIAL_RE.fullmatch(text) else None
     return entry and entry[0]
 
 
@@ -568,15 +567,15 @@ def _layout_terms(ring: PolyRing, text: str) -> list | None:
     parts = (f"- {text[1:]}" if text[:1] == "-" else f"+ {text}").split(" ")
     if len(parts) % 2:
         return None
-    mod, nvars = ring.field.modulus, ring.nvars
+    mod, nvars, graded = ring.field.modulus, ring.nvars, ring.order.packing.graded
     constant = (0,) * nvars
     terms: list[tuple[Term, Coeff]] = []
     for sign, body in zip(parts[::2], parts[1::2]):
         if body[:1] == "x":
-            num, den, exps = 1, 1, _layout_exponents(body, nvars)
+            num, den, exps = 1, 1, _layout_exponents(body, nvars, graded)
         else:
             digits, star, mono = body.partition("*")
-            exps = _layout_exponents(mono, nvars) if star else constant
+            exps = _layout_exponents(mono, nvars, graded) if star else constant
             den = 1
             if not (digits.isdigit() and digits.isascii()):
                 digits, _, den = digits.partition("/")
@@ -596,13 +595,15 @@ def _layout_terms(ring: PolyRing, text: str) -> list | None:
     return terms
 
 
-def _monomial_exponents(text: str, nvars: int):
+def _monomial_exponents(text: str, nvars: int, graded: bool):
     """(exponents, factor) of the blank-free factors after a term's leading coefficient.
 
     The inverse of the text of :func:`_monomial_forms`: ``x0^2*x1`` gives ((2, 1), None).
     ``factor`` is None when the text has no coefficient factor, as rendered
     text never does, else their product (a Fraction once one holds a '/').
-    None for a variable out of range or a zero denominator.
+    None for a variable out of range, a zero denominator, and an exponent
+    past EXPONENT_LIMIT, or with ``graded`` a total degree past it: the
+    division kernel's packed monomials hold no such term.
     """
     exps = [0] * nvars
     factor = None
@@ -620,6 +621,8 @@ def _monomial_exponents(text: str, nvars: int):
             if not int(d):
                 return None
             factor = Fraction(factor, int(d))
+    if not within_limit(exps, graded):
+        return None
     return tuple(exps), factor
 
 
@@ -632,8 +635,7 @@ def _grammar_terms(ring: PolyRing, text: str) -> list | None:
     """
     if _POLYNOMIAL_RE.fullmatch(text) is None:
         return None
-    mod = ring.field.modulus
-    nvars = ring.nvars
+    mod, nvars, graded = ring.field.modulus, ring.nvars, ring.order.packing.graded
     terms: list[tuple[Term, Coeff]] = []
     # blanks only separate tokens, and int() rejects some of them
     for sign, body in _SIGNED_RE.findall("".join(text.split())):
@@ -648,7 +650,7 @@ def _grammar_terms(ring: PolyRing, text: str) -> list | None:
                 den = int(d)
                 if mod is not None or not den:
                     return None
-        entry = _monomial_exponents(mono, nvars)
+        entry = _monomial_exponents(mono, nvars, graded)
         if entry is None:
             return None
         exps, factor = entry
@@ -689,7 +691,9 @@ def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
     One lexer pass, then one walk over the tokens that checks each against
     the kind of the one before it; an end token closes the walk.  A
     character no token starts with takes precedence over every other error
-    and is reported at the end of the token before it.
+    and is reported at the end of the token before it.  The walk adds up
+    each term's exponents as its factors close, and names a monomial past
+    the packed limit at the variable that takes it past.
     """
     tokens, pos = [], 0
     while m := _TOKEN_RE.match(text, pos):
@@ -700,13 +704,24 @@ def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
         raise ParseError(text, pos, f"unexpected character {rest[0]!r}")
     if not tokens:
         raise ParseError(text, 0, "empty input")
-    mod, nvars = ring.field.modulus, ring.nvars
+    mod, nvars, graded = ring.field.modulus, ring.nvars, ring.order.packing.graded
+    exps = [0] * nvars  # the current term's, over the factors closed so far
+
+    def close_factor(var: int, var_at: int, e: int):
+        exps[var] += e
+        if not within_limit(exps, graded):
+            raise ParseError(text, var_at, str(_overflow(tuple(exps))))
+
     # the previous token's kind: None at the start, an operator, "int" or
     # "var", or "closed" for the integer after a '/' or '^'
     prev, prev_at = None, 0
     for kind, at, value in tokens + [("end", len(text), "")]:
         if kind == "op":
             kind = value
+        if prev == "var" and kind != "^":
+            close_factor(var, var_at, 1)
+        if kind in ("+", "-"):
+            exps = [0] * nvars
         if prev in ("/", "^"):
             if kind != "int":
                 raise ParseError(text, prev_at, "expected an integer denominator" if prev == "/"
@@ -731,6 +746,10 @@ def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
                 raise ParseError(text, at, "zero denominator")
             if kind == "var" and number >= nvars:
                 raise ParseError(text, at, f"variable x{number} out of range for {nvars} variables")
+            if prev == "^":
+                close_factor(var, var_at, number)
+            elif kind == "var":
+                var, var_at = number, at
             if prev in ("/", "^"):
                 kind = "closed"
         prev, prev_at = kind, at

@@ -143,6 +143,8 @@ def test_malformed_env_seed_is_rejected(tmp_path, monkeypatch, capsys):
                  id="--verify-fraction-2-verify_fraction"),
     pytest.param("--n", "0", "--n must be at least 1", id="--n-0-variable"),
     pytest.param("--d-prime", "-1", "--d-prime must be non-negative", id="--d-prime--1-max_entry_degree"),
+    pytest.param("--d", "16378", "--d 16378 and max_entry_degree 3 give F degrees up to 16384, past the limit 16383 "
+                 "of a packed monomial", id="--d-16378-packed-limit"),
 ])
 def test_generate_rejects_bad_values(tmp_path, capsys, flag, value, message):
     argv = {"--n": "3", "--field": "f7", "--m": "2", "--out": str(tmp_path / "bad"), flag: value}
@@ -409,6 +411,30 @@ def test_text_outside_the_layout_reads_and_an_overlong_integer_is_located(tmp_pa
     err = capsys.readouterr().err
     assert err.startswith(f"gbgen: {path}:1: at position 0 in ")
     assert err.endswith(": integer of 5000 digits is too long to read\n") and err.count("\n") == 1
+
+
+def test_exponent_past_the_packed_limit_exits_with_one_line(tmp_path, capsys):
+    # a record past the limit is refused where it is read; a completion that
+    # forms such a monomial from records within it fails its sample
+    header = {"index": 0, "field": {"kind": "prime", "modulus": 7}, "nvars": 2, "order": "lex", "s": 2, "seed": 1}
+    path = tmp_path / "big.jsonl"
+    path.write_text(json.dumps({**header, "F": ["x0^20000 - x1"], "G": ["x0^20000 - x1"]}) + "\n")
+    for command in (["verify"], ["profile"], ["solve"], ["fglm", "--to", "grevlex", "--out", str(tmp_path / "out")]):
+        assert run_cli(*command, "--input", str(path)) == 1, command
+        assert capsys.readouterr().err == (f"gbgen: {path}:1: at position 1 in 'x0^20000 - x1': exponent 20000 of x0 "
+                                           "is past the limit 16383 of a packed monomial\n"), command
+    path.write_text(json.dumps({**header, "F": ["x0 - x1^10000", "x0^2 + 1"], "G": ["x0 - x1^10000"]}) + "\n")
+    for jobs in ("1", "2"):
+        assert run_cli("verify", "--input", str(path), "--jobs", jobs) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL sample 0: cannot complete F: exponent 20000 of x1 is past the limit 16383 of a packed monomial",
+            "verified 1 samples: 0 ok, 1 failed",
+        ]
+    path.write_text(json.dumps({**header, "order": "grlex", "F": ["x0^10000*x1 + 1", "x0*x1^10000 + 1"], "G": ["1"]})
+                    + "\n")
+    assert run_cli("profile", "--input", str(path)) == 1
+    assert capsys.readouterr() == ("", "gbgen: sample 0, F: total degree 20000 is past the limit 16383 of a packed "
+                                       "monomial\n")
 
 
 def test_verify_caps_the_oracle_by_default(tmp_path, monkeypatch, capsys):

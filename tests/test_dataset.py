@@ -725,6 +725,23 @@ def test_token_number_past_the_digit_limit_is_located():
         assert (exc.value.pos, str(exc.value)) == (pos, f"token {pos}: number of 5000 digits is too long to read")
 
 
+def test_token_exponent_past_the_packed_limit_is_located():
+    # named at the variable that takes the exponent, or the total degree
+    # under a graded order, past the limit; at the limit the tokens read
+    r7, g7 = PolyRing(F7, 2, lex(2)), PolyRing(F7, 2, grevlex(2))
+    cases = [
+        (r7, ["+", "*", "C1", "^", "x0", "E20000"], 4, "exponent 20000 of x0"),
+        (r7, ["+", "*", "C1", "^", "x1", "E9000", "^", "x1", "E9000"], 7, "exponent 18000 of x1"),
+        (g7, ["+", "*", "C1", "^", "x0", "E9000", "^", "x1", "E9000"], 7, "total degree 18000"),
+    ]
+    for ring, tokens, pos, named in cases:
+        with pytest.raises(TokenError) as exc:
+            parse_prefix_tokens(tokens, ring)
+        assert (exc.value.pos, str(exc.value)) == (pos, f"token {pos}: {named} is past the limit 16383 of a packed monomial")
+    tokens = ["+", "*", "C1", "^", "x0", "E16383", "^", "x1", "E16383"]
+    assert parse_prefix_tokens(tokens, r7) == [r7.parse("x0^16383*x1^16383")]
+
+
 # -- JSONL and sidecars -------------------------------------------------------
 
 

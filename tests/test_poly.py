@@ -382,20 +382,23 @@ def test_normal_form_matches_reference_division(field, order, n, seed):
 def test_exponent_past_the_packed_limit_is_located():
     # a packed monomial holds each exponent, and under a graded order the
     # total degree, up to EXPONENT_LIMIT; past it the division names the
-    # variable and the limit instead of wrapping into the next field
+    # variable, and the limit instead of wrapping into the next field.  Text
+    # past the limit does not parse, so such inputs are built by arithmetic.
     limit = EXPONENT_LIMIT
     assert limit == 16383
+    QV, FG = PolyRing(RATIONALS, 2, grevlex(2)), PolyRing(prime_field(7), 2, grlex(2))
     cases = [
-        (R7, "x0^40000", "x0 - 1", "exponent 40000 of x0"),  # in the dividend
-        (R7, "x1", "x0^40000 + x1", "exponent 40000 of x0"),  # in a divisor
+        (R7, R7.variable(0) ** 40000, "x0 - 1", "exponent 40000 of x0"),  # in the dividend
+        (R7, "x1", R7.variable(0) ** 40000 + R7.variable(1), "exponent 40000 of x0"),  # in a divisor
         (R7, "x0^2", "x0 - x1^10000", "exponent 20000 of x1"),  # in a product of the kernel
         (RQ, "x0^2 + x1", "x0 + 1/2*x1^16383", "exponent 32766 of x1"),
-        (PolyRing(RATIONALS, 2, grevlex(2)), "x0^10000*x1^10000", "x0", "total degree 20000"),
-        (PolyRing(prime_field(7), 2, grlex(2)), "x1", "x0^9000*x1^9000 + 1", "total degree 18000"),
+        (QV, (QV.variable(0) * QV.variable(1)) ** 10000, "x0", "total degree 20000"),
+        (FG, "x1", (FG.variable(0) * FG.variable(1)) ** 9000 + FG.one(), "total degree 18000"),
     ]
     for ring, f, d, named in cases:
+        f, d = (ring.parse(x) if isinstance(x, str) else x for x in (f, d))
         with pytest.raises(ValueError) as exc:
-            normal_form(ring.parse(f), [ring.parse(d)])
+            normal_form(f, [d])
         assert str(exc.value) == f"{named} is past the limit {limit} of a packed monomial", (f, d)
     # at the limit the division runs
     at_limit = R7.parse(f"x0^{limit} + x1^{limit}")
@@ -649,6 +652,27 @@ def test_integer_past_the_digit_limit_is_located():
         # the message quotes 40 characters on each side of the position, each position here under 40
         message = f"at position {pos} in {text[:pos + 40]!r}...: integer of 5000 digits is too long to read"
         assert (exc.value.pos, str(exc.value)) == (pos, message)
+
+
+def test_parse_rejects_exponent_past_the_packed_limit():
+    # no packed monomial holds such a term, so it is refused where it is
+    # read, at the variable that takes the exponent or, under a graded
+    # order, the total degree past the limit; both routes of the reader
+    # agree, and at the limit the text reads
+    FG = PolyRing(prime_field(7), 2, grlex(2))
+    cases = [
+        (R7, "x0^20000 - x1", 1, "exponent 20000 of x0"),
+        (R7, "x1 + 3*x0^10000*2*x0^6384", 19, "exponent 16384 of x0"),  # not the writer's layout
+        (FG, "x0^9000*x1^9000", 9, "total degree 18000"),
+        (FG, "x0^16383*x1 + 1", 10, "total degree 16384"),
+    ]
+    for ring, text, pos, named in cases:
+        with pytest.raises(ParseError) as exc:
+            ring.parse(text)
+        message = f"at position {pos} in {text!r}: {named} is past the limit {EXPONENT_LIMIT} of a packed monomial"
+        assert (exc.value.pos, str(exc.value)) == (pos, message)
+    assert str(R7.parse("x0^16383*x1^16383 + 1")) == "x0^16383*x1^16383 + 1"  # each lex field on its own
+    assert str(FG.parse("x0^16383*x1^0 + x1^16383")) == "x0^16383 + x1^16383"
 
 
 def test_parse_error_quotes_a_window_of_long_text():
