@@ -31,7 +31,7 @@ class ExponentLimitError(ValueError):
 
 
 def within_limit(t: Term, graded: bool) -> bool:
-    """Whether ``t`` has a packed value: every exponent, and with ``graded`` the total degree, at most EXPONENT_LIMIT."""
+    """Whether ``t`` has a packed value: each exponent, and with ``graded`` the total degree, at most EXPONENT_LIMIT."""
     return (sum(t) if graded else max(t)) <= EXPONENT_LIMIT
 
 

@@ -434,7 +434,7 @@ def _reduce(ring: PolyRing, work: dict, divisors, top_only: bool = False, deadli
     ``top_only`` they are the first irreducible head and the rest of
     ``work`` unreduced, in no order; ``work`` is consumed either way.  Past
     ``deadline`` a head step raises TimeoutError, and a product with a
-    field past the packed limit raises ValueError.
+    field past the packed limit raises ExponentLimitError.
     """
     packing = ring.order.packing
     guard, flip = packing.guard, packing.flip

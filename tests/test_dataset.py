@@ -737,7 +737,8 @@ def test_token_exponent_past_the_packed_limit_is_located():
     for ring, tokens, pos, named in cases:
         with pytest.raises(TokenError) as exc:
             parse_prefix_tokens(tokens, ring)
-        assert (exc.value.pos, str(exc.value)) == (pos, f"token {pos}: {named} is past the limit 16383 of a packed monomial")
+        message = f"token {pos}: {named} is past the limit 16383 of a packed monomial"
+        assert (exc.value.pos, str(exc.value)) == (pos, message)
     tokens = ["+", "*", "C1", "^", "x0", "E16383", "^", "x1", "E16383"]
     assert parse_prefix_tokens(tokens, r7) == [r7.parse("x0^16383*x1^16383")]
 
