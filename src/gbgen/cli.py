@@ -67,7 +67,7 @@ def parse_field(text: str) -> FieldSpec:
         return RATIONALS
     for prefix in ("gf", "f", ""):
         digits = t[len(prefix):]
-        if t.startswith(prefix) and digits.isdigit():
+        if t.startswith(prefix) and digits.isdecimal():
             try:
                 return prime_field(int(digits))
             except ValueError:

@@ -16,7 +16,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
 from time import perf_counter
-from typing import NoReturn
 
 from .field import Coeff, FieldSpec
 from .orders import Term, TermOrder, _overflow, within_limit
@@ -531,15 +530,7 @@ def _packed(f: Polynomial) -> tuple:
 # A monomial as _monomial_forms writes it: xi or xi^e factors joined by '*'.
 # [0-9], not \d, which also matches '٣'.
 _LAYOUT_MONOMIAL_RE = re.compile(r"x[0-9]+(?:\^[0-9]+)?(?:\*x[0-9]+(?:\^[0-9]+)?)*")
-# A product of the renderer's grammar: coefficient (n or n/d) and variable
-# (xi or xi^e) factors joined by '*', blanks free between tokens.
-_FACTOR = r"(?:\d+(?:\s*/\s*\d+)?|x\d+(?:\s*\^\s*\d+)?)"
-_PRODUCT = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
-# the whole grammar: a first term signed '-' or not at all, later ones '+' or '-'
-_POLYNOMIAL_RE = re.compile(rf"\s*-?\s*{_PRODUCT}(?:\s*[+-]\s*{_PRODUCT})*\s*")
-# a signed term of blank-free text that matched the grammar
-_SIGNED_RE = re.compile(r"([+-]?)([^+-]+)")
-# one token of the grammar after optional blanks, for locating an error
+# one token of the grammar after optional blanks
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|x(?P<var>\d+)|(?P<op>[-+*/^]))")
 
 
@@ -547,11 +538,20 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|x(?P<var>\d+)|(?P<op>[-+*/^]))")
 def _layout_exponents(text: str, nvars: int, graded: bool):
     """The exponent tuple of a monomial as :func:`_monomial_forms` writes it: ``x0^2*x1`` gives (2, 1).
 
-    None for any other text, for a variable out of range and for a monomial
-    past the packed limit (see :func:`_monomial_exponents`).
+    None for any other text, for a variable out of range, and for an
+    exponent past EXPONENT_LIMIT, or with ``graded`` a total degree past it:
+    the division kernel's packed monomials hold no such term.
     """
-    entry = _monomial_exponents(text, nvars, graded) if _LAYOUT_MONOMIAL_RE.fullmatch(text) else None
-    return entry and entry[0]
+    if not _LAYOUT_MONOMIAL_RE.fullmatch(text):
+        return None
+    exps = [0] * nvars
+    for factor in text.split("*"):
+        var, _, e = factor.partition("^")
+        i = int(var[1:])
+        if i >= nvars:
+            return None
+        exps[i] += int(e) if e else 1
+    return tuple(exps) if within_limit(exps, graded) else None
 
 
 def _layout_terms(ring: PolyRing, text: str) -> list | None:
@@ -595,105 +595,35 @@ def _layout_terms(ring: PolyRing, text: str) -> list | None:
     return terms
 
 
-def _monomial_exponents(text: str, nvars: int, graded: bool):
-    """(exponents, factor) of the blank-free factors after a term's leading coefficient.
-
-    The inverse of the text of :func:`_monomial_forms`: ``x0^2*x1`` gives ((2, 1), None).
-    ``factor`` is None when the text has no coefficient factor, as rendered
-    text never does, else their product (a Fraction once one holds a '/').
-    None for a variable out of range, a zero denominator, and an exponent
-    past EXPONENT_LIMIT, or with ``graded`` a total degree past it: the
-    division kernel's packed monomials hold no such term.
-    """
-    exps = [0] * nvars
-    factor = None
-    for f in text.split("*") if text else ():
-        if f[0] == "x":
-            var, _, e = f.partition("^")
-            i = int(var[1:])
-            if i >= nvars:
-                return None
-            exps[i] += int(e) if e else 1
-            continue
-        n, slash, d = f.partition("/")
-        factor = int(n) if factor is None else factor * int(n)
-        if slash:
-            if not int(d):
-                return None
-            factor = Fraction(factor, int(d))
-    if not within_limit(exps, graded):
-        return None
-    return tuple(exps), factor
-
-
-def _grammar_terms(ring: PolyRing, text: str) -> list | None:
-    """The (term, coeff) pairs of text in the renderer's grammar, None if a check fails.
-
-    One match of the whole grammar, then, per term of the blank-free text, a
-    partition of its leading coefficient and a read of the rest, later
-    coefficient factors included, by :func:`_monomial_exponents`.
-    """
-    if _POLYNOMIAL_RE.fullmatch(text) is None:
-        return None
-    mod, nvars, graded = ring.field.modulus, ring.nvars, ring.order.packing.graded
-    terms: list[tuple[Term, Coeff]] = []
-    # blanks only separate tokens, and int() rejects some of them
-    for sign, body in _SIGNED_RE.findall("".join(text.split())):
-        if body[0] == "x":
-            num, den, mono = 1, 1, body
-        else:
-            coeff, _, mono = body.partition("*")
-            n, slash, d = coeff.partition("/")
-            num = int(n)
-            den = 1
-            if slash:
-                den = int(d)
-                if mod is not None or not den:
-                    return None
-        entry = _monomial_exponents(mono, nvars, graded)
-        if entry is None:
-            return None
-        exps, factor = entry
-        if factor is not None:
-            if mod is not None and isinstance(factor, Fraction):
-                return None
-            num *= factor
-        if sign == "-":
-            num = -num
-        terms.append((exps, num % mod if mod is not None else Fraction(num, den)))
-    return terms
-
-
 def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     """Parse the renderer's grammar: signed *-separated coefficient/monomial terms.
 
-    Two routes, chosen by the text itself.  Text in the layout the renderer
+    Two readers, chosen by the text itself.  Text in the layout the renderer
     writes takes :func:`_layout_terms`, one split and one pass over its
     terms.  Any other text, such as other blanks, a coefficient after a
-    variable or non-ASCII digits, takes :func:`_grammar_terms`, which reads
-    the whole grammar.  Text that neither route reads goes to
-    :func:`_raise_parse_error`, which locates the error.
+    variable or non-ASCII digits, takes :func:`_walk_terms`, which reads the
+    whole grammar token by token and locates any error.
     """
     try:
         terms = _layout_terms(ring, text)
-        if terms is None:
-            terms = _grammar_terms(ring, text)
-    except ValueError:  # an integer longer than int()'s digit limit, which the error walk names
+    except ValueError:  # an integer longer than int()'s digit limit, which the walk names
         terms = None
     if terms is None:
-        _raise_parse_error(ring, text)
+        terms = _walk_terms(ring, text)
     return Polynomial(ring, _canonical(ring, terms))
 
 
-def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
-    """Raise the ``ParseError`` of text the parser rejected.
+def _walk_terms(ring: PolyRing, text: str) -> list:
+    """The (term, coeff) pairs of text in the renderer's grammar, in any layout.
 
     One lexer pass, then one walk over the tokens that checks each against
-    the kind of the one before it; an end token closes the walk.  A
+    the kind of the one before it; an end token closes the walk.  As each
+    term's factors close, the walk multiplies out its coefficient factors
+    and adds up its exponents, and the sign or end token after it appends
+    the term.  Text outside the grammar raises a located ``ParseError``.  A
     character no token starts with takes precedence over every other error
-    and is reported at the end of the token before it.  The walk adds up
-    each term's exponents as its factors close, and names a monomial past
-    the packed limit at the variable that takes it past.
+    and is reported at the end of the token before it, and a monomial past
+    the packed limit is named at the variable that takes it past.
     """
     tokens, pos = [], 0
     while m := _TOKEN_RE.match(text, pos):
@@ -705,7 +635,9 @@ def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
     if not tokens:
         raise ParseError(text, 0, "empty input")
     mod, nvars, graded = ring.field.modulus, ring.nvars, ring.order.packing.graded
-    exps = [0] * nvars  # the current term's, over the factors closed so far
+    terms: list[tuple[Term, Coeff]] = []
+    # the current term's exponents and signed coefficient num/den, over the factors closed so far
+    exps, num, den = [0] * nvars, 1, 1
 
     def close_factor(var: int, var_at: int, e: int):
         exps[var] += e
@@ -720,8 +652,6 @@ def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
             kind = value
         if prev == "var" and kind != "^":
             close_factor(var, var_at, 1)
-        if kind in ("+", "-"):
-            exps = [0] * nvars
         if prev in ("/", "^"):
             if kind != "int":
                 raise ParseError(text, prev_at, "expected an integer denominator" if prev == "/"
@@ -731,12 +661,16 @@ def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
                 raise ParseError(text, at, "fractions only make sense over the rationals")
             if kind not in ("+", "-", "*", "end") and (prev, kind) not in (("int", "/"), ("var", "^")):
                 raise ParseError(text, at, "expected '+' or '-' between terms")
+            if kind in ("+", "-", "end"):
+                terms.append((tuple(exps), num % mod if mod is not None else Fraction(num, den)))
         elif kind not in ("int", "var") and (prev, kind) != (None, "-"):
             # an operand is due after a sign or '*', and at the start, where a '-' may come first
             if kind == "end":
                 raise ParseError(text, at, "dangling '*'" if prev == "*" else "dangling sign")
             raise ParseError(text, at, "leading '+' is not part of the grammar" if (prev, kind) == (None, "+")
                              else "expected a coefficient or variable")
+        if kind in ("+", "-"):
+            exps, num, den = [0] * nvars, -1 if kind == "-" else 1, 1
         if kind in ("int", "var"):
             try:
                 number = int(value)
@@ -748,9 +682,13 @@ def _raise_parse_error(ring: PolyRing, text: str) -> NoReturn:
                 raise ParseError(text, at, f"variable x{number} out of range for {nvars} variables")
             if prev == "^":
                 close_factor(var, var_at, number)
+            elif prev == "/":
+                den *= number
             elif kind == "var":
                 var, var_at = number, at
+            else:
+                num *= number
             if prev in ("/", "^"):
                 kind = "closed"
         prev, prev_at = kind, at
-    raise AssertionError(f"the grammar match and the token walk disagree on {text!r}")
+    return terms

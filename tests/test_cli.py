@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand against temp files."""
 
+import argparse
 import json
 import multiprocessing
 import os
@@ -37,10 +38,10 @@ def test_parse_field_spellings():
     assert parse_field("f7").modulus == 7
     assert parse_field("GF31").modulus == 31
     assert parse_field("101").modulus == 101
-    with pytest.raises(Exception):
-        parse_field("f8")
-    with pytest.raises(Exception):
-        parse_field("widgets")
+    assert parse_field("f\u0663").modulus == 3  # a decimal digit int() reads
+    for bad in ("f8", "widgets", "f\u00b2"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_field(bad)
 
 
 @pytest.mark.parametrize("spelling, modulus", [("f4", 4), ("f1", 1), ("f0", 0), ("gf9", 9), ("15", 15)])

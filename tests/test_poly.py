@@ -507,6 +507,14 @@ def reference_parse(ring, text):
                     e = tokens[i + 2][1]
                     i += 2
                 exps[val] += e
+                # no packed monomial holds a larger exponent or, under a graded order, total degree
+                past = None
+                if exps[val] > EXPONENT_LIMIT:
+                    past = f"exponent {exps[val]} of x{val}"
+                elif ring.order.kind.value != "lex" and sum(exps) > EXPONENT_LIMIT:
+                    past = f"total degree {sum(exps)}"
+                if past:
+                    raise ParseError(text, pos, f"{past} is past the limit {EXPONENT_LIMIT} of a packed monomial")
                 i += 1
             else:
                 raise ParseError(text, pos, "expected a coefficient or variable")
@@ -587,11 +595,11 @@ def test_parse_matches_reference_on_corpora(field, nvars, order):
 
 
 def test_rendered_text_takes_the_layout_route(monkeypatch):
-    # the grammar route is the slow one; rendered text, zero members included, never needs it
-    def grammar_route(ring, text):
+    # the token walk is the slow reader; rendered text, zero members included, never needs it
+    def walk(ring, text):
         raise AssertionError(f"rendered text left the layout route: {text!r}")
 
-    monkeypatch.setattr(poly, "_grammar_terms", grammar_route)
+    monkeypatch.setattr(poly, "_walk_terms", walk)
     fields = (prime_field(2), prime_field(7), prime_field(7919), prime_field(2**31 - 1), RATIONALS)
     zeros = 0
     for field, order, nvars in itertools.product(fields, ("lex", "grlex", "grevlex"), range(1, 6)):
@@ -704,7 +712,7 @@ def test_monomial_table_is_keyed_by_arity():
 
 
 def test_parse_reads_later_coefficient_factors_like_reference():
-    # rendered text never puts a coefficient after a variable, so the table's
+    # rendered text never puts a coefficient after a variable, so the walk's
     # factor product, its '/' over GF(p) and its zero denominator meet only these
     for text in ("x0*1/2", "2*x1*3/4*x0 - x1*x0*2", "x0*1/0", "x1*2/1", "x0*3*x1^2*0", "x1 + x0*x5"):
         for ring in (RQ, R7):
