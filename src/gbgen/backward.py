@@ -20,8 +20,10 @@ Matrix entries are polynomials of bounded total degree, present with
 probability ``density``; draw order is row-major over the strict upper
 triangle (s, then U1, then the U2 block, then P), each slot drawing its
 density coin and then, if filled, term count, exponents and coefficients.
-The knobs come from a ``dataset.GenerationConfig``, which checks them; the
-samplers take it untyped, since ``dataset`` imports this module.
+The degree bound, density and s_max come from a ``dataset.GenerationConfig``,
+which checks them; the samplers take it untyped, since ``dataset`` imports
+this module.  The entry term cap and the rejection limits over Q are the
+constants below, fixed for every dataset.
 """
 
 import random
@@ -39,6 +41,10 @@ __all__ = [
     "backward_transform",
 ]
 
+ENTRY_MAX_TERMS = 2  # a transform entry's term count is uniform on [1, this]
+COEFF_LIMIT = 100  # over Q, redraw a transform whose F has a |num| or den above this
+MAX_RETRIES = 50  # redraws before F is kept, flagged over_range
+
 
 @lru_cache(maxsize=None)
 def _monomials_up_to(nvars: int, max_degree: int) -> tuple:
@@ -55,18 +61,15 @@ def _monomials_up_to(nvars: int, max_degree: int) -> tuple:
 
 
 def sample_entry(ring: PolyRing, config, rng: random.Random) -> Polynomial:
-    """One nonzero matrix entry over ``ring``: total degree <= max_entry_degree, 1..entry_max_terms terms.
+    """One nonzero matrix entry over ``ring``: total degree <= max_entry_degree, 1..ENTRY_MAX_TERMS terms.
 
     The draws are canonical as they stand (distinct monomials, nonzero
     coefficients in range, descending lex order), so the entry is built
     without ``from_terms``; ``_descending`` re-sorts for a non-lex ring.
     """
-    count = rng.randint(1, config.entry_max_terms)
+    count = rng.randint(1, ENTRY_MAX_TERMS)
     terms = rng.sample(_monomials_up_to(ring.nvars, config.max_entry_degree), count)
-    pairs = [
-        (t, sample_nonzero_coeff(ring.field, config.num_range, config.den_range, rng))
-        for t in sorted(terms, reverse=True)
-    ]
+    pairs = [(t, sample_nonzero_coeff(ring.field, rng)) for t in sorted(terms, reverse=True)]
     return Polynomial(ring, _descending(ring, pairs))
 
 
@@ -115,10 +118,10 @@ class BackwardSample:
     retries: int = 0
 
 
-def _coeffs_in_range(polys, limit: int) -> bool:
+def _coeffs_in_range(polys) -> bool:
     for f in polys:
         for _, c in f.terms:
-            if abs(c.numerator) > limit or c.denominator > limit:
+            if abs(c.numerator) > COEFF_LIMIT or c.denominator > COEFF_LIMIT:
                 return False
     return True
 
@@ -127,9 +130,9 @@ def backward_transform(basis, config, rng: random.Random) -> BackwardSample:
     """Scramble ``basis`` into an equivalent generating set of s polynomials.
 
     s is uniform on [n, config.effective_s_max].  Over the rationals, output
-    whose coefficients exceed ``config.coeff_limit`` is rejected and the
-    three matrices are redrawn (same s) up to ``max_retries`` times; if the
-    budget runs out the last draw is returned flagged ``over_range``.
+    whose coefficients exceed ``COEFF_LIMIT`` is rejected and the three
+    matrices are redrawn (same s) up to ``MAX_RETRIES`` times; if the budget
+    runs out the last draw is returned flagged ``over_range``.
     """
     basis = list(basis)
     n = len(basis)
@@ -144,7 +147,7 @@ def backward_transform(basis, config, rng: random.Random) -> BackwardSample:
         raise ValueError(f"s_max {s_max} below the basis size {n}")
 
     s = rng.randint(n, s_max)
-    check_range = ring.field.modulus is None and config.coeff_limit is not None
+    check_range = ring.field.modulus is None
     retries = 0
     while True:
         u1 = sample_unimodular_upper(ring, s, config, rng)
@@ -154,9 +157,9 @@ def backward_transform(basis, config, rng: random.Random) -> BackwardSample:
         padded = _upper_apply(u2, basis) + [ring.zero()] * (s - n)
         F = _upper_apply(u1, [padded[p] for p in perm])
 
-        if not check_range or _coeffs_in_range(F, config.coeff_limit):
+        if not check_range or _coeffs_in_range(F):
             return BackwardSample(F, s, over_range=False, retries=retries)
-        if retries >= config.max_retries:
+        if retries >= MAX_RETRIES:
             return BackwardSample(F, s, over_range=True, retries=retries)
         retries += 1
 

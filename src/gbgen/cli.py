@@ -19,9 +19,9 @@ on every call that omits --seed.  Exit status is 0 on success, 1 when
 verification or solving finds a failure, an input file has a malformed
 line (an exponent past the packed limit of 16383 included), a computation
 forms a monomial past that limit or a file cannot be opened, read or
-written, 2 on bad arguments (a
-GBGEN_SEED that is not an integer, and generation values that cannot work
-together, such as --s-max below --n, included).
+written, 2 on bad arguments (a GBGEN_SEED that is not an integer, and
+generation values that cannot work together, such as --s-max below --n,
+included).
 """
 
 import argparse

@@ -4,8 +4,10 @@ Each sample pairs a scrambled generating set F with the reduced Groebner
 basis G it was built from.  Samples are independently seeded: sample i of a
 run with master seed S is produced by an RNG seeded with a hash of (S, i),
 so any sample can be regenerated in isolation and workers can split a run
-without sharing state.  A ``GenerationConfig`` holds the knobs of both
-samplers, ``shapegen`` and ``backward``, and checks each of them once.
+without sharing state.  A ``GenerationConfig`` holds the knobs that a run
+sets for both samplers, ``shapegen`` and ``backward``, and checks each of
+them once; the coefficient ranges, term-count caps and rejection limits
+are constants of those modules.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NoReturn
 
-from .backward import backward_transform
+from .backward import COEFF_LIMIT, ENTRY_MAX_TERMS, MAX_RETRIES, backward_transform
 from .field import FieldSpec
 from .fglm import fglm
 from .groebner import GroebnerTimeout, buchberger, is_reduced_groebner
@@ -25,7 +27,7 @@ from .orders import (
     EXPONENT_LIMIT, ExponentLimitError, OrderKind, TermOrder, _overflow, lex, order_by_name, within_limit,
 )
 from .poly import _MONOMIAL_CACHE_SIZE, Polynomial, PolyRing, _canonical, _render, _shared_ring
-from .shapegen import sample_shape_basis
+from .shapegen import DEN_RANGE, NUM_RANGE, UNI_MAX_TERMS, sample_shape_basis
 
 __all__ = [
     "GenerationConfig",
@@ -67,12 +69,6 @@ class GenerationConfig:
     max_entry_degree: int = 3  # total-degree bound on transform entries
     s_max: int | None = None  # bound on the system size s, uniform on [nvars, s_max]; None means nvars + 2
     density: float = 1.0  # probability that a slot above a triangle's diagonal is filled
-    uni_max_terms: int = 5  # cap on the term count of each univariate draw
-    entry_max_terms: int = 2  # transform entry term counts are uniform on [1, this]
-    num_range: tuple[int, int] = (-5, 5)  # rational numerator bounds
-    den_range: tuple[int, int] = (1, 5)  # rational denominator bounds
-    coeff_limit: int | None = 100  # over Q, redraw a transform whose F has a |num| or den above this
-    max_retries: int = 50  # redraws before F is kept, flagged over_range
     order: str = "lex"  # target order of the emitted pairs
     seed: int = 0
     drop_zeros: bool = False
@@ -89,22 +85,6 @@ class GenerationConfig:
         for name in ("density", "verify_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("uni_max_terms", "entry_max_terms"):
-            if type(value := getattr(self, name)) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        for name in ("num_range", "den_range"):
-            if type(bounds := getattr(self, name)) is not tuple or len(bounds) != 2 \
-                    or not all(type(b) is int for b in bounds):
-                raise ValueError(f"{name} {bounds!r} must be two integers")
-        (num_lo, num_hi), (den_lo, den_hi) = self.num_range, self.den_range
-        if num_lo > num_hi or num_lo == num_hi == 0:
-            raise ValueError(f"num_range {self.num_range} holds no nonzero integer")
-        if not 1 <= den_lo <= den_hi:
-            raise ValueError(f"den_range {self.den_range} must satisfy 1 <= lo <= hi")
-        if self.coeff_limit is not None and (type(self.coeff_limit) is not int or self.coeff_limit < 1):
-            raise ValueError(f"coeff_limit must be None or an integer of at least 1, got {self.coeff_limit!r}")
-        if type(self.max_retries) is not int or self.max_retries < 0:
-            raise ValueError(f"max_retries must be a non-negative integer, got {self.max_retries!r}")
         if self.effective_s_max < 1:
             raise ValueError("s_max must be at least 1")
         if self.effective_s_max < self.nvars:
@@ -141,31 +121,41 @@ class GenerationConfig:
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["field"] = self.field.to_dict()
-        d["num_range"] = list(self.num_range)
-        d["den_range"] = list(self.den_range)
         return d
 
     @staticmethod
     def from_dict(d: dict) -> "GenerationConfig":
-        """The config of a ``meta.json``; a knob it lacks, other than the three required, keeps its default."""
+        """The config of a ``meta.json``; a knob it lacks, other than the three required, keeps its default.
+
+        An older ``meta.json`` also lists the six sampler constants that were
+        once knobs; each loads only at its constant's value.
+        """
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         for key in d:
-            if key not in GenerationConfig.__dataclass_fields__:
+            if key not in GenerationConfig.__dataclass_fields__ and key not in _RETIRED_KNOBS:
                 raise ValueError(f"unknown config key {key!r}")
         for key in ("field", "nvars", "num_samples"):
             if key not in d:
                 raise ValueError(f"config is missing key {key!r}")
         d = dict(d)
+        for key, value in _RETIRED_KNOBS.items():
+            # by repr, so that 50.0 or [-5.0, 5] is no match either
+            if key in d and repr(got := d.pop(key)) != repr(value):
+                raise ValueError(f"{key} must be {value!r}, the samplers' constant, got {got!r}")
         d["field"] = FieldSpec.from_dict(d["field"])
-        # JSON has no tuple; a range that is no list reaches the range check as it is
-        for key in ("num_range", "den_range"):
-            if type(d.get(key)) is list:
-                d[key] = tuple(d[key])
         return GenerationConfig(**d)
 
 
-# (knob, its exact types, their name in an error); the other knobs' checks test their types too
+# The sampler constants that older meta.json files list as config knobs, at
+# their values as JSON reads them back.
+_RETIRED_KNOBS = {
+    "uni_max_terms": UNI_MAX_TERMS, "entry_max_terms": ENTRY_MAX_TERMS, "num_range": list(NUM_RANGE),
+    "den_range": list(DEN_RANGE), "coeff_limit": COEFF_LIMIT, "max_retries": MAX_RETRIES,
+}
+
+
+# (knob, its exact types, their name in an error), for every knob
 _KNOB_TYPES = (
     ("field", (FieldSpec,), "a FieldSpec"), ("s_max", (int, type(None)), "None or an integer"),
     ("density", (int, float), "a number"), ("verify_fraction", (int, float), "a number"),

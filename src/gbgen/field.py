@@ -95,8 +95,6 @@ class FieldSpec:
         return pow(a, -1, self.modulus)
 
     def pow(self, a: Coeff, e: int) -> Coeff:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
         if self.modulus is None:
             return a**e
         return pow(a, e, self.modulus)

@@ -297,14 +297,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        out = self.ring.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
     def scaled(self, coeff) -> "Polynomial":
         """Multiply by a scalar."""
         field = self.ring.field

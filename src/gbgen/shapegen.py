@@ -12,8 +12,10 @@ stream of reduced bases without ever running a completion algorithm.
 Sampling draws, in order: deg(h), then h's terms, then g0..g{n-2}.  For a
 single polynomial the draws are: term count, exponents, then coefficients.
 Keeping that order fixed is what makes a seed reproduce a dataset.  The
-knobs come from a ``dataset.GenerationConfig``, which checks them; the
-samplers take it untyped, since ``dataset`` imports this module.
+degree bound, ring and field come from a ``dataset.GenerationConfig``,
+which checks them; the samplers take it untyped, since ``dataset`` imports
+this module.  The coefficient ranges and the term-count cap are the
+constants below, fixed for every dataset.
 """
 
 import random
@@ -24,22 +26,26 @@ from .poly import Polynomial, _descending
 
 __all__ = ["sample_nonzero_coeff", "sample_univariate", "sample_shape_basis"]
 
+NUM_RANGE = (-5, 5)  # bounds of a rational coefficient's numerator
+DEN_RANGE = (1, 5)  # bounds of its denominator
+UNI_MAX_TERMS = 5  # cap on the term count of each univariate draw
 
-def sample_nonzero_coeff(field: FieldSpec, num_range, den_range, rng: random.Random):
-    """One nonzero coefficient: a residue in 1..p-1, or num/den from the ranges with num != 0 redrawn."""
+
+def sample_nonzero_coeff(field: FieldSpec, rng: random.Random):
+    """One nonzero coefficient: a residue in 1..p-1, or num/den from NUM_RANGE and DEN_RANGE, num = 0 redrawn."""
     if field.modulus is not None:
         return rng.randrange(1, field.modulus)
     num = 0
     while num == 0:
-        num = rng.randint(*num_range)
-    return Fraction(num, rng.randint(*den_range))
+        num = rng.randint(*NUM_RANGE)
+    return Fraction(num, rng.randint(*DEN_RANGE))
 
 
 def sample_univariate(config, max_degree: int, monic: bool, rng: random.Random) -> Polynomial:
     """A random polynomial in the last variable of ``config.sample_ring()`` with degree <= max_degree.
 
     ``config`` is a ``GenerationConfig``.  The term count is uniform on
-    [1, min(uni_max_terms, max_degree + 1)] and the realized count always
+    [1, min(UNI_MAX_TERMS, max_degree + 1)] and the realized count always
     equals the drawn one.  With ``monic`` the exponent max_degree is always
     present with coefficient 1 (so the degree is exactly max_degree) and the
     remaining terms sit strictly below it.  The draws are canonical as they
@@ -56,17 +62,14 @@ def sample_univariate(config, max_degree: int, monic: bool, rng: random.Random) 
     def term(e: int):
         return zeros + (e,)
 
-    count = rng.randint(1, min(config.uni_max_terms, max_degree + 1))
+    count = rng.randint(1, min(UNI_MAX_TERMS, max_degree + 1))
     if monic:
         exponents = rng.sample(range(max_degree), count - 1)
         pairs = [(term(max_degree), config.field.one())]
     else:
         exponents = rng.sample(range(max_degree + 1), count)
         pairs = []
-    pairs.extend(
-        (term(e), sample_nonzero_coeff(config.field, config.num_range, config.den_range, rng))
-        for e in sorted(exponents, reverse=True)
-    )
+    pairs.extend((term(e), sample_nonzero_coeff(config.field, rng)) for e in sorted(exponents, reverse=True))
     return Polynomial(ring, _descending(ring, pairs))
 
 

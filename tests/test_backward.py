@@ -5,11 +5,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbgen import GenerationConfig, RATIONALS, buchberger, grevlex, grlex, lex, prime_field
+from gbgen import GenerationConfig, RATIONALS, backward, buchberger, grevlex, grlex, lex, prime_field
 from gbgen.backward import (
     _monomials_up_to,
     _upper_apply,
@@ -242,14 +243,17 @@ def test_permutation_sampler_is_uniform():
 def test_entry_sampler_bounds():
     rng = random.Random(3)
     ring = PolyRing(RATIONALS, 2, lex(2))
-    config = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, max_entry_degree=2, entry_max_terms=2)
+    config = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, max_entry_degree=2)
+    seen = Counter()
     for _ in range(200):
         e = sample_entry(ring, config, rng)
         assert e
         assert e.total_degree() <= 2
-        assert 1 <= e.num_terms() <= 2
+        assert 1 <= e.num_terms() <= backward.ENTRY_MAX_TERMS
+        seen[e.num_terms()] += 1
         for _, c in e.terms:
             assert isinstance(c, Fraction) and c != 0
+    assert set(seen) == set(range(1, backward.ENTRY_MAX_TERMS + 1))
 
 
 def test_monomials_up_to_matches_the_box_filter():
@@ -271,31 +275,32 @@ def test_monomials_up_to_matches_the_box_filter():
     st.integers(0, 2**32),
 )
 def test_sampled_entries_are_canonical(assert_canonical, field, order, nvars, degree, max_terms, seed):
-    # the sampler builds its polynomial without from_terms' checks
+    # the sampler builds its polynomial without from_terms' checks; the term
+    # cap is patched, since a low degree has fewer monomials than the constant
     ring = PolyRing(field, nvars, order(nvars))
     max_terms = min(max_terms, comb(nvars + degree, nvars))  # no more terms than monomials
-    config = GenerationConfig(field=field, nvars=nvars, num_samples=0, max_entry_degree=degree,
-                              entry_max_terms=max_terms)
+    config = GenerationConfig(field=field, nvars=nvars, num_samples=0, max_entry_degree=degree)
     rng = random.Random(seed)
-    for _ in range(20):
-        assert_canonical(sample_entry(ring, config, rng))
+    with mock.patch.object(backward, "ENTRY_MAX_TERMS", max_terms):
+        for _ in range(20):
+            assert_canonical(sample_entry(ring, config, rng))
 
 
-def test_rational_rejection_flags_and_retries():
+def test_rational_rejection_flags_and_retries(monkeypatch):
     rng = random.Random(2)
-    G = sample_shape_basis(GenerationConfig(field=RATIONALS, nvars=2, num_samples=0), rng)
-    tight = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, s_max=4, coeff_limit=1, max_retries=3)
-    sample = backward_transform(G, tight, random.Random(0))
+    config = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, s_max=4)
+    G = sample_shape_basis(config, rng)
+    monkeypatch.setattr(backward, "COEFF_LIMIT", 1)
+    monkeypatch.setattr(backward, "MAX_RETRIES", 3)
+    sample = backward_transform(G, config, random.Random(0))
     assert sample.over_range
     assert sample.retries == 3
-    unchecked = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, s_max=4, coeff_limit=None)
-    sample = backward_transform(G, unchecked, random.Random(0))
-    assert not sample.over_range and sample.retries == 0
 
 
 def test_rational_accept_path_respects_limit():
     rng = random.Random(77)
-    config = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, max_degree=3, s_max=3, coeff_limit=100)
+    config = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, max_degree=3, s_max=3)
+    limit = backward.COEFF_LIMIT
     for _ in range(30):
         G = sample_shape_basis(config, rng)
         sample = backward_transform(G, config, rng)
@@ -303,7 +308,7 @@ def test_rational_accept_path_respects_limit():
             continue
         for f in sample.F:
             for _, c in f.terms:
-                assert abs(c.numerator) <= 100 and c.denominator <= 100
+                assert abs(c.numerator) <= limit and c.denominator <= limit
 
 
 def test_transform_preserves_ideal():

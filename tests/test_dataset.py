@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import pathlib
 import pickle
 import random
 import re
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbgen import dataset, poly
+from gbgen import backward, dataset, poly, shapegen
 from gbgen import field as field_module
 from gbgen import (
     GenerationConfig,
@@ -35,6 +36,7 @@ from gbgen.dataset import (
     parse_prefix_tokens,
     profile_dataset,
     read_jsonl,
+    record_line,
     ring_for,
     sample_from_record,
     sample_to_record,
@@ -130,7 +132,7 @@ def test_nonlex_target_order():
 
 
 def test_config_round_trip_and_validation():
-    config = small_config(order="grlex", coeff_limit=None, s_max=7)
+    config = small_config(order="grlex", s_max=7)
     assert GenerationConfig.from_dict(config.to_dict()) == config
     assert json.loads(json.dumps(config.to_dict())) == config.to_dict()
     # meta.json lists the knobs in field order
@@ -145,39 +147,6 @@ def test_config_round_trip_and_validation():
     for bad in ({"s_max": 1}, {"max_degree": 0}, {"density": 1.5}, {"max_entry_degree": -1}, {"num_samples": -1}):
         with pytest.raises(ValueError):
             small_config(**bad)
-    # a numerator range holding only 0 made the rational sampler redraw forever,
-    # and a denominator range reaching 0 divided by zero mid-generation; meta.json
-    # is outside input, so from_dict must refuse them too
-    for name, value in (("num_range", (0, 0)), ("num_range", (3, 1)), ("den_range", (0, 0)),
-                        ("den_range", (0, 5)), ("den_range", (-3, -1)), ("den_range", (4, 2))):
-        with pytest.raises(ValueError, match=name):
-            small_config(field=RATIONALS, **{name: value})
-        d = small_config(field=RATIONALS).to_dict()
-        d[name] = list(value)
-        with pytest.raises(ValueError, match=name):
-            GenerationConfig.from_dict(d)
-    # bounds that are no integers built and failed only at the first rational
-    # draw, a limit below 1 rejected every draw, and a negative budget built
-    for name, value in (("num_range", (-5.5, 5)), ("den_range", (1.5, 2)), ("num_range", (True, 5)),
-                        ("num_range", (1, 2, 3)), ("coeff_limit", 0), ("coeff_limit", -4),
-                        ("coeff_limit", 2.5), ("coeff_limit", True), ("max_retries", -1),
-                        ("max_retries", 1.0)):
-        with pytest.raises(ValueError, match=name):
-            small_config(field=RATIONALS, **{name: value})
-        d = small_config(field=RATIONALS).to_dict()
-        d[name] = list(value) if isinstance(value, tuple) else value
-        with pytest.raises(ValueError, match=name):
-            GenerationConfig.from_dict(d)
-    # the term counts check their type with their value, in one message
-    for name in ("uni_max_terms", "entry_max_terms"):
-        for value in (0, 2.5, True, "3"):
-            message = f"^{name} must be an integer of at least 1, got {re.escape(repr(value))}$"
-            with pytest.raises(ValueError, match=message):
-                small_config(**{name: value})
-            d = small_config().to_dict()
-            d[name] = value
-            with pytest.raises(ValueError, match=message):
-                GenerationConfig.from_dict(d)
     # meta.json is outside input: a knob of the wrong type built and then failed
     # mid-generation, read a non-empty string as true, or raised a TypeError
     for name, value in (("drop_zeros", "no"), ("seed", "3"), ("seed", 1.5), ("max_degree", 2.5),
@@ -197,8 +166,6 @@ def test_config_round_trip_and_validation():
     for name in ("field", "nvars", "num_samples"):
         with pytest.raises(ValueError, match=f"^config is missing key '{name}'$"):
             GenerationConfig.from_dict({k: v for k, v in d.items() if k != name})
-    with pytest.raises(ValueError, match="^num_range 5 must be two integers$"):
-        GenerationConfig.from_dict({**d, "num_range": 5})
     # a config or a field that is no JSON object raised a TypeError
     with pytest.raises(ValueError, match="^config must be a JSON object, got int$"):
         GenerationConfig.from_dict(5)
@@ -206,9 +173,34 @@ def test_config_round_trip_and_validation():
         GenerationConfig.from_dict({**d, "field": 7})
     required = {k: d[k] for k in ("field", "nvars", "num_samples")}
     assert GenerationConfig.from_dict(required) == small_config(seed=0, verify_fraction=0.01)
-    # the tightest ranges that still hold a draw are accepted and generate
-    for num_range, den_range in (((0, 1), (1, 1)), ((-1, -1), (2, 2)), ((-1, 0), (1, 3))):
-        generate_sample(small_config(field=RATIONALS, num_range=num_range, den_range=den_range), 0)
+
+
+def test_older_meta_loads_and_regenerates_its_samples():
+    # tests/data/legacy_q.* is `generate --n 2 --field q --m 6 --seed 11` as
+    # written while the samplers' constants were config knobs, so its meta
+    # lists them; two of its samples redraw a transform past the coefficient limit
+    data = pathlib.Path(__file__).parent / "data"
+    older = json.loads((data / "legacy_q.meta.json").read_text())["config"]
+    config = GenerationConfig.from_dict(older)
+    lines = (data / "legacy_q.jsonl").read_text().splitlines()
+    assert len(lines) == config.num_samples == 6
+    for index, line in enumerate(lines):
+        assert record_line(generate_sample(config, index), config) == line
+    # a new meta.json no longer lists them, and an older one loads only at their values
+    retired = {k: v for k, v in older.items() if k not in config.to_dict()}
+    assert retired == {"uni_max_terms": shapegen.UNI_MAX_TERMS, "entry_max_terms": backward.ENTRY_MAX_TERMS,
+                       "num_range": list(shapegen.NUM_RANGE), "den_range": list(shapegen.DEN_RANGE),
+                       "coeff_limit": backward.COEFF_LIMIT, "max_retries": backward.MAX_RETRIES}
+    for name, value in (("coeff_limit", None), ("coeff_limit", 1000), ("max_retries", 50.0), ("max_retries", 0),
+                        ("num_range", [0, 0]), ("num_range", [-5.0, 5]), ("den_range", [1, 5, 6]),
+                        ("uni_max_terms", True), ("entry_max_terms", "2")):
+        message = f"^{name} must be {re.escape(repr(retired[name]))}, the samplers' constant, got "
+        with pytest.raises(ValueError, match=message + re.escape(repr(value)) + "$"):
+            GenerationConfig.from_dict({**older, name: value})
+    # nor are they knobs of a new config
+    for name, value in retired.items():
+        with pytest.raises(TypeError):
+            small_config(**{name: value})
 
 
 def test_config_builds_its_order_and_ring_once(tmp_path):

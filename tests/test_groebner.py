@@ -286,9 +286,9 @@ def test_timeout_bounds_each_reduction():
 def test_exponent_past_the_packed_limit_is_located():
     # in a generator, and in a product the completion forms: x0 - x1^10000
     # reduces the S-polynomial of the two to x1^20000 + 1.  Text past the
-    # limit does not parse, so the first generator is built by arithmetic.
+    # limit does not parse, so the first generator is built from a monomial.
     cases = [
-        ([R7.variable(0) ** 40000 - R7.variable(1), R7.parse("x1^2")], "exponent 40000 of x0"),
+        ([R7.monomial(1, (40000, 0)) - R7.variable(1), R7.parse("x1^2")], "exponent 40000 of x0"),
         ([R7.parse("x0 - x1^10000"), R7.parse("x0^2 + 1")], "exponent 20000 of x1"),
         ([RQ.parse("x0*x1 - x1^10000"), RQ.parse("x0^2 + 1")], "exponent 19999 of x1"),
     ]

@@ -6,7 +6,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from gbgen import GenerationConfig, RATIONALS, is_reduced_groebner, prime_field
-from gbgen.shapegen import sample_shape_basis, sample_univariate
+from gbgen.shapegen import DEN_RANGE, NUM_RANGE, UNI_MAX_TERMS, sample_shape_basis, sample_univariate
 
 
 def test_members_have_expected_shape():
@@ -51,15 +51,15 @@ def test_degree_of_last_member_is_uniform():
 
 def test_univariate_term_count_bounds():
     rng = random.Random(4)
-    config = GenerationConfig(field=prime_field(31), nvars=2, num_samples=0, max_degree=5, uni_max_terms=5)
+    config = GenerationConfig(field=prime_field(31), nvars=2, num_samples=0, max_degree=5)
     seen = Counter()
     for _ in range(600):
         h = sample_univariate(config, max_degree=5, monic=True, rng=rng)
         assert h.leading_coefficient == 1
         assert h.total_degree() == 5
-        assert 1 <= h.num_terms() <= 5
+        assert 1 <= h.num_terms() <= UNI_MAX_TERMS
         seen[h.num_terms()] += 1
-    assert set(seen) == {1, 2, 3, 4, 5}
+    assert set(seen) == set(range(1, UNI_MAX_TERMS + 1))
 
 
 def test_univariate_nonmonic_degree_cap():
@@ -73,13 +73,13 @@ def test_univariate_nonmonic_degree_cap():
 
 def test_rational_coefficients_within_ranges():
     rng = random.Random(6)
-    config = GenerationConfig(field=RATIONALS, nvars=3, num_samples=0, num_range=(-5, 5), den_range=(1, 5))
+    config = GenerationConfig(field=RATIONALS, nvars=3, num_samples=0)
     for _ in range(40):
         for g in sample_shape_basis(config, rng):
             for _, c in g.terms:
                 assert c != 0
-                assert abs(c.numerator) <= 5  # reduction never grows the numerator
-                assert 1 <= c.denominator <= 5
+                assert abs(c.numerator) <= max(map(abs, NUM_RANGE))  # reduction never grows the numerator
+                assert 1 <= c.denominator <= DEN_RANGE[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,14 +87,12 @@ def test_rational_coefficients_within_ranges():
     st.sampled_from([prime_field(7), prime_field(31), RATIONALS]),
     st.integers(1, 4),
     st.integers(0, 6),
-    st.integers(1, 6),
     st.booleans(),
     st.integers(0, 2**32),
 )
-def test_sampled_polynomials_are_canonical(assert_canonical, field, nvars, degree, max_terms, monic, seed):
+def test_sampled_polynomials_are_canonical(assert_canonical, field, nvars, degree, monic, seed):
     # the samplers build their polynomials without from_terms' checks
-    config = GenerationConfig(field=field, nvars=nvars, num_samples=0, max_degree=max(degree, 1),
-                              uni_max_terms=max_terms)
+    config = GenerationConfig(field=field, nvars=nvars, num_samples=0, max_degree=max(degree, 1))
     rng = random.Random(seed)
     for _ in range(10):
         assert_canonical(sample_univariate(config, max(degree, 1) if monic else degree, monic, rng))

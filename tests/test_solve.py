@@ -68,7 +68,9 @@ def test_roots_match_scan_on_random_polynomials():
             # products of repeated linear factors, an irreducible factor and a unit
             h = ring.monomial(rng.randrange(1, p), (0,))
             for _ in range(rng.randint(0, 5)):
-                h = h * (x - ring.monomial(rng.randrange(p), (0,))) ** rng.randint(1, 3)
+                factor = x - ring.monomial(rng.randrange(p), (0,))
+                for _ in range(rng.randint(1, 3)):
+                    h = h * factor
             if rng.random() < 0.5:
                 h = h * quad
             assert [r.value for r in univariate_roots_fp(h)] == scanned_roots(h)
