@@ -63,12 +63,16 @@ def _monomials_up_to(nvars: int, max_degree: int) -> tuple:
 def sample_entry(ring: PolyRing, config, rng: random.Random) -> Polynomial:
     """One nonzero matrix entry over ``ring``: total degree <= max_entry_degree, 1..ENTRY_MAX_TERMS terms.
 
+    The term count is drawn first and then capped at the number of
+    monomials in reach, so an entry of degree 0 is one constant.
+
     The draws are canonical as they stand (distinct monomials, nonzero
     coefficients in range, descending lex order), so the entry is built
     without ``from_terms``; ``_descending`` re-sorts for a non-lex ring.
     """
     count = rng.randint(1, ENTRY_MAX_TERMS)
-    terms = rng.sample(_monomials_up_to(ring.nvars, config.max_entry_degree), count)
+    monomials = _monomials_up_to(ring.nvars, config.max_entry_degree)
+    terms = rng.sample(monomials, min(count, len(monomials)))
     pairs = [(t, sample_nonzero_coeff(ring.field, rng)) for t in sorted(terms, reverse=True)]
     return Polynomial(ring, _descending(ring, pairs))
 

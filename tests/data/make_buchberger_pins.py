@@ -7,7 +7,9 @@ pinned:
 
 For each field and order it takes the first samples of a fixed config at
 n = 2 and n = 3 whose completion finishes within a second, and records the
-reduced basis and the counters of both pair updates.
+reduced basis and the counters of both pair updates: ``plain`` is the plain
+update under the normal strategy, and ``chain`` the Gebauer-Moller update
+under the sugar strategy.
 """
 
 import json

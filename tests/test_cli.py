@@ -68,6 +68,15 @@ def test_bad_jobs_are_rejected(tmp_path, capsys, jobs):
     assert not (tmp_path / "bad.jsonl").exists()
 
 
+@pytest.mark.parametrize("field, order", [("f7", "lex"), ("q", "lex"), ("f31", "grevlex")])
+def test_constant_transform_entries_generate_and_verify(tmp_path, capsys, field, order):
+    # at --d-prime 0 the constant is the one monomial an entry can draw
+    prefix = make_dataset(tmp_path, field=field, m="20", extra=("--d-prime", "0", "--order", order))
+    capsys.readouterr()
+    assert run_cli("verify", "--input", f"{prefix}.jsonl") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verified 20 samples: 20 ok, 0 failed"
+
+
 @pytest.mark.parametrize("field, n, order", [("f7", "3", "grevlex"), ("q", "2", "lex")])
 def test_sample_regenerates_from_meta_alone(tmp_path, field, n, order):
     make_dataset(tmp_path, field=field, n=n, m="6", seed="4", extra=("--order", order))
@@ -359,14 +368,14 @@ def test_verify_timeouts_are_named_and_match_across_jobs(tmp_path, capsys):
 def test_verify_jobs_bounds_each_reduction(tmp_path, capsys):
     # this sample's completion runs for over a minute
     config = GenerationConfig(field=gbgen.prime_field(7), nvars=5, num_samples=1000, seed=1, verify_fraction=0.0)
-    pair = dataset.generate_sample(config, 201)
+    pair = dataset.generate_sample(config, 703)
     path = tmp_path / "slow.jsonl"
     path.write_text(dataset.record_line(pair, config) + "\n")
     start = time.perf_counter()
     assert run_cli("verify", "--input", str(path), "--jobs", "2", "--timeout", "2") == 1
     assert time.perf_counter() - start < 5.0
     assert capsys.readouterr().out.splitlines() == [
-        f"TIMEOUT sample 201 (child_seed {pair.seed_used}): no basis within 2 s",
+        f"TIMEOUT sample 703 (child_seed {pair.seed_used}): no basis within 2 s",
         "verified 1 samples: 0 ok, 1 failed",
     ]
 

@@ -196,8 +196,10 @@ def test_determinism():
 
 
 def test_buchberger_matches_pinned_bases_and_counters():
-    # bases and counters of both updates, pinned by tests/data/make_buchberger_pins.py
-    # before the completion loop kept its members packed
+    # bases and counters of both updates, pinned by tests/data/make_buchberger_pins.py:
+    # the bases and the plain counters before the completion loop kept its
+    # members packed, the chain counters once the Gebauer-Moller update took
+    # the sugar strategy
     pins = json.loads((pathlib.Path(__file__).parent / "data" / "buchberger_pins.json").read_text())
     fields = {"f2": prime_field(2), "f7": prime_field(7), "f7919": prime_field(7919), "q": RATIONALS}
     seen = set()
@@ -273,14 +275,22 @@ def test_timeout_raises_with_stats():
 
 
 def test_timeout_bounds_each_reduction():
-    # GF(7) n=5 seed 1 sample 201: its completion runs for over a minute, and
+    # GF(7) n=5 seed 1 sample 703: its completion runs for over a minute, and
     # the cap must still hold within each reduction.  The spot-check coin
     # flip is drawn last, so verify_fraction leaves the pair as it is.
     config = GenerationConfig(field=prime_field(7), nvars=5, num_samples=1000, seed=1, verify_fraction=0.0)
-    pair = generate_sample(config, 201)
+    pair = generate_sample(config, 703)
     start = time.perf_counter()
     assert check_pair(pair, timeout=2.0) == "timeout"
     assert time.perf_counter() - start < 3.0
+
+
+def test_small_corpus_completes_within_the_cap():
+    # GF(7) n=3 seed 1: under the normal strategy 4 of the first 300 samples
+    # ran past a 5 s cap; under sugar each finishes in a fraction of a second
+    config = GenerationConfig(field=prime_field(7), nvars=3, num_samples=300, seed=1, verify_fraction=0.0)
+    for index in range(config.num_samples):
+        assert check_pair(generate_sample(config, index), timeout=5.0) == "ok", index
 
 
 def test_exponent_past_the_packed_limit_is_located():
