@@ -421,7 +421,9 @@ def _reduce(ring: PolyRing, work: dict, divisors, top_only: bool = False, deadli
     head coefficient and strips the content after each scaling.
 
     Returns (terms, scale): the remainder's terms are ``work``'s, after
-    division, over ``scale`` (1 over GF(p)), head first and descending.  With
+    division, over ``scale``, head first and descending.  ``scale`` is the
+    int 1 over GF(p); over Q it is an exact int until the first content is
+    stripped, and an exact Fraction from then on.  With
     ``top_only`` they are the first irreducible head and the rest of
     ``work`` unreduced, in no order; ``work`` is consumed either way.  Past
     ``deadline`` a head step raises TimeoutError, and a product with a
@@ -434,7 +436,7 @@ def _reduce(ring: PolyRing, work: dict, divisors, top_only: bool = False, deadli
     heapify(heap)
     get, pop = work.get, work.pop
     remainder: list[tuple[int, Coeff]] = []
-    scale = Fraction(1)
+    scale = 1
     while heap:
         t = heappop(heap) ^ flip
         c = pop(t)
@@ -482,7 +484,7 @@ def _reduce(ring: PolyRing, work: dict, divisors, top_only: bool = False, deadli
                 for k in work:
                     work[k] //= content
                 remainder = [(k, v // content) for k, v in remainder]
-                scale /= content
+                scale = Fraction(scale, content)
     return remainder, scale
 
 

@@ -6,12 +6,17 @@ through the x_i - g_i(t) members.  The roots are exact and take time
 polynomial in deg h and log p: gcd(h, x^p - x), computed by modular
 powering, keeps one linear factor per distinct root in GF(p), and
 equal-degree splitting separates them [Cantor & Zassenhaus 1981; Rabin
-1980].
+1980].  Every base powered is linear (x, and x + a in the split), so one
+routine raises x + a to a power modulo a monic m and folds the top terms
+back through m's head of 1 with no inverse.  A basis under a graded order
+is solved through its lex basis, which FGLM computes.
 """
 
 from dataclasses import dataclass
 
+from .fglm import fglm
 from .field import FieldElement
+from .orders import OrderKind, lex
 from .poly import Polynomial
 
 __all__ = ["SolutionSet", "ShapeError", "univariate_roots_fp", "solve_shape"]
@@ -42,18 +47,23 @@ def univariate_roots_fp(h: Polynomial) -> list[FieldElement]:
     if len(h.variables_used()) > 1:
         raise ValueError("expected a univariate polynomial")
     p = field.modulus
-    # dense coefficients, low degree first; every term is a power of one variable
+    # dense monic coefficients, low degree first; every term is a power of one variable
+    inv = pow(h.leading_coefficient, -1, p)
     coeffs = [0] * (h.total_degree() + 1)
     for term, c in h.terms:
-        coeffs[sum(term)] = c
-    if p == 2:
+        coeffs[sum(term)] = c * inv % p
+    if len(coeffs) == 1:
+        roots = []
+    elif len(coeffs) == 2:
+        roots = [-coeffs[0] % p]
+    elif p == 2:
         # h(0) is the constant term and h(1) the sum of the coefficients
         roots = [r for r, value in ((0, coeffs[0]), (1, sum(coeffs))) if not value % 2]
     else:
         # gcd(h, x^p - x) keeps one linear factor per distinct root in GF(p)
-        xp = _powmod([0, 1], p, coeffs, p) + [0, 0]
-        xp[1] -= 1
-        roots = _split_linear(_gcd(coeffs, _trim([c % p for c in xp]), p), p)
+        xp = _powlin(0, p, coeffs, p)
+        xp[1] = (xp[1] - 1) % p
+        roots = _split_linear(_gcd(coeffs, _trim(xp), p), p)
     return [FieldElement(field, r) for r in sorted(roots)]
 
 
@@ -81,22 +91,35 @@ def _divmod(a: list, b: list, p: int) -> tuple[list, list]:
     return _trim(q), _trim(r[:db])
 
 
-def _mulmod(a: list, b: list, m: list, p: int) -> list:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            prod[i + j] += ai * bj
-    return _divmod([c % p for c in prod], m, p)[1]
+def _powlin(a: int, e: int, m: list, p: int) -> list:
+    """(x + a)^e mod a monic m of degree d >= 1, as d coefficients in 0..p-1.
 
-
-def _powmod(base: list, e: int, m: list, p: int) -> list:
-    """base^e mod m, square-and-multiply from the top bit of e down."""
-    result = [1]
+    Square-and-multiply from the top bit of e down.  A square forms each
+    cross product once and doubles it; a step by x + a is a shift plus a
+    scaled add.  The terms of degree d and up then fold back through m from
+    the top, each taken mod p once, and the d left are taken mod p once.
+    """
+    d = len(m) - 1
+    low = m[:d]
+    r = [1]
     for bit in bin(e)[2:]:
-        result = _mulmod(result, result, m, p)
+        n = len(r)
+        s = [0] * (2 * n - 1)
+        for i, ri in enumerate(r):
+            s[2 * i] += ri * ri
+            twice = ri + ri
+            for j in range(i + 1, n):
+                s[i + j] += twice * r[j]
         if bit == "1":
-            result = _mulmod(result, base, m, p)
-    return result
+            s = [a * s[0], *[u + a * v for u, v in zip(s, s[1:])], s[-1]] if a else [0, *s]
+        for k in range(len(s) - 1 - d, -1, -1):
+            # x^(k+d) = -x^k * (m - x^d) modulo m
+            c = s.pop() % p
+            if c:
+                for j, mj in enumerate(low, k):
+                    s[j] -= c * mj
+        r = [c % p for c in s]
+    return r + [0] * (d - len(r))
 
 
 def _gcd(a: list, b: list, p: int) -> list:
@@ -124,7 +147,7 @@ def _split_linear(g: list, p: int) -> list[int]:
         if len(g) <= 2:
             continue
         while True:
-            w = _powmod([a % p, 1], (p - 1) // 2, g, p) or [0]
+            w = _powlin(a % p, (p - 1) // 2, g, p)
             w[0] = (w[0] - 1) % p
             f = _gcd(g, _trim(w), p)
             a += 1
@@ -138,8 +161,8 @@ def solve_shape(basis) -> SolutionSet:
     """Enumerate the variety of a shape-position basis over GF(p).
 
     Expects [x0 - g0(t), ..., x{n-2} - g{n-2}(t), h(t)] in any order, with t
-    the last variable.  Each returned point is checked against every basis
-    member before it is admitted.
+    the last variable, or a reduced basis of such an ideal under a graded
+    order.  Each returned point is checked against every given member.
     """
     members = [g for g in basis if g]
     if not members:
@@ -153,10 +176,12 @@ def solve_shape(basis) -> SolutionSet:
             raise ShapeError("basis members must share one ring")
     n = ring.nvars
     last = n - 1
+    converted = ring.order.kind is not OrderKind.LEX
+    shape = fglm(members, lex(n)) if converted else members
 
     univariate = None
     offsets: dict[int, Polynomial] = {}
-    for g in members:
+    for g in shape:
         used = g.variables_used()
         if used <= {last}:
             if univariate is not None:
@@ -166,13 +191,14 @@ def solve_shape(basis) -> SolutionSet:
         head, coeff = g.leading_term
         if sum(head) == 1 and head[last] == 0:
             i = head.index(1)
-            tail = g - ring.monomial(coeff, head)
+            # the terms are canonical, so dropping the head subtracts it
+            tail = Polynomial(g.ring, g.terms[1:])
             if tail and not tail.variables_used() <= {last}:
                 raise ShapeError(f"member for x{i} has a tail outside the last variable")
             if i in offsets:
                 raise ShapeError(f"two members lead with x{i}")
             # normalize to x_i - g_i: with monic head, tail moves across the sign
-            offsets[i] = -tail.scaled(field.inv(coeff)) if tail else ring.zero()
+            offsets[i] = tail.scaled(-field.inv(coeff))
             continue
         raise ShapeError(f"unexpected member {g}")
 
@@ -191,6 +217,8 @@ def solve_shape(basis) -> SolutionSet:
             coords[i] = offsets[i].evaluate(coords) if offsets[i] else field.zero()
         for g in members:
             if g.evaluate(coords):
+                if converted:
+                    raise ShapeError(f"the point {coords} of its lex basis fails {g}: not a Groebner basis")
                 raise RuntimeError(f"internal error: candidate {coords} fails {g}")
         points.append(tuple(FieldElement(field, v) for v in coords))
     return SolutionSet(points=points)

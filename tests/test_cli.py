@@ -615,6 +615,15 @@ def test_solve_large_prime_dataset(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("solved 5 samples, 0 failures\n")
 
 
+@pytest.mark.parametrize("order", ["grevlex", "grlex"])
+def test_solve_graded_dataset_through_its_lex_basis(tmp_path, capsys, order):
+    # most of these bases are not in shape form under their own order
+    prefix = make_dataset(tmp_path, field="f31", n="3", m="40", seed="4", extra=("--order", order))
+    assert run_cli("solve", "--input", f"{prefix}.jsonl") == 0
+    out = capsys.readouterr().out
+    assert out.endswith("solved 40 samples, 0 failures\n") and "cannot solve" not in out
+
+
 def test_solve_rejects_rational_dataset(tmp_path, capsys):
     prefix = make_dataset(tmp_path, name="q", field="q", m="3")
     assert run_cli("solve", "--input", f"{prefix}.jsonl") == 1

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from gbgen import GenerationConfig, RATIONALS, lex, prime_field, solve_shape
+from gbgen import GenerationConfig, RATIONALS, grevlex, grlex, lex, prime_field, solve_shape
 from gbgen.field import FieldElement
+from gbgen.fglm import fglm
 from gbgen.poly import PolyRing
 from gbgen.shapegen import sample_shape_basis
-from gbgen.solve import ShapeError, univariate_roots_fp
+from gbgen.solve import ShapeError, _powlin, univariate_roots_fp
 
 F7 = prime_field(7)
 R = PolyRing(F7, 2, lex(2))
@@ -87,6 +88,45 @@ def test_roots_at_a_large_prime():
     assert [r.value for r in univariate_roots_fp(h)] == sorted(roots)
 
 
+def test_roots_of_non_monic_linear_polynomial():
+    # 3r + 2 = 0 gives r = -2 * 3^-1 = -2 * 5 = 4 mod 7
+    assert [r.value for r in univariate_roots_fp(R.parse("3*x1 + 2"))] == [4]
+    assert [r.value for r in univariate_roots_fp(R.parse("6*x1"))] == [0]
+
+
+def test_roots_of_non_monic_polynomials_at_small_and_large_p():
+    r3 = PolyRing(prime_field(3), 1, lex(1))
+    for text in ("2*x0^2 + 2", "2*x0^3 + x0", "2*x0^4 + x0^3 + 2*x0 + 1", "2*x0^5 + 2*x0^2"):
+        h = r3.parse(text)
+        assert [r.value for r in univariate_roots_fp(h)] == scanned_roots(h)
+    p = 2**31 - 1
+    ring = PolyRing(prime_field(p), 1, lex(1))
+    roots = [3, 12345, p - 2]
+    h = ring.parse("987654321")
+    for r in roots:
+        h = h * ring.parse(f"x0 - {r}")
+    h = h * ring.parse("x0^2 + 1")  # irreducible, since p = 3 mod 4
+    assert h.leading_coefficient == 987654321
+    assert [r.value for r in univariate_roots_fp(h)] == sorted(roots)
+
+
+def test_linear_powering_matches_repeated_products():
+    rng = random.Random(29)
+    for p in (3, 7, 7919, 2**31 - 1):
+        for _ in range(40):
+            d = rng.randint(1, 6)
+            m = [rng.randrange(p) for _ in range(d)] + [1]
+            a, e = rng.randrange(p), rng.randrange(200)
+            # (x + a)^e mod m one factor at a time, reduced through m's monic head
+            want = [1] + [0] * (d - 1)
+            for _ in range(e):
+                up = [0] + want
+                up = [(u + a * v) % p for u, v in zip(up, want + [0])]
+                top = up.pop()
+                want = [(c - top * mj) % p for c, mj in zip(up, m)]
+            assert _powlin(a, e, m, p) == want, (p, m, a, e)
+
+
 def test_roots_input_validation():
     with pytest.raises(ValueError):
         univariate_roots_fp(R.zero())
@@ -107,6 +147,39 @@ def test_solve_accepts_any_member_order_and_scaling():
     basis = [R.parse("x1^2 - x1"), R.parse("2*x0 - 2*x1")]
     solution = solve_shape(basis)
     assert as_ints(solution) == [(0, 0), (1, 1)]
+
+
+def test_solve_non_monic_heads_and_bare_variables():
+    r3 = PolyRing(F7, 3, lex(3))
+    cases = [
+        [r3.parse("3*x0 - x2^2 + 1"), r3.parse("5*x1 + 2*x2"), r3.parse("x2^3 - x2")],
+        [r3.parse("x0"), r3.parse("4*x1"), r3.parse("x2^2 - 2")],  # x0 alone and x1 alone give 0
+        [r3.parse("6*x0"), r3.parse("x1 - 3"), r3.parse("2*x2 + 1")],
+    ]
+    for basis in cases:
+        assert sorted(as_ints(solve_shape(basis))) == brute_force_variety(basis)
+    assert as_ints(solve_shape(cases[1])) == [(0, 0, 3), (0, 0, 4)]
+
+
+def test_solve_graded_bases_through_their_lex_basis():
+    rng = random.Random(83)
+    for field in (F7, prime_field(31)):
+        config = GenerationConfig(field=field, nvars=3, num_samples=0, max_degree=4)
+        for _ in range(6):
+            G = sample_shape_basis(config, rng)
+            want = brute_force_variety(G)
+            for order in (grevlex(3), grlex(3)):
+                assert sorted(as_ints(solve_shape(fglm(G, order)))) == want
+
+
+def test_graded_basis_outside_shape_position_is_refused():
+    # the lex basis of <x0^2 - 1, x1^2 - 1> leads with x0^2, so it has no shape form
+    ring = PolyRing(F7, 2, grevlex(2))
+    with pytest.raises(ShapeError):
+        solve_shape([ring.parse("x0^2 - 1"), ring.parse("x1^2 - 1")])
+    # not a Groebner basis: its conversion has points that fail x1^3 - 1
+    with pytest.raises(ShapeError, match="not a Groebner basis"):
+        solve_shape([ring.parse("x0 - x1^2"), ring.parse("x1^3 - 1"), ring.parse("x0^2 - 2")])
 
 
 def test_solve_empty_variety():
