@@ -26,7 +26,7 @@ from .groebner import GroebnerTimeout, buchberger, is_reduced_groebner
 from .orders import (
     EXPONENT_LIMIT, ExponentLimitError, OrderKind, TermOrder, _overflow, lex, order_by_name, within_limit,
 )
-from .poly import _MONOMIAL_CACHE_SIZE, Polynomial, PolyRing, _canonical, _render, _shared_ring
+from .poly import _MONOMIAL_CACHE_SIZE, Polynomial, PolyRing, _canonical, _layout_exponents, _render, _shared_ring
 from .shapegen import DEN_RANGE, NUM_RANGE, UNI_MAX_TERMS, sample_shape_basis
 
 __all__ = [
@@ -399,21 +399,14 @@ _RATIONAL_PARTS_RE = re.compile(r"([+-]) \* N([0-9]+) D([0-9]+)((?: \^ x[0-9]+ E
 def _power_exponents(powers: str, nvars: int, graded: bool):
     """The exponent tuple of a term's power triples: `` ^ x0 E2 ^ x1 E1`` gives (2, 1).
 
-    The inverse of the tokens of :func:`gbgen.poly._monomial_forms`; the
-    exponents of a repeated variable add up.  None for a variable out of
-    range and for an exponent past EXPONENT_LIMIT, or with ``graded`` a total
-    degree past it, which no packed monomial holds.
+    The triples are read as the monomial text they spell, ``x0^2*x1^1``, by
+    :func:`gbgen.poly._layout_exponents`, which holds the range and packed
+    limit checks of both readers: None for a variable out of range and for
+    an exponent past EXPONENT_LIMIT, or with ``graded`` a total degree past it.
     """
-    exps = [0] * nvars
-    for triple in powers.split(" ^ x")[1:]:
-        var, _, e = triple.partition(" E")
-        i = int(var)
-        if i >= nvars:
-            return None
-        exps[i] += int(e)
-    if not within_limit(exps, graded):
-        return None
-    return tuple(exps)
+    if not powers:
+        return (0,) * nvars
+    return _layout_exponents(powers[3:].replace(" E", "^").replace(" ^ ", "*"), nvars, graded)
 
 
 def _member_terms(member: str, ring: PolyRing) -> list | None:

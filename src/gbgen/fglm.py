@@ -19,7 +19,7 @@ from .poly import Polynomial, _combination, normal_form
 
 __all__ = ["QuotientBasis", "DimensionError", "quotient_basis", "fglm"]
 
-DEFAULT_DIMENSION_CAP = 10_000
+DIMENSION_CAP = 10_000  # standard monomials past which quotient_basis and fglm raise
 
 
 class DimensionError(ValueError):
@@ -37,18 +37,18 @@ class QuotientBasis:
         return len(self.monomials)
 
 
-def quotient_basis(basis, cap: int = DEFAULT_DIMENSION_CAP) -> QuotientBasis:
+def quotient_basis(basis) -> QuotientBasis:
     """Enumerate monomials not divisible by any leading term of ``basis``.
 
     Breadth-first from 1: the standard monomials form an order ideal under
     divisibility, so multiplying known members by single variables reaches
-    all of them.  Raises DimensionError past ``cap`` members, which is the
-    signature of a non-zero-dimensional input.
+    all of them.  Raises DimensionError past ``DIMENSION_CAP`` members,
+    which is the signature of a non-zero-dimensional input.
     """
     gens = [g for g in basis if g]
     if not gens:
         raise ValueError("need at least one nonzero polynomial")
-    standard = _staircase(gens, cap)
+    standard = _staircase(gens, DIMENSION_CAP)
     standard.sort(key=gens[0].ring.order.key)
     return QuotientBasis(standard)
 
@@ -80,13 +80,14 @@ def _staircase(gens, cap: int) -> list[Term]:
     return standard
 
 
-def fglm(basis, target: TermOrder, cap: int = DEFAULT_DIMENSION_CAP) -> list:
+def fglm(basis, target: TermOrder) -> list:
     """Convert a reduced zero-dimensional basis to ``target`` order.
 
     Returns the reduced Groebner basis of the same ideal under ``target``,
     sorted ascending by leading term.  The input is assumed reduced; a
     non-zero-dimensional input raises DimensionError via the staircase
-    enumeration.
+    enumeration, before the walk, once it passes ``DIMENSION_CAP``
+    standard monomials.
     """
     gens = [g for g in basis if g]
     if not gens:
@@ -103,7 +104,7 @@ def fglm(basis, target: TermOrder, cap: int = DEFAULT_DIMENSION_CAP) -> list:
         return out
 
     # raises past the cap; the walk keeps one row per standard monomial, so it ends
-    _staircase(gens, cap)
+    _staircase(gens, DIMENSION_CAP)
     target_ring = source_ring.with_order(target)
     field = source_ring.field
     one = field.one()

@@ -72,14 +72,6 @@ class PolyRing:
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, ((exps, self.field.one()),))
 
-    def monomial(self, coeff, term: Term) -> "Polynomial":
-        c = self.field.canon(coeff)
-        if not c:
-            return self.zero()
-        if len(term) != self.nvars or any(e < 0 for e in term):
-            raise ValueError(f"bad exponent vector {term!r}")
-        return Polynomial(self, ((tuple(term), c),))
-
     def from_terms(self, pairs) -> "Polynomial":
         """Build a polynomial from (term, coefficient) pairs in any order.
 
@@ -306,14 +298,6 @@ class Polynomial:
         mul = field.mul
         return Polynomial(self.ring, tuple((t, mul(x, c)) for t, x in self.terms))
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            raise ValueError("cannot normalize the zero polynomial")
-        lc = self.leading_coefficient
-        if lc == self.ring.field.one():
-            return self
-        return self.scaled(self.ring.field.inv(lc))
-
     def resorted(self, order: TermOrder) -> "Polynomial":
         """The same polynomial viewed in the ring with ``order``."""
         ring = self.ring.with_order(order)
@@ -325,24 +309,16 @@ class Polynomial:
         values = list(point)
         if len(values) != self.ring.nvars:
             raise ValueError(f"expected {self.ring.nvars} coordinates, got {len(values)}")
+        # pow(x, e, None) is x**e, so both fields share the loop; over GF(p)
+        # the powers come back reduced and the sum is reduced once at the end
         p = field.modulus
-        if p is not None:
-            # one reduction per factor, and the sum reduced once at the end
-            total = 0
-            for t, c in self.terms:
-                for x, e in zip(values, t):
-                    if e:
-                        c = c * pow(x, e, p) % p
-                total += c
-            return total % p
         total = field.zero()
         for t, c in self.terms:
-            v = c
             for x, e in zip(values, t):
                 if e:
-                    v = field.mul(v, field.pow(x, e))
-            total = field.add(total, v)
-        return total
+                    c *= pow(x, e, p)
+            total += c
+        return total if p is None else total % p
 
     # -- comparisons and hashing ----------------------------------------
 

@@ -725,6 +725,9 @@ def test_token_exponent_past_the_packed_limit_is_located():
         (r7, ["+", "*", "C1", "^", "x0", "E20000"], 4, "exponent 20000 of x0"),
         (r7, ["+", "*", "C1", "^", "x1", "E9000", "^", "x1", "E9000"], 7, "exponent 18000 of x1"),
         (g7, ["+", "*", "C1", "^", "x0", "E9000", "^", "x1", "E9000"], 7, "total degree 18000"),
+        # one past the limit, in a repeated variable and in the total degree
+        (r7, ["+", "*", "C1", "^", "x1", "E8000", "^", "x1", "E8384"], 7, "exponent 16384 of x1"),
+        (g7, ["+", "*", "C1", "^", "x0", "E8000", "^", "x1", "E8384"], 7, "total degree 16384"),
     ]
     for ring, tokens, pos, named in cases:
         with pytest.raises(TokenError) as exc:
@@ -733,6 +736,10 @@ def test_token_exponent_past_the_packed_limit_is_located():
         assert (exc.value.pos, str(exc.value)) == (pos, message)
     tokens = ["+", "*", "C1", "^", "x0", "E16383", "^", "x1", "E16383"]
     assert parse_prefix_tokens(tokens, r7) == [r7.parse("x0^16383*x1^16383")]
+    tokens = ["+", "*", "C1", "^", "x1", "E8000", "^", "x1", "E8383"]
+    assert parse_prefix_tokens(tokens, r7) == [r7.parse("x1^16383")]
+    tokens = ["+", "*", "C1", "^", "x0", "E8000", "^", "x1", "E8383"]
+    assert parse_prefix_tokens(tokens, g7) == [g7.parse("x0^8000*x1^8383")]
 
 
 # -- JSONL and sidecars -------------------------------------------------------

@@ -39,9 +39,10 @@ def test_quotient_basis_unit_ideal():
     assert quotient_basis([RQ.one()]).dimension == 0
 
 
-def test_quotient_basis_positive_dimension_raises():
+def test_quotient_basis_positive_dimension_raises(monkeypatch):
+    monkeypatch.setattr("gbgen.fglm.DIMENSION_CAP", 50)
     with pytest.raises(DimensionError):
-        quotient_basis([RQ.parse("x0 - x1")], cap=50)
+        quotient_basis([RQ.parse("x0 - x1")])
 
 
 def test_identity_conversion():
@@ -98,11 +99,13 @@ def test_unit_ideal_converts_to_one():
         assert fglm([R7.one()], target) == [R7.with_order(target).one()]
 
 
-def test_cap_bounds_the_staircase():
+def test_cap_bounds_the_staircase(monkeypatch):
     G = [R7.parse("x0 - 3*x1"), R7.parse("x1^3")]
-    assert fglm(fglm(G, grevlex(2), cap=3), lex(2)) == canon(G)
+    monkeypatch.setattr("gbgen.fglm.DIMENSION_CAP", 3)
+    assert fglm(fglm(G, grevlex(2)), lex(2)) == canon(G)
+    monkeypatch.setattr("gbgen.fglm.DIMENSION_CAP", 2)
     with pytest.raises(DimensionError):
-        fglm(G, grevlex(2), cap=2)
+        fglm(G, grevlex(2))
 
 
 @pytest.mark.parametrize("nvars, gens", [

@@ -24,7 +24,7 @@ def test_members_have_expected_shape():
             head, coeff = g.leading_term
             assert head == tuple(1 if k == i else 0 for k in range(4))
             assert coeff == 1
-            tail = g - g.ring.monomial(1, head)
+            tail = g - g.ring.from_terms([(head, 1)])
             if tail:
                 assert tail.variables_used() <= {3}
                 assert tail.total_degree() < deg_h

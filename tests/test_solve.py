@@ -67,9 +67,9 @@ def test_roots_match_scan_on_random_polynomials():
             if h:
                 assert [r.value for r in univariate_roots_fp(h)] == scanned_roots(h)
             # products of repeated linear factors, an irreducible factor and a unit
-            h = ring.monomial(rng.randrange(1, p), (0,))
+            h = ring.from_terms([((0,), rng.randrange(1, p))])
             for _ in range(rng.randint(0, 5)):
-                factor = x - ring.monomial(rng.randrange(p), (0,))
+                factor = x - ring.from_terms([((0,), rng.randrange(p))])
                 for _ in range(rng.randint(1, 3)):
                     h = h * factor
             if rng.random() < 0.5:
