@@ -23,9 +23,12 @@ sugar none takes a fifth of a second.
 
 Members stay packed (see :func:`gbgen.poly._reduce`) for the whole
 completion: each S-polynomial goes straight into the division kernel's
-dict, and only each member's head, for the pair update, and the reduced
-basis are unpacked.  A completion's timeout is one deadline, checked at
-every head step of every reduction.  The returned basis is always fully
+dict, and only the reduced basis is unpacked.  The pair update works on the
+packed heads too (see :class:`gbgen.orders.Packing`): a divisibility test is
+a subtraction and a mask, an lcm a few masks, two heads are coprime when
+their lcm is their product, and a queued pair keeps its lcm only as the
+order key it is sorted by.  A completion's timeout is one deadline, checked
+at every head step of every reduction.  The returned basis is always fully
 interreduced, monic and sorted ascending by leading term, so two runs over
 the same ideal agree member for member.
 """
@@ -37,7 +40,7 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd
 
-from .orders import term_divides, term_lcm, total_degree
+from .orders import term_divides
 from .poly import Polynomial, _member, _packed, _reduce
 
 __all__ = [
@@ -84,11 +87,6 @@ class GroebnerTimeout(Exception):
         self.stats = stats
 
 
-def _coprime(s, t) -> bool:
-    """Whether two monomials share no variable; then S(f, g) reduces to zero [Buchberger 1979]."""
-    return not any(map(min, s, t))
-
-
 def buchberger(polys, timeout: float | None = None, chain_criterion: bool = False) -> GroebnerResult:
     """Complete ``polys`` to the reduced Groebner basis of the ideal they generate.
 
@@ -129,23 +127,26 @@ def _s_pair_remainders(gens, basis, live, update, stats, deadline=None):
 
     Every member stays a packed form (see :func:`gbgen.poly._member`) for the
     whole loop: ``gens`` and every nonzero remainder join ``basis`` so, and
-    ``update`` forms their pairs from their heads, unpacked once each, and
-    keeps ``live``.  A remainder is yielded as its form, or None for zero.
-    Past ``deadline``, raise TimeoutError.
+    ``update`` forms their pairs from their packed heads and keeps ``live``.
+    A remainder is yielded as its form, or None for zero.  Past
+    ``deadline``, raise TimeoutError.
     """
     ring = gens[0].ring
     packing = ring.order.packing
-    low, guard, mod = packing.low, packing.guard, ring.field.modulus
+    low, guard, mod, degree = packing.low, packing.guard, ring.field.modulus, packing.degree
     heads: list = []
-    sugars: list = []  # a generator's total degree, a remainder its pair's selection degree
-    queue: list = []  # (selection degree, packed key of lcm, i, j, lcm)
+    # a member's sugar less its head's degree: a generator's sugar is its
+    # total degree, a remainder's its pair's selection degree
+    lifts: list = []
+    queue: list = []  # (selection degree, packed key of lcm, i, j)
     for f in gens:
-        basis.append(_packed(f))
-        heads.append(f.leading_monomial)
-        sugars.append(f.total_degree())
-        update(queue, heads, sugars, live, packing, stats)
+        member = _packed(f)
+        basis.append(member)
+        heads.append(member[0])
+        lifts.append(f.total_degree() - degree(member[0]))
+        update(queue, heads, lifts, live, packing, stats)
     while queue:
-        sugar, key, i, j, _ = heapq.heappop(queue)
+        sugar, key, i, j = heapq.heappop(queue)
         # S(f, g) with both heads lifted to their lcm: over GF(p) each side
         # times its inverse lead, over Q fraction-free, each side times the
         # other's lead; only the tails are formed, as the heads cancel
@@ -173,33 +174,34 @@ def _s_pair_remainders(gens, basis, live, update, stats, deadline=None):
         if terms:
             remainder = _member(terms, mod)
             basis.append(remainder)
-            heads.append(packing.unpack(remainder[0]))
-            sugars.append(sugar)
+            heads.append(remainder[0])
+            lifts.append(sugar - degree(remainder[0]))
             stats.basis_additions += 1
-            update(queue, heads, sugars, live, packing, stats)
+            update(queue, heads, lifts, live, packing, stats)
         else:
             remainder = None
             stats.zero_reductions += 1
         yield remainder
 
 
-def _pair_all(queue, heads, sugars, live, packing, stats):
+def _pair_all(queue, heads, lifts, live, packing, stats):
     """The plain update: pair the newest member with every earlier one whose head shares a variable with it.
 
-    Pairs are selected by the total degree of their lcm (the normal strategy); ``sugars`` is not read.
+    Pairs are selected by the total degree of their lcm (the normal strategy); ``lifts`` is not read.
     """
     k = len(heads) - 1
     h = heads[k]
+    lcm_of, degree, key = packing.lcm, packing.degree, packing.key
     for g in live:
-        if _coprime(heads[g], h):
+        lcm = lcm_of(heads[g], h)
+        if lcm == heads[g] + h:  # coprime heads
             stats.pairs_skipped += 1
             continue
-        lcm = term_lcm(heads[g], h)
-        heapq.heappush(queue, (total_degree(lcm), packing.key(lcm), g, k, lcm))
+        heapq.heappush(queue, (degree(lcm), key(lcm), g, k))
     live.append(k)
 
 
-def _gebauer_moller(queue, heads, sugars, live, packing, stats):
+def _gebauer_moller(queue, heads, lifts, live, packing, stats):
     """The Gebauer-Moller update for the newest member [Gebauer & Moller 1988].
 
     With h the new head: a queued pair whose lcm h divides is dropped unless
@@ -207,38 +209,37 @@ def _gebauer_moller(queue, heads, sugars, live, packing, stats):
     new pairs (g, h), one is kept for each lcm that no other new lcm divides
     (criterion M, with one pair kept for each equal lcm), then those with
     coprime heads are dropped too.  Members whose head h divides stop
-    forming pairs.  A new pair's sugar is the larger of ``sugars[g]`` and
-    ``sugars[k]``, each lifted by the degree its head is multiplied by to
-    reach the lcm.
+    forming pairs.  A new pair's sugar is the larger of its members'
+    ``lifts`` plus the degree of its lcm: each member's sugar lifted by the
+    degree its head is multiplied by to reach the lcm.
     """
     k = len(heads) - 1
     h = heads[k]
+    low, guard, lcm_of = packing.low, packing.guard, packing.lcm
     kept = [
         e for e in queue
-        if not term_divides(h, e[4]) or term_lcm(heads[e[2]], h) == e[4] or term_lcm(heads[e[3]], h) == e[4]
+        if ((lcm := e[1] ^ low) - h) & guard or lcm_of(heads[e[2]], h) == lcm or lcm_of(heads[e[3]], h) == lcm
     ]
     if len(kept) < len(queue):
         stats.pairs_skipped += len(queue) - len(kept)
         queue[:] = kept
         heapq.heapify(queue)
-    new = [(term_lcm(heads[g], h), g) for g in live]
+    new = [(lcm_of(heads[g], h), g) for g in live]
     chosen: list = []
     for idx, (lcm, g) in enumerate(new):
+        coprime = lcm == heads[g] + h
         # a coprime pair stays here so that it can drop its multiples
-        if _coprime(heads[g], h) or not any(
-            term_divides(other, lcm) for other, _ in itertools.chain(new[idx + 1 :], chosen)
-        ):
-            chosen.append((lcm, g))
+        if coprime or all((lcm - other[0]) & guard for other in itertools.chain(new[idx + 1 :], chosen)):
+            chosen.append((lcm, g, coprime))
     pushed = 0
-    lift = sugars[k] - total_degree(h)
-    for lcm, g in chosen:
-        if not _coprime(heads[g], h):
-            sugar = max(sugars[g] - total_degree(heads[g]), lift) + total_degree(lcm)
-            heapq.heappush(queue, (sugar, packing.key(lcm), g, k, lcm))
+    degree, key, lift = packing.degree, packing.key, lifts[k]
+    for lcm, g, coprime in chosen:
+        if not coprime:
+            heapq.heappush(queue, (max(lifts[g], lift) + degree(lcm), key(lcm), g, k))
             pushed += 1
     stats.pairs_skipped += len(new) - pushed
     before = len(live)
-    live[:] = [g for g in live if not term_divides(h, heads[g])]
+    live[:] = [g for g in live if (heads[g] - h) & guard]
     stats.redundant_members += before - len(live)
     live.append(k)
 

@@ -4,15 +4,16 @@ A term is a plain tuple of non-negative ints, one exponent per variable.
 Variable 0 is the most significant under lex, so x0 > x1 > ... > x{n-1}.
 Orders are encoded as sort keys: a term precedes another exactly when its
 key tuple is smaller, which keeps comparison allocation-light and lets
-``sorted`` do the heavy lifting.  The division kernel works on packed
-monomials instead: each order lays a term out as one int (see
-:class:`Packing`), on which a product is one addition, a divisibility test
-one subtraction and a mask, and the order one comparison of ints.
+``sorted`` do the heavy lifting.  The division kernel and the completion's
+pair update work on packed monomials instead: each order lays a term out as
+one int (see :class:`Packing`), on which a product is one addition, a
+divisibility test one subtraction and a mask, an lcm a few masks, and the
+order one comparison of ints.
 """
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import eq, ge, gt, itemgetter, le, lt, mul, neg
 
 Term = tuple[int, ...]
@@ -24,6 +25,12 @@ Term = tuple[int, ...]
 # machine digit of a Python int.
 FIELD_BITS = 15
 EXPONENT_LIMIT = (1 << FIELD_BITS - 1) - 1
+FIELD_MASK = (1 << FIELD_BITS) - 1
+
+# Distinct monomials each monomial cache keeps.  A dataset only meets the
+# monomials under its degree bound (364 at n=3 and total degree 11, 4368 at
+# n=5), so the bound caps what unusual inputs can hold, not a normal run.
+_MONOMIAL_CACHE_SIZE = 1 << 14
 
 
 class ExponentLimitError(ValueError):
@@ -38,14 +45,6 @@ def within_limit(t: Term, graded: bool) -> bool:
 def term_divides(a: Term, b: Term) -> bool:
     """True when the monomial with exponents ``a`` divides the one with ``b``."""
     return all(map(le, a, b))
-
-
-def term_lcm(a: Term, b: Term) -> Term:
-    return tuple(map(max, a, b))
-
-
-def total_degree(t: Term) -> int:
-    return sum(t)
 
 
 class OrderKind(enum.Enum):
@@ -87,8 +86,12 @@ class Packing:
     like the term; under grevlex ``v ^ low`` does, ``low`` being the value
     bits of the exponent fields.  ``flip`` is ``~low``: ``v ^ flip`` turns the
     order around, the key a min-heap needs to give the largest term first.
-    Packed values add as the monomials multiply, and ``a`` divides ``b``
-    exactly when ``(b - a) & guard`` is 0.
+    Packed values add as the monomials multiply, ``a`` divides ``b``
+    exactly when ``(b - a) & guard`` is 0, and two monomials are coprime
+    exactly when their :meth:`lcm` is their product.  ``pack`` and
+    ``unpack`` are memoised, one bounded memo per packing and direction: a
+    hit costs a hash where packing a term costs a limit check and a weighted
+    sum, and a call that raised is never stored.
     """
 
     graded: bool
@@ -96,6 +99,7 @@ class Packing:
     guard: int
     weights: tuple[int, ...]  # the packed value of each variable
     shifts: tuple[int, ...]  # the bit position of each variable's field
+    top: int  # the bit position of the degree field, the one above every exponent field
 
     @staticmethod
     def of(kind: "OrderKind", n: int) -> "Packing":
@@ -106,7 +110,15 @@ class Packing:
         low = sum(EXPONENT_LIMIT << s for s in shifts) if grevlex else 0
         guard = sum(1 << w * i + w - 1 for i in range(n + graded))
         degree = 1 << w * n if graded else 0
-        return Packing(graded, low, guard, tuple(degree + (1 << s) for s in shifts), shifts)
+        return Packing(graded, low, guard, tuple(degree + (1 << s) for s in shifts), shifts, w * n)
+
+    def __post_init__(self):
+        for name in ("pack", "unpack"):
+            object.__setattr__(self, name, lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)(getattr(self, name)))
+
+    def __reduce__(self):
+        # the memos hold bound methods, which do not pickle; a copy builds its own
+        return Packing, (self.graded, self.low, self.guard, self.weights, self.shifts, self.top)
 
     @property
     def flip(self) -> int:
@@ -118,17 +130,48 @@ class Packing:
             raise _overflow(t)
         return sum(map(mul, t, self.weights))
 
-    def key(self, t: Term) -> int:
-        """An int that orders terms as the order's sort key does."""
-        return self.pack(t) ^ self.low
-
     def unpack(self, v: int) -> Term:
         return tuple([v >> s & EXPONENT_LIMIT for s in self.shifts])
 
+    def key(self, v: int) -> int:
+        """An int that orders packed values as the order's sort key orders their terms.
+
+        An ExponentLimitError for a ``v`` with a guard bit set, such as a
+        graded :meth:`lcm` past the limit.
+        """
+        if v & self.guard:
+            raise self.overflow(v)
+        return v ^ self.low
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of packed ``a`` and ``b``: each exponent field the larger of the two.
+
+        Under a graded order the degree field is the exponents' sum, which
+        can pass EXPONENT_LIMIT and set that field's guard bit.  The sum is
+        at most the two degrees', so it still fits the field, and
+        divisibility and equality tests stay exact between lcms with one
+        member in common: their degrees differ by at most EXPONENT_LIMIT.
+        """
+        guard = self.guard
+        # a field of (a | guard) - b keeps its guard bit exactly where a's
+        # field is at least b's, and m sets the value bits of those fields
+        t = ((a | guard) - b) & guard
+        m = t - (t >> FIELD_BITS - 1)
+        v = (a & m) | (b & ~m)
+        if self.graded:
+            # 2^FIELD_BITS is 1 modulo FIELD_MASK, so the exponent fields
+            # sum to their packed value modulo it, and the sum is below it
+            v &= (1 << self.top) - 1
+            v |= v % FIELD_MASK << self.top
+        return v
+
+    def degree(self, v: int) -> int:
+        """The total degree of packed ``v``: its degree field under a graded order, else its fields' sum."""
+        return v >> self.top if self.graded else sum(self.unpack(v))
+
     def overflow(self, v: int) -> ExponentLimitError:
-        """The error for a sum of packed values that set a guard bit of ``v``."""
-        mask = (1 << FIELD_BITS) - 1
-        return _overflow(tuple([v >> s & mask for s in self.shifts]))
+        """The error for a packed value with a guard bit set, such as a sum that overflowed a field."""
+        return _overflow(tuple([v >> s & FIELD_MASK for s in self.shifts]))
 
 
 def _overflow(t: Term) -> ExponentLimitError:

@@ -18,7 +18,7 @@ from operator import add
 from time import perf_counter
 
 from .field import Coeff, FieldSpec
-from .orders import Term, TermOrder, _overflow, within_limit
+from .orders import _MONOMIAL_CACHE_SIZE, Term, TermOrder, _overflow, within_limit
 
 __all__ = [
     "PolyRing",
@@ -163,12 +163,6 @@ def _canonical(ring: PolyRing, terms: list) -> tuple:
     if all(coeffs) and ring.order.strictly_descending(exps):
         return tuple(terms)
     return _combination(ring, [(1, None, terms)])
-
-
-# Distinct monomials each monomial cache keeps.  A dataset only meets the
-# monomials under its degree bound (364 at n=3 and total degree 11, 4368 at
-# n=5), so the bound caps what unusual inputs can hold, not a normal run.
-_MONOMIAL_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)

@@ -23,7 +23,7 @@ from gbgen.dataset import GenerationConfig, SamplePair, generate_sample
 from gbgen.fglm import fglm
 from gbgen.groebner import _interreduced, _unpacked
 from gbgen.poly import Polynomial, PolyRing, _packed, normal_form
-from gbgen.orders import term_divides, term_lcm
+from gbgen.orders import term_divides
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
@@ -32,6 +32,11 @@ RQ = PolyRing(RATIONALS, 2, lex(2))
 def term_div(a, b):
     """Componentwise difference a - b of two exponent vectors, b dividing a."""
     return tuple(x - y for x, y in zip(a, b))
+
+
+def term_lcm(a, b):
+    """Exponent vector of the lcm of two monomials."""
+    return tuple(map(max, a, b))
 
 
 def s_polynomial(f, g):
@@ -307,6 +312,21 @@ def test_exponent_past_the_packed_limit_is_located():
             with pytest.raises(ValueError) as exc:
                 buchberger(F, chain_criterion=chain)
             assert str(exc.value) == f"{named} is past the limit 16383 of a packed monomial", (F, chain)
+
+
+def test_graded_lcm_past_the_limit_raises_only_when_queued():
+    # under grevlex a packed monomial holds its total degree too: the lcm of
+    # two heads of degree 9001 has degree 18000, which only a queued pair
+    # needs as a key.  Coprime heads form no pair, so their lcm of degree
+    # 18000 raises nothing.
+    ring = PolyRing(prime_field(7), 2, grevlex(2))
+    overlapping = [ring.parse("x0^9000*x1 + 1"), ring.parse("x0*x1^9000 + 1")]
+    coprime = [ring.parse("x0^9000 + 1"), ring.parse("x1^9000 + 1")]
+    for chain in (False, True):
+        with pytest.raises(ValueError) as exc:
+            buchberger(overlapping, chain_criterion=chain)
+        assert str(exc.value) == "total degree 18000 is past the limit 16383 of a packed monomial", chain
+        assert [str(g) for g in buchberger(coprime, chain_criterion=chain).basis] == ["x1^9000 + 1", "x0^9000 + 1"]
 
 
 def test_check_pair_on_known_pairs(known_pairs):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbgen import grevlex, grlex, lex
-from gbgen.orders import order_by_name
-from gbgen.orders import term_divides, term_lcm, total_degree
+from gbgen.orders import EXPONENT_LIMIT, ExponentLimitError, order_by_name
+from gbgen.orders import term_divides
 
 
 def term_div(a, b):
@@ -19,6 +19,20 @@ def term_div(a, b):
 def term_mul(a, b):
     """Exponent vector of the product of two monomials."""
     return tuple(x + y for x, y in zip(a, b))
+
+
+def term_lcm(a, b):
+    """Exponent vector of the lcm of two monomials."""
+    return tuple(map(max, a, b))
+
+
+def total_degree(t):
+    return sum(t)
+
+
+def coprime(a, b):
+    """Whether two monomials share no variable."""
+    return not any(map(min, a, b))
 
 
 def cmp(order, a, b):
@@ -166,7 +180,51 @@ def test_packed_monomials_follow_their_terms(make, arity, data):
     a, b = data.draw(terms), data.draw(terms)
     pa, pb = packing.pack(a), packing.pack(b)
     assert packing.unpack(pa) == a and packing.unpack(pa + pb) == term_mul(a, b)
-    assert cmp(order, a, b) == (packing.key(a) > packing.key(b)) - (packing.key(a) < packing.key(b))
+    assert cmp(order, a, b) == (packing.key(pa) > packing.key(pb)) - (packing.key(pa) < packing.key(pb))
     assert ((pa ^ packing.flip) < (pb ^ packing.flip)) == (cmp(order, a, b) == 1)
     assert (not (pb - pa) & packing.guard) == term_divides(a, b)
     assert (not (pa - pb) & packing.guard) == term_divides(b, a)
+
+
+def draw_term(rng, arity, graded):
+    """Exponents with fields at 0, at EXPONENT_LIMIT and between; with ``graded`` the degree is at most the limit too."""
+    exps, budget = [0] * arity, EXPONENT_LIMIT
+    for i in rng.sample(range(arity), arity):
+        exps[i] = rng.choice((0, budget, rng.randint(0, budget), rng.randint(0, min(5, budget))))
+        if graded:
+            budget -= exps[i]
+    return tuple(exps)
+
+
+@pytest.mark.parametrize("make", (lex, grlex, grevlex))
+def test_packed_pair_helpers_follow_their_terms(make):
+    # the completion's pair update works on packed heads: lcm, coprimality,
+    # divisibility and degree against the exponent tuples, and the lcms of
+    # one new head with two others compare exactly even past the limit
+    rng = random.Random(31)
+    past_limit = 0
+    for arity in range(1, 6):
+        packing = make(arity).packing
+        guard = packing.guard
+        for _ in range(400):
+            a, b, c = (draw_term(rng, arity, packing.graded) for _ in range(3))
+            pa, pb, pc = packing.pack(a), packing.pack(b), packing.pack(c)
+            assert packing.degree(pa) == total_degree(a)
+            lcm = packing.lcm(pa, pb)
+            ref = term_lcm(a, b)
+            assert packing.unpack(lcm) == ref and packing.degree(lcm) == total_degree(ref)
+            assert (lcm == pa + pb) == coprime(a, b)
+            assert (not (lcm - pa) & guard) and (not (lcm - pb) & guard)
+            if packing.graded and total_degree(ref) > EXPONENT_LIMIT:
+                past_limit += 1
+                with pytest.raises(ExponentLimitError) as exc:
+                    packing.key(lcm)
+                named = f"total degree {total_degree(ref)}"
+                assert str(exc.value) == f"{named} is past the limit 16383 of a packed monomial"
+            else:
+                assert lcm == packing.pack(ref)
+            other = packing.lcm(pc, pb)
+            assert (not (other - lcm) & guard) == term_divides(ref, term_lcm(c, b))
+            assert (not (lcm - other) & guard) == term_divides(term_lcm(c, b), ref)
+            assert (lcm == other) == (ref == term_lcm(c, b))
+    assert past_limit > 50 or not packing.graded

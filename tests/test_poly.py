@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from gbgen import poly
 from gbgen import GenerationConfig, RATIONALS, generate_dataset, grevlex, grlex, lex, prime_field
-from gbgen.orders import EXPONENT_LIMIT
-from gbgen.poly import ParseError, PolyRing, normal_form
+from gbgen.orders import EXPONENT_LIMIT, ExponentLimitError, Packing
+from gbgen.poly import ParseError, PolyRing, _packed, normal_form
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
@@ -694,6 +695,49 @@ def test_parse_error_quotes_a_window_of_long_text():
     with pytest.raises(ParseError) as exc:
         RQ.parse(tail)
     assert str(exc.value) == f"at position 99 in ...{tail[59:]!r}: unexpected character '$'"
+
+
+def test_packing_memo_stays_bounded():
+    # each packing memoises pack and unpack for every reader: the division
+    # kernel's forms, normal_form's remainder and the completion's basis.
+    # Fed more distinct monomials than it keeps, each memo stays at its bound
+    # and agrees with the unmemoised methods; a term past the limit raises
+    # every time and is never stored.
+    for make in (lex, grevlex):
+        ring = PolyRing(prime_field(7), 2, make(2))
+        packing = ring.order.packing
+        memos = (packing.pack, packing.unpack)
+        side = 130  # 130^2 distinct monomials, more than either memo keeps
+        assert side * side > max(memo.cache_info().maxsize for memo in memos)
+        for i in range(side):
+            f = ring.from_terms(((i, j), 1 + j % 6) for j in range(side))
+            head, _, tail = _packed(f)
+            assert [head] + [k for k, _ in tail] == [Packing.pack(packing, t) for t, _ in f.terms]
+            assert [packing.unpack(k) for k, _ in tail] == [Packing.unpack(packing, k) for k, _ in tail]
+            assert normal_form(f, [ring.parse("x0 - 2")]) == naive_normal_form(ring, f, 2)
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.maxsize == poly._MONOMIAL_CACHE_SIZE and info.currsize == info.maxsize
+        past, named = (EXPONENT_LIMIT + 1, 0), "exponent 16384 of x0"
+        if make is grevlex:
+            past, named = (9000, 9000), "total degree 18000"
+        for _ in range(2):
+            with pytest.raises(ExponentLimitError) as exc:
+                packing.pack(past)
+            assert str(exc.value) == f"{named} is past the limit 16383 of a packed monomial"
+        packing.pack.cache_clear()
+        with pytest.raises(ExponentLimitError):
+            packing.pack(past)
+        assert packing.pack.cache_info().currsize == 0
+        # a copy, as a worker process receives it, builds memos of its own
+        copy = pickle.loads(pickle.dumps(ring.order))
+        assert copy.packing == packing and copy.packing.pack((3, 4)) == packing.pack((3, 4))
+        assert copy.packing.pack is not packing.pack
+
+
+def naive_normal_form(ring, f, root):
+    """f modulo x0 - root: x0 replaced by root, through the evaluation at each x1."""
+    return ring.from_terms(((0, t[1]), c * pow(root, t[0], ring.field.modulus)) for t, c in f.terms)
 
 
 def test_monomial_table_is_keyed_by_arity():
