@@ -346,9 +346,10 @@ def cmd_fglm(args) -> int:
             target = stamp.target_order()
             try:
                 pair.G = fglm(pair.G, target)
-            except DimensionError as exc:
+                # a graded ring refuses a term of F past the packed limit
+                pair.F = [f.resorted(target) for f in pair.F]
+            except (DimensionError, ExponentLimitError) as exc:
                 raise _Abort(f"sample {pair.index}: {exc}") from None
-            pair.F = [f.resorted(target) for f in pair.F]
             fh.write(record_line(pair, stamp) + "\n")
             count += 1
     print(f"converted {count} samples to {args.to_order} in {args.out}")

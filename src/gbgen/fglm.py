@@ -9,12 +9,17 @@ monomial, with the same linear-combination kernel that builds every other
 polynomial.  A normal form that reduces to zero is a linear dependency and
 yields one member of the target-order reduced basis; any other becomes a
 new row.  All linear algebra is exact.
+
+The staircase and the walk step over packed monomials (see
+:class:`gbgen.orders.Packing`), and the walk's heap holds their keys.  A
+standard monomial of degree d has d + 1 standard divisors, so the cap keeps
+every monomial either meets below the packed limit.
 """
 
 import heapq
 from dataclasses import dataclass
 
-from .orders import Term, TermOrder, term_divides
+from .orders import Term, TermOrder
 from .poly import Polynomial, _combination, normal_form
 
 __all__ = ["QuotientBasis", "DimensionError", "quotient_basis", "fglm"]
@@ -48,34 +53,35 @@ def quotient_basis(basis) -> QuotientBasis:
     gens = [g for g in basis if g]
     if not gens:
         raise ValueError("need at least one nonzero polynomial")
+    packing = gens[0].ring.order.packing
     standard = _staircase(gens, DIMENSION_CAP)
-    standard.sort(key=gens[0].ring.order.key)
-    return QuotientBasis(standard)
+    standard.sort(key=packing.key)
+    return QuotientBasis(list(map(packing.unpack, standard)))
 
 
-def _staircase(gens, cap: int) -> list[Term]:
-    """The standard monomials of nonzero ``gens`` in the order the walk finds them."""
-    nvars = gens[0].ring.nvars
-    heads = [g.leading_monomial for g in gens]
-    origin = (0,) * nvars
-    if any(term_divides(h, origin) for h in heads):
-        return []  # the ideal is the whole ring
-    seen = {origin}
-    queue = [origin]
+def _staircase(gens, cap: int) -> list[int]:
+    """The packed standard monomials of nonzero ``gens`` in the order the walk finds them."""
+    packing = gens[0].ring.order.packing
+    guard, weights = packing.guard, packing.weights
+    heads = [packing.pack(g.leading_monomial) for g in gens]
+    if 0 in heads:
+        return []  # a constant head: the ideal is the whole ring
+    seen = {0}
+    queue = [0]
     standard = []
     while queue:
-        t = queue.pop()
-        standard.append(t)
+        v = queue.pop()
+        standard.append(v)
         if len(standard) > cap:
             raise DimensionError(
                 f"more than {cap} standard monomials; the ideal is likely not zero-dimensional"
             )
-        for i in range(nvars):
-            nxt = tuple(e + 1 if k == i else e for k, e in enumerate(t))
+        for weight in weights:
+            nxt = v + weight
             if nxt in seen:
                 continue
             seen.add(nxt)
-            if not any(term_divides(h, nxt) for h in heads):
+            if all((nxt - h) & guard for h in heads):
                 queue.append(nxt)
     return standard
 
@@ -84,7 +90,7 @@ def fglm(basis, target: TermOrder) -> list:
     """Convert a reduced zero-dimensional basis to ``target`` order.
 
     Returns the reduced Groebner basis of the same ideal under ``target``,
-    sorted ascending by leading term.  The input is assumed reduced; a
+    ascending by leading term, the order in which the walk finds them.  The input is assumed reduced; a
     non-zero-dimensional input raises DimensionError via the staircase
     enumeration, before the walk, once it passes ``DIMENSION_CAP``
     standard monomials.
@@ -112,17 +118,17 @@ def fglm(basis, target: TermOrder) -> list:
     # target ring; v is the normal form of w, and the heads of v are distinct
     rows: dict[Term, tuple[tuple, tuple]] = {}
     new_basis: list[Polynomial] = []
-    new_heads: list[Term] = []
-    tkey = target.key
-    origin = (0,) * source_ring.nvars
-    frontier = [(tkey(origin), origin)]
-    visited = {origin}
+    packing = target.packing
+    guard, weights, key, low = packing.guard, packing.weights, packing.key, packing.low
+    new_heads: list[int] = []  # packed under the target order, as the walk's monomials are
+    frontier = [key(0)]
+    visited = {0}
 
     while frontier:
-        _, term = heapq.heappop(frontier)
-        if any(term_divides(h, term) for h in new_heads):
+        m = heapq.heappop(frontier) ^ low
+        if not all((m - h) & guard for h in new_heads):
             continue
-        w = ((term, one),)
+        w = ((packing.unpack(m), one),)
         v = normal_form(Polynomial(source_ring, w), gens).terms
         while v and v[0][0] in rows:
             c = -v[0][1]
@@ -130,18 +136,16 @@ def fglm(basis, target: TermOrder) -> list:
             v = _combination(source_ring, [(1, None, v), (c, None, row_v)])
             w = _combination(target_ring, [(1, None, w), (c, None, row_w)])
         if not v:
-            # term minus a combination of kept monomials lies in the ideal
+            # the monomial minus a combination of kept monomials lies in the ideal
             new_basis.append(Polynomial(target_ring, w))
-            new_heads.append(term)
+            new_heads.append(m)
             continue
         scale = field.inv(v[0][1])
         rows[v[0][0]] = (_combination(source_ring, [(scale, None, v)]),
                          _combination(target_ring, [(scale, None, w)]))
-        for i in range(source_ring.nvars):
-            nxt = tuple(e + 1 if k == i else e for k, e in enumerate(term))
+        for weight in weights:
+            nxt = m + weight
             if nxt not in visited:
                 visited.add(nxt)
-                heapq.heappush(frontier, (tkey(nxt), nxt))
-
-    new_basis.sort(key=lambda g: tkey(g.leading_monomial))
+                heapq.heappush(frontier, key(nxt))
     return new_basis

@@ -40,7 +40,6 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd
 
-from .orders import term_divides
 from .poly import Polynomial, _member, _packed, _reduce
 
 __all__ = [
@@ -292,13 +291,12 @@ def is_reduced_groebner(polys) -> bool:
     one = polys[0].ring.field.one()
     if any(f.leading_coefficient != one for f in polys):
         return False
-    heads = [f.leading_monomial for f in polys]
-    for i, f in enumerate(polys):
-        for j, h in enumerate(heads):
-            if i == j:
-                continue
-            if any(term_divides(h, t) for t, _ in f.terms):
-                return False
+    forms = [_packed(f) for f in polys]  # kept on polys for the completion below
+    guard = polys[0].ring.order.packing.guard
+    for i, (head, _, tail) in enumerate(forms):
+        terms = [head, *(k for k, _ in tail)]
+        if any(not (t - h) & guard for j, (h, _, _) in enumerate(forms) if j != i for t in terms):
+            return False
     # any() stops the completion loop at its first nonzero remainder, before
     # a pair is reduced against it, so every remainder is taken modulo polys
     return not any(_s_pair_remainders(polys, [], [], _pair_all, GroebnerStats()))

@@ -2,19 +2,19 @@
 
 A term is a plain tuple of non-negative ints, one exponent per variable.
 Variable 0 is the most significant under lex, so x0 > x1 > ... > x{n-1}.
-Orders are encoded as sort keys: a term precedes another exactly when its
-key tuple is smaller, which keeps comparison allocation-light and lets
-``sorted`` do the heavy lifting.  The division kernel and the completion's
-pair update work on packed monomials instead: each order lays a term out as
-one int (see :class:`Packing`), on which a product is one addition, a
-divisibility test one subtraction and a mask, an lcm a few masks, and the
-order one comparison of ints.
+Each order lays a term out as one int, its packed monomial (see
+:class:`Packing`), on which a product is one addition, a divisibility test
+one subtraction and a mask, an lcm a few masks, and the order one
+comparison of ints.  The division kernel, the completion's pair update, the
+staircase and the FGLM walk all work on packed monomials.  A sort key
+(:attr:`TermOrder.key`) is the term itself under lex, which orders tuples
+as lex does, and an int of the packed layout under grlex and grevlex.
 """
 
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import eq, ge, gt, itemgetter, le, lt, mul, neg
+from operator import gt, mul
 
 Term = tuple[int, ...]
 
@@ -42,11 +42,6 @@ def within_limit(t: Term, graded: bool) -> bool:
     return (sum(t) if graded else max(t)) <= EXPONENT_LIMIT
 
 
-def term_divides(a: Term, b: Term) -> bool:
-    """True when the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(map(le, a, b))
-
-
 class OrderKind(enum.Enum):
     LEX = "lex"
     GRLEX = "grlex"
@@ -55,25 +50,6 @@ class OrderKind(enum.Enum):
 
 def _lex_key(t: Term):
     return t
-
-
-def _grlex_key(t: Term):
-    return (sum(t), t)
-
-
-def _grevlex_key(t: Term):
-    # graded, ties broken by the reversed exponent vector compared negatively:
-    # among equal-degree terms the one with the smaller trailing exponent wins
-    return (sum(t), tuple(map(neg, t[::-1])))
-
-
-_reversed = itemgetter(slice(None, None, -1))
-
-_KEY_FNS = {
-    OrderKind.LEX: _lex_key,
-    OrderKind.GRLEX: _grlex_key,
-    OrderKind.GREVLEX: _grevlex_key,
-}
 
 
 @dataclass(frozen=True)
@@ -133,8 +109,12 @@ class Packing:
     def unpack(self, v: int) -> Term:
         return tuple([v >> s & EXPONENT_LIMIT for s in self.shifts])
 
+    def term_key(self, t: Term) -> int:
+        """An int that orders terms as the order does: ``key(pack(t))``, through the pack memo."""
+        return self.pack(t) ^ self.low
+
     def key(self, v: int) -> int:
-        """An int that orders packed values as the order's sort key orders their terms.
+        """An int that orders packed values as the order orders their terms.
 
         An ExponentLimitError for a ``v`` with a guard bit set, such as a
         graded :meth:`lcm` past the limit.
@@ -195,8 +175,12 @@ class TermOrder:
 
     @property
     def key(self):
-        """Sort key function: key(a) < key(b) iff a precedes b."""
-        return _KEY_FNS[self.kind]
+        """Sort key function: key(a) < key(b) iff a precedes b.
+
+        The term itself under lex, else :meth:`Packing.term_key`, which
+        refuses a term past the packed limit.  Not stored, so rings pickle.
+        """
+        return _lex_key if self.kind is OrderKind.LEX else self.packing.term_key
 
     @cached_property
     def packing(self) -> Packing:
@@ -204,22 +188,9 @@ class TermOrder:
         return Packing.of(self.kind, self.arity)
 
     def strictly_descending(self, terms) -> bool:
-        """True when each of a sequence of terms is strictly larger than the next.
-
-        The same verdict as comparing their keys, from comparisons of the
-        terms, their degrees and their reversals, with no key call per term.
-        """
-        if self.kind is OrderKind.LEX:
-            return all(map(gt, terms, terms[1:]))
-        degrees = list(map(sum, terms))
-        # graded: the degree never rises, and a tie is broken by the terms
-        # (grlex) or by their reversals compared the other way (grevlex)
-        if self.kind is OrderKind.GRLEX:
-            tie_ok = map(gt, terms, terms[1:])
-        else:
-            reversals = list(map(_reversed, terms))
-            tie_ok = map(lt, reversals, reversals[1:])
-        return all(map(ge, degrees, degrees[1:])) and all(map(le, map(eq, degrees, degrees[1:]), tie_ok))
+        """True when each of a sequence of terms is strictly larger than the next, by their keys."""
+        keys = terms if self.kind is OrderKind.LEX else list(map(self.key, terms))
+        return all(map(gt, keys, keys[1:]))
 
     def name(self) -> str:
         return self.kind.value

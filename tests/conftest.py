@@ -6,6 +6,7 @@ import pytest
 
 from gbgen import lex
 from gbgen.field import FieldSpec
+from gbgen.orders import OrderKind
 from gbgen.poly import PolyRing
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -34,12 +35,22 @@ def assert_canonical():
 
     Exponent vectors of the ring's arity, strictly descending under the ring
     order, no zero coefficient, and residues in 1..p-1 over GF(p) or
-    Fractions over Q.
+    Fractions over Q.  The order is read off its definition, as a tuple key,
+    not off the shipped key: lex compares the exponents, grlex the total
+    degree and then the exponents, and grevlex the total degree and then the
+    reversed exponents negated.
     """
+
+    def definition(kind, t):
+        if kind is OrderKind.LEX:
+            return t
+        if kind is OrderKind.GRLEX:
+            return (sum(t), t)
+        return (sum(t), tuple(-e for e in reversed(t)))
 
     def check(f):
         ring = f.ring
-        keys = [ring.order.key(t) for t, _ in f.terms]
+        keys = [definition(ring.order.kind, t) for t, _ in f.terms]
         assert all(a > b for a, b in zip(keys, keys[1:])), f
         mod = ring.field.modulus
         for t, c in f.terms:

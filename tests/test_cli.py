@@ -445,6 +445,15 @@ def test_exponent_past_the_packed_limit_exits_with_one_line(tmp_path, capsys):
     assert run_cli("profile", "--input", str(path)) == 1
     assert capsys.readouterr() == ("", "gbgen: sample 0, F: total degree 20000 is past the limit 16383 of a packed "
                                        "monomial\n")
+    # each exponent of x0^10000*x1^10000 fits a lex monomial, but its total
+    # degree does not fit a graded one: the conversion names the sample and
+    # writes nothing, rather than a record the readers then refuse
+    path.write_text(json.dumps({**header, "F": ["x0^10000*x1^10000 + x0", "x1"], "G": ["x0", "x1"]}) + "\n")
+    for order in ("grlex", "grevlex"):
+        assert run_cli("fglm", "--input", str(path), "--to", order, "--out", str(tmp_path / order)) == 1
+        assert capsys.readouterr() == ("", "sample 0: total degree 20000 is past the limit 16383 of a packed "
+                                           "monomial\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.jsonl"]
 
 
 def test_verify_caps_the_oracle_by_default(tmp_path, monkeypatch, capsys):

@@ -23,7 +23,6 @@ from gbgen.dataset import GenerationConfig, SamplePair, generate_sample
 from gbgen.fglm import fglm
 from gbgen.groebner import _interreduced, _unpacked
 from gbgen.poly import Polynomial, PolyRing, _packed, normal_form
-from gbgen.orders import term_divides
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
@@ -37,6 +36,11 @@ def term_div(a, b):
 def term_lcm(a, b):
     """Exponent vector of the lcm of two monomials."""
     return tuple(map(max, a, b))
+
+
+def term_divides(a, b):
+    """Whether the monomial with exponents ``a`` divides the one with ``b``."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def s_polynomial(f, g):

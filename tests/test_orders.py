@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbgen import grevlex, grlex, lex
-from gbgen.orders import EXPONENT_LIMIT, ExponentLimitError, order_by_name
-from gbgen.orders import term_divides
+from gbgen.orders import EXPONENT_LIMIT, ExponentLimitError, OrderKind, order_by_name
 
 
 def term_div(a, b):
@@ -35,10 +34,36 @@ def coprime(a, b):
     return not any(map(min, a, b))
 
 
+def term_divides(a, b):
+    """Whether the monomial with exponents ``a`` divides the one with ``b``."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def reference_key(order, t):
+    """The order's definition as a tuple key: a term precedes another exactly when its key is smaller.
+
+    Lex compares the exponents.  Grlex compares the total degree, then the
+    exponents.  Grevlex compares the total degree, then the reversed
+    exponents negated: of two terms of one degree, the one with the smaller
+    last differing exponent is the larger.
+    """
+    if order.kind is OrderKind.LEX:
+        return t
+    if order.kind is OrderKind.GRLEX:
+        return (sum(t), t)
+    return (sum(t), tuple(-e for e in reversed(t)))
+
+
 def cmp(order, a, b):
-    """-1, 0 or 1 as ``a`` is below, equal to or above ``b``, read off the order's sort key."""
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
+    """-1, 0 or 1 as ``a`` is below, equal to or above ``b`` by the order's definition.
+
+    The order the shipped sort key induces must give the same answer.
+    """
+    ka, kb = reference_key(order, a), reference_key(order, b)
+    want = (ka > kb) - (ka < kb)
+    sa, sb = order.key(a), order.key(b)
+    assert (sa > sb) - (sa < sb) == want, (order, a, b)
+    return want
 
 
 # worked three-variable comparisons, variables x0 > x1 > x2
@@ -70,16 +95,20 @@ def test_grevlex_reversed_tiebreak():
 
 
 def test_grevlex_key_matches_its_definition():
-    # the key as first written: degree, then the reversed exponents negated
-    def definition(t):
-        return (sum(t), tuple(-e for e in reversed(t)))
-
+    # the shipped graded keys are packed ints; the orders they induce, pair by
+    # pair and in sorted runs, are the tuple definitions'
+    rng = random.Random(5)
     for n in range(1, 6):
-        key = grevlex(n).key
         terms = [t for t in itertools.product(range(7), repeat=n) if sum(t) <= 6]
         assert len(terms) == len(set(terms)) > 1
-        for t in terms:
-            assert key(t) == definition(t)
+        for order in (grevlex(n), grlex(n)):
+            key = order.key
+            keys = {t: key(t) for t in terms}
+            ref = {t: reference_key(order, t) for t in terms}
+            for a, b in itertools.product(terms, repeat=2):
+                assert (keys[a] < keys[b]) == (ref[a] < ref[b]), (order, a, b)
+            rng.shuffle(terms)
+            assert sorted(terms, key=key) == sorted(terms, key=ref.get)
 
 
 def test_strictly_descending_matches_the_keys():
@@ -87,13 +116,16 @@ def test_strictly_descending_matches_the_keys():
     for n in range(1, 5):
         terms = [t for t in itertools.product(range(4), repeat=n) if sum(t) <= 4]
         for order in (lex(n), grlex(n), grevlex(n)):
+            def definition(t):
+                return reference_key(order, t)
+
             for a, b in itertools.product(terms, repeat=2):
-                assert order.strictly_descending((a, b)) == (order.key(a) > order.key(b)), (order, a, b)
+                assert order.strictly_descending((a, b)) == (definition(a) > definition(b)), (order, a, b)
             for _ in range(200):
                 run = rng.sample(terms, min(len(terms), rng.randint(0, 6)))
-                keys = [order.key(t) for t in run]
+                keys = [definition(t) for t in run]
                 assert order.strictly_descending(run) == all(k > j for k, j in zip(keys, keys[1:])), (order, run)
-                run.sort(key=order.key, reverse=True)
+                run.sort(key=definition, reverse=True)
                 assert order.strictly_descending(run)
 
 
