@@ -13,11 +13,10 @@ are constants of those modules.
 import hashlib
 import json
 import random
-import re
 from dataclasses import dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
 from .backward import COEFF_LIMIT, ENTRY_MAX_TERMS, MAX_RETRIES, backward_transform
 from .field import FieldSpec
@@ -26,7 +25,7 @@ from .groebner import GroebnerTimeout, buchberger, is_reduced_groebner
 from .orders import (
     EXPONENT_LIMIT, ExponentLimitError, OrderKind, TermOrder, _overflow, lex, order_by_name, within_limit,
 )
-from .poly import _MONOMIAL_CACHE_SIZE, Polynomial, PolyRing, _canonical, _layout_exponents, _render, _shared_ring
+from .poly import _MONOMIAL_CACHE_SIZE, Polynomial, PolyRing, _canonical, _render, _shared_ring
 from .shapegen import DEN_RANGE, NUM_RANGE, UNI_MAX_TERMS, sample_shape_basis
 
 __all__ = [
@@ -382,120 +381,80 @@ def _framed(token_texts: list[str]) -> str:
     return f"{BOS} {f' {SEP} '.join(token_texts)} {EOS}"
 
 
-# The TOKENS.md grammar of one member of a system over each kind of field:
-# the zero polynomial C0 alone, or terms, each a sign, '*', a nonzero
-# coefficient and power triples.  [0-9], not \d, which also matches '٣'.
-_POWERS = r"(?: \^ x(?:0|[1-9][0-9]*) E[1-9][0-9]*)*"
-_PRIME_TERM = rf"\+ \* C[1-9][0-9]*{_POWERS}"
-_RATIONAL_TERM = rf"[+-] \* N[1-9][0-9]* D[1-9][0-9]*{_POWERS}"
-_PRIME_MEMBER_RE = re.compile(rf"C0|{_PRIME_TERM}(?: {_PRIME_TERM})*")
-_RATIONAL_MEMBER_RE = re.compile(rf"C0|{_RATIONAL_TERM}(?: {_RATIONAL_TERM})*")
-# the parts of each term of a member that matched the grammar
-_PRIME_PARTS_RE = re.compile(r"\+ \* C([0-9]+)((?: \^ x[0-9]+ E[0-9]+)*)")
-_RATIONAL_PARTS_RE = re.compile(r"([+-]) \* N([0-9]+) D([0-9]+)((?: \^ x[0-9]+ E[0-9]+)*)")
+@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
+def _token_number(token: str) -> int | str:
+    """The number after a token's one-letter prefix, or the message of why it reads none.
+
+    Only ASCII decimal digits with no sign or leading 0 read, and no more of them than ``int()`` reads.
+    """
+    digits = token[1:]
+    if not (digits.isdigit() and digits.isascii()) or (digits[0] == "0" and len(digits) > 1):
+        return f"malformed number in {token!r}"
+    try:
+        return int(digits)
+    except ValueError:  # longer than int()'s digit limit
+        return f"number of {len(digits)} digits is too long to read"
+
+
+# the coefficient of a rational term, by its signed numerator and its denominator
+_fraction = lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)(Fraction)
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
-def _power_exponents(powers: str, nvars: int, graded: bool):
-    """The exponent tuple of a term's power triples: `` ^ x0 E2 ^ x1 E1`` gives (2, 1).
+def _power_exponents(triples: tuple, nvars: int, graded: bool):
+    """The exponent tuple of whole power triples: ``("^", "x0", "E2", "^", "x1", "E1")`` gives (2, 1).
 
-    The triples are read as the monomial text they spell, ``x0^2*x1^1``, by
-    :func:`gbgen.poly._layout_exponents`, which holds the range and packed
-    limit checks of both readers: None for a variable out of range and for
-    an exponent past EXPONENT_LIMIT, or with ``graded`` a total degree past it.
+    None unless each triple is ``^ xi Ei`` with a variable in range and a
+    positive exponent, each a number :func:`_token_number` reads (so no
+    token holds a blank); None too for an exponent past EXPONENT_LIMIT, or
+    with ``graded`` a total degree past it.
     """
-    if not powers:
-        return (0,) * nvars
-    return _layout_exponents(powers[3:].replace(" E", "^").replace(" ^ ", "*"), nvars, graded)
-
-
-def _member_terms(member: str, ring: PolyRing) -> list | None:
-    """The (term, coeff) pairs of one member of a system's token text, None if a check fails."""
-    mod, nvars, graded = ring.field.modulus, ring.nvars, ring.order.packing.graded
-    terms = []
-    if mod is None:
-        if _RATIONAL_MEMBER_RE.fullmatch(member) is None:
+    exps = [0] * nvars
+    for var, exp in zip(triples[1::3], triples[2::3]):
+        if not (isinstance(var, str) and var[:1] == "x" and isinstance(exp, str) and exp[:1] == "E"):
             return None
-        for sign, num, den, powers in _RATIONAL_PARTS_RE.findall(member):
-            exps, den = _power_exponents(powers, nvars, graded), int(den)
-            coeff = Fraction(-int(num) if sign == "-" else int(num), den)
-            if exps is None or coeff.denominator != den:
-                return None
-            terms.append((exps, coeff))
-        return terms
-    if _PRIME_MEMBER_RE.fullmatch(member) is None:
-        return None
-    for residue, powers in _PRIME_PARTS_RE.findall(member):
-        exps, coeff = _power_exponents(powers, nvars, graded), int(residue)
-        if exps is None or coeff >= mod:
+        i, e = _token_number(var), _token_number(exp)
+        if isinstance(i, str) or isinstance(e, str) or i >= nvars or not e:
             return None
-        terms.append((exps, coeff))
-    return terms
+        exps[i] += e
+    return tuple(exps) if within_limit(exps, graded) else None
 
 
 def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
-    """Invert :func:`to_prefix_tokens` over the given ring.
+    """Invert :func:`to_prefix_tokens` over the given ring; one walk reads the tokens and names the errors.
 
-    The tokens are joined once and split into members at SEP.  A member
-    costs one match of the TOKENS.md grammar and one scan for its terms; a
-    term, one lookup of its power triples and a check of its coefficient.
+    It checks each term's sign, '*' and coefficient tokens as it passes
+    them, and reads the term's power triples, found by stepping over '^'
+    every third token, with one lookup in :func:`_power_exponents`.  Only
+    a refused lookup makes it step through the triples to name the bad
+    token, or the variable that takes the term past the packed limit.
     Terms in ring order are kept as they are, others merged and sorted.
     Only what the writer can emit parses: every member is nonempty (zero is
     the lone C0), every coefficient in a term is nonzero and in lowest
-    terms, every numeric suffix is ASCII decimal digits with no sign or
-    leading 0, and no token holds a blank.  Tokens that fail any check go
-    to :func:`_raise_token_error`, which locates the error.
+    terms, every number is ASCII decimal digits with no sign or leading 0,
+    and no token holds a blank.
     """
     tokens = list(tokens)
     if not tokens:
         return []
-    try:
-        text = " ".join(tokens)
-    except TypeError:  # a token that is no str
-        _raise_token_error(tokens, ring)
-    polys = []
-    # a token holding a blank would shift every later token of the split
-    if text.count(" ") == len(tokens) - 1:
-        try:
-            for member in text.split(f" {SEP} "):
-                terms = _member_terms(member, ring)
-                if terms is None:
-                    break
-                polys.append(Polynomial(ring, _canonical(ring, terms)))
-            else:
-                return polys
-        except ValueError:  # a number longer than int() reads, which the walk names
-            pass
-    _raise_token_error(tokens, ring)
-
-
-def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
-    """Raise the ``TokenError`` of tokens :func:`parse_prefix_tokens` rejected.
-
-    A token-by-token walk that checks each variable index, exponent and
-    residue as it reads them, and names the first token the grammar rejects.
-    A term past the packed limit is named at the variable that takes it past.
-    """
-    rational = ring.field.modulus is None
-    graded = ring.order.packing.graded
+    mod, nvars, graded = ring.field.modulus, ring.nvars, ring.order.packing.graded
+    polys, terms = [], []
     pos = start = 0
     n = len(tokens)
 
     def flush():
         if pos == start:
             raise TokenError(pos, "empty polynomial")
+        polys.append(Polynomial(ring, _canonical(ring, terms)))
+        terms.clear()
 
     def starts(at: int, prefix: str) -> bool:
         return isinstance(tokens[at], str) and tokens[at].startswith(prefix)
 
     def number(at: int) -> int:
-        digits = tokens[at][1:]
-        if not (digits.isdigit() and digits.isascii()) or (digits[0] == "0" and len(digits) > 1):
-            raise TokenError(at, f"malformed number in {tokens[at]!r}")
-        try:
-            return int(digits)
-        except ValueError:  # longer than int()'s digit limit
-            raise TokenError(at, f"number of {len(digits)} digits is too long to read") from None
+        if isinstance(value := _token_number(tokens[at]), str):
+            raise TokenError(at, value)
+        return value
 
     while pos < n:
         tok = tokens[pos]
@@ -517,13 +476,14 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
         if pos >= n or tokens[pos] != "*":
             raise TokenError(pos, "expected '*' after the sign")
         pos += 1
-        if rational:
+        if mod is None:
             if pos + 1 >= n or not starts(pos, "N") or not starts(pos + 1, "D"):
                 raise TokenError(pos, "expected numerator and denominator tokens")
             num, den = number(pos), number(pos + 1)
             if den == 0:
                 raise TokenError(pos + 1, "zero denominator")
-            if not num or Fraction(num, den).denominator != den:
+            coeff = _fraction(-num if tok == "-" else num, den)
+            if not num or coeff.denominator != den:
                 raise TokenError(pos, f"N{num} D{den} is not a nonzero fraction in lowest terms")
             pos += 2
         else:
@@ -532,24 +492,34 @@ def _raise_token_error(tokens: list, ring: PolyRing) -> NoReturn:
             coeff = number(pos)
             if tok == "-":
                 raise TokenError(pos - 2, "prime-field terms always carry '+'")
-            if not 0 < coeff < ring.field.modulus:
+            if not 0 < coeff < mod:
                 raise TokenError(pos, f"residue {coeff} out of range for a term")
             pos += 1
-        exps = [0] * ring.nvars
-        while pos < n and tokens[pos] == "^":
-            if pos + 2 >= n or not starts(pos + 1, "x") or not starts(pos + 2, "E"):
-                raise TokenError(pos, "expected '^ xi Ei'")
-            var, exp = number(pos + 1), number(pos + 2)
-            if var >= ring.nvars:
-                raise TokenError(pos + 1, f"variable x{var} out of range")
-            if exp < 1:
-                raise TokenError(pos + 2, "exponent tokens must be positive")
-            exps[var] += exp
-            if not within_limit(exps, graded):
-                raise TokenError(pos + 1, str(_overflow(tuple(exps))))
-            pos += 3
+        end = pos
+        while end < n and tokens[end] == "^":
+            end += 3
+        try:
+            exps = _power_exponents(tuple(tokens[pos:end]), nvars, graded) if end <= n else None
+        except TypeError:  # a token that cannot be hashed, which the walk below names as any wrong token
+            exps = None
+        if exps is None:  # name the first token of the triples that the lookup refused
+            exps = [0] * nvars
+            for at in range(pos, end, 3):
+                if at + 2 >= n or not starts(at + 1, "x") or not starts(at + 2, "E"):
+                    raise TokenError(at, "expected '^ xi Ei'")
+                var, exp = number(at + 1), number(at + 2)
+                if var >= nvars:
+                    raise TokenError(at + 1, f"variable x{var} out of range")
+                if exp < 1:
+                    raise TokenError(at + 2, "exponent tokens must be positive")
+                exps[var] += exp
+                if not within_limit(exps, graded):
+                    raise TokenError(at + 1, str(_overflow(tuple(exps))))
+            raise AssertionError(f"the power lookup and the token walk disagree on {tokens[pos:end]!r}")
+        terms.append((exps, coeff))
+        pos = end
     flush()
-    raise AssertionError(f"the token grammar and the token walk disagree on {tokens!r}")
+    return polys
 
 
 # -- JSONL -------------------------------------------------------------------

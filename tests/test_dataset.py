@@ -321,7 +321,8 @@ def test_rendering_matches_uncached_reference():
 
 
 def test_rendering_caches_stay_bounded():
-    caches = (poly._monomial_forms, field_module._residue_cache, poly._layout_exponents, dataset._power_exponents)
+    caches = (poly._monomial_forms, field_module._residue_cache, poly._layout_exponents, dataset._power_exponents,
+              dataset._token_number, dataset._fraction)
     for cache in caches:
         cache.cache_clear()
     ring = PolyRing(F7, 2, lex(2))
@@ -341,6 +342,11 @@ def test_rendering_caches_stay_bounded():
         assert str(f) == reference_str(f)
         assert to_prefix_tokens([f]) == reference_tokens([f])
     assert field_module._residue_cache.cache_info().currsize == cached
+    # rational terms spell more numbers and fractions than the reader's caches keep
+    rq = PolyRing(RATIONALS, 1, lex(1))
+    for i in range(side):
+        f = rq.from_terms(((j,), Fraction(i * side + j + 1, i * side + j + 2)) for j in range(side))
+        assert parse_prefix_tokens(to_prefix_tokens([f]), rq) == [f]
     # fed more residues of 2^31 - 1 than it keeps, the cache stays at its bound
     for r in range(1, side * side):
         assert field_module._residue_cache(2**31 - 1, r) == field_module.residue_forms(2**31 - 1, r)
@@ -603,7 +609,8 @@ def number_mutants(ring, tokens, at):
 
 
 # tokens that may replace or join any token of a stream
-STRAY_TOKENS = ["", "+ *", "SEP", "C0", "+", "-", "*", "^", "x1", "E2", "C1", "N1", "D1", "bogus"]
+STRAY_TOKENS = ["", "+ *", "SEP", "C0", "+", "-", "*", "^", "x1", "E2", "C1", "N1", "D1", "bogus",
+                "x0 E1", "E1 ^ x1 E1"]
 
 
 @st.composite
@@ -649,6 +656,7 @@ def test_token_parse_matches_reference_walk(stream):
 
 def test_token_parse_matches_reference_walk_on_named_cases():
     r7, rq = PolyRing(F7, 2, grevlex(2)), PolyRing(RATIONALS, 2, lex(2))
+    l7, gq = PolyRing(F7, 2, lex(2)), PolyRing(RATIONALS, 2, grevlex(2))
     x0, x1 = ["^", "x0", "E1"], ["^", "x1", "E1"]
     cases = [
         (r7, ["+", "*", "C1", *x0, "SEP", "C0", "SEP", "+", "*", "C3", *x1, "+", "*", "C2"]),
@@ -672,6 +680,11 @@ def test_token_parse_matches_reference_walk_on_named_cases():
         (r7, ["+", "*", "C1", "SEP", "SEP", "+", "*", "C1"]),  # a stray SEP
         (r7, ["+", "*", "C1", "^", "x2", "E1"]),  # a variable out of range
         (r7, ["+", "*", "C1", "SEP", None]),  # a token that is no str
+        # a token holding a blank where a power triple's variable or exponent stands
+        (l7, ["+", "*", "C1", "^", "x0 E1"]),
+        (l7, ["+", "*", "C1", "^", "x0", "E1 ^ x1 E1"]),
+        (gq, ["+", "*", "N1", "D1", "^", "x0 E1"]),
+        (gq, ["+", "*", "N1", "D1", "^", "x0", "E1 ^ x1 E1"]),
     ]
     for ring, tokens in cases:
         assert_tokens_parse_like_reference(tokens, ring)
