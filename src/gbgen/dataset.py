@@ -401,23 +401,34 @@ _fraction = lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)(Fraction)
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
-def _power_exponents(triples: tuple, nvars: int, graded: bool):
-    """The exponent tuple of whole power triples: ``("^", "x0", "E2", "^", "x1", "E1")`` gives (2, 1).
+def _power_exponents(triples: tuple, nvars: int, graded: bool) -> tuple:
+    """Read a term's power triples: ``("^", "x0", "E2", "^", "x1", "E1")`` gives ((2, 1), None).
 
-    None unless each triple is ``^ xi Ei`` with a variable in range and a
-    positive exponent, each a number :func:`_token_number` reads (so no
-    token holds a blank); None too for an exponent past EXPONENT_LIMIT, or
-    with ``graded`` a total degree past it.
+    Each triple, its '^' found by the caller, must be ``^ xi Ei`` with a
+    variable in range and a positive exponent, each a number
+    :func:`_token_number` reads (so no token holds a blank); a repeated
+    variable's exponents add up.  Triples that fail give (offset, message)
+    instead: the first token refused, counted from the first '^', and why.
+    A term past the packed limit is refused at the variable that takes it past.
     """
     exps = [0] * nvars
-    for var, exp in zip(triples[1::3], triples[2::3]):
+    for at in range(0, len(triples), 3):
+        var, exp = triples[at + 1:at + 3] if at + 2 < len(triples) else ("", "")  # a short last triple
         if not (isinstance(var, str) and var[:1] == "x" and isinstance(exp, str) and exp[:1] == "E"):
-            return None
+            return at, "expected '^ xi Ei'"
         i, e = _token_number(var), _token_number(exp)
-        if isinstance(i, str) or isinstance(e, str) or i >= nvars or not e:
-            return None
+        if isinstance(i, str):
+            return at + 1, i
+        if isinstance(e, str):
+            return at + 2, e
+        if i >= nvars:
+            return at + 1, f"variable x{i} out of range"
+        if not e:
+            return at + 2, "exponent tokens must be positive"
         exps[i] += e
-    return tuple(exps) if within_limit(exps, graded) else None
+        if not within_limit(exps, graded):
+            return at + 1, str(_overflow(tuple(exps)))
+    return tuple(exps), None
 
 
 def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
@@ -425,9 +436,8 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
 
     It checks each term's sign, '*' and coefficient tokens as it passes
     them, and reads the term's power triples, found by stepping over '^'
-    every third token, with one lookup in :func:`_power_exponents`.  Only
-    a refused lookup makes it step through the triples to name the bad
-    token, or the variable that takes the term past the packed limit.
+    every third token, with one lookup in :func:`_power_exponents`, which
+    gives either their exponents or the token it refused and why.
     Terms in ring order are kept as they are, others merged and sorted.
     Only what the writer can emit parses: every member is nonempty (zero is
     the lone C0), every coefficient in a term is nonzero and in lowest
@@ -498,25 +508,14 @@ def parse_prefix_tokens(tokens, ring: PolyRing) -> list:
         end = pos
         while end < n and tokens[end] == "^":
             end += 3
+        triples = tuple(tokens[pos:end])
         try:
-            exps = _power_exponents(tuple(tokens[pos:end]), nvars, graded) if end <= n else None
-        except TypeError:  # a token that cannot be hashed, which the walk below names as any wrong token
-            exps = None
-        if exps is None:  # name the first token of the triples that the lookup refused
-            exps = [0] * nvars
-            for at in range(pos, end, 3):
-                if at + 2 >= n or not starts(at + 1, "x") or not starts(at + 2, "E"):
-                    raise TokenError(at, "expected '^ xi Ei'")
-                var, exp = number(at + 1), number(at + 2)
-                if var >= nvars:
-                    raise TokenError(at + 1, f"variable x{var} out of range")
-                if exp < 1:
-                    raise TokenError(at + 2, "exponent tokens must be positive")
-                exps[var] += exp
-                if not within_limit(exps, graded):
-                    raise TokenError(at + 1, str(_overflow(tuple(exps))))
-            raise AssertionError(f"the power lookup and the token walk disagree on {tokens[pos:end]!r}")
-        terms.append((exps, coeff))
+            found, refusal = _power_exponents(triples, nvars, graded)
+        except TypeError:  # a token that cannot be hashed, read without the cache
+            found, refusal = _power_exponents.__wrapped__(triples, nvars, graded)
+        if refusal:
+            raise TokenError(pos + found, refusal)
+        terms.append((found, coeff))
         pos = end
     flush()
     return polys
