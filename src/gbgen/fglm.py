@@ -3,15 +3,13 @@
 Given a reduced Groebner basis under one order, the quotient algebra is a
 finite-dimensional vector space spanned by the standard monomials (those
 outside the leading-term staircase).  The walk visits the monomials of the
-target order from small to large and reduces each one's normal form
-against the rows kept so far, a sparse echelon form keyed by leading
-monomial, with the same linear-combination kernel that builds every other
-polynomial.  A normal form that reduces to zero is a linear dependency and
-yields one member of the target-order reduced basis; any other becomes a
-new row.  All linear algebra is exact.
+target order from small to large and clears each one's normal form against
+the rows kept so far.  A normal form that clears to zero is a linear
+dependency and yields one member of the target-order reduced basis; any
+other becomes a new row.  All linear algebra is exact.
 
-The staircase and the walk step over packed monomials (see
-:class:`gbgen.orders.Packing`), and the walk's heap holds their keys.  A
+The staircase, the walk's heap, the normal forms and the rows all hold the
+division kernel's packed monomials (see :class:`gbgen.orders.Packing`).  A
 standard monomial of degree d has d + 1 standard divisors, so the cap keeps
 every monomial either meets below the packed limit.
 """
@@ -20,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 
 from .orders import Term, TermOrder
-from .poly import Polynomial, _combination, normal_form
+from .poly import Polynomial, _packed, _reduce
 
 __all__ = ["QuotientBasis", "DimensionError", "quotient_basis", "fglm"]
 
@@ -90,36 +88,36 @@ def fglm(basis, target: TermOrder) -> list:
     """Convert a reduced zero-dimensional basis to ``target`` order.
 
     Returns the reduced Groebner basis of the same ideal under ``target``,
-    ascending by leading term, the order in which the walk finds them.  The input is assumed reduced; a
-    non-zero-dimensional input raises DimensionError via the staircase
-    enumeration, before the walk, once it passes ``DIMENSION_CAP``
-    standard monomials.
+    ascending by leading term, the order in which the walk finds them.  The
+    input is assumed reduced; a non-zero-dimensional input raises
+    DimensionError via the staircase enumeration, before the walk, once it
+    passes ``DIMENSION_CAP`` standard monomials.
     """
     gens = [g for g in basis if g]
     if not gens:
         raise ValueError("need at least one nonzero polynomial")
     source_ring = gens[0].ring
-    for g in gens:
-        if g.ring != source_ring:
-            raise ValueError("basis members must share one ring")
+    if any(g.ring != source_ring for g in gens):
+        raise ValueError("basis members must share one ring")
     if target.arity != source_ring.nvars:
         raise ValueError(f"target order arity {target.arity} != {source_ring.nvars}")
     if target == source_ring.order:
-        out = list(gens)
-        out.sort(key=lambda g: target.key(g.leading_monomial))
-        return out
+        return sorted(gens, key=lambda g: target.key(g.leading_monomial))
 
     # raises past the cap; the walk keeps one row per standard monomial, so it ends
     _staircase(gens, DIMENSION_CAP)
     target_ring = source_ring.with_order(target)
     field = source_ring.field
-    one = field.one()
-    # rows: head of v -> (v, w) with v monic in the source ring and w in the
-    # target ring; v is the normal form of w, and the heads of v are distinct
-    rows: dict[Term, tuple[tuple, tuple]] = {}
-    new_basis: list[Polynomial] = []
+    add, mul, inv, one = field.add, field.mul, field.inv, field.one()
+    forms = [_packed(g) for g in gens]
+    pack = source_ring.order.packing.pack
     packing = target.packing
-    guard, weights, key, low = packing.guard, packing.weights, packing.key, packing.low
+    guard, weights, key, low, unpack = packing.guard, packing.weights, packing.key, packing.low, packing.unpack
+    # rows in the order they were made: (pivot, v, w), v the normal form of w,
+    # keyed by source- and target-packed monomials; v is 1 at its pivot and 0
+    # at every earlier row's pivot, so one pass in that order clears a new v
+    rows: list[tuple[int, dict, dict]] = []
+    new_basis: list[Polynomial] = []
     new_heads: list[int] = []  # packed under the target order, as the walk's monomials are
     frontier = [key(0)]
     visited = {0}
@@ -128,24 +126,27 @@ def fglm(basis, target: TermOrder) -> list:
         m = heapq.heappop(frontier) ^ low
         if not all((m - h) & guard for h in new_heads):
             continue
-        w = ((packing.unpack(m), one),)
-        v = normal_form(Polynomial(source_ring, w), gens).terms
-        while v and v[0][0] in rows:
-            c = -v[0][1]
-            row_v, row_w = rows[v[0][0]]
-            v = _combination(source_ring, [(1, None, v), (c, None, row_v)])
-            w = _combination(target_ring, [(1, None, w), (c, None, row_w)])
+        terms, scale = _reduce(source_ring, {pack(unpack(m)): 1}, forms)
+        scale = inv(field.canon(scale))  # the normal form is the terms over the kernel's scale
+        v = {t: mul(c, scale) for t, c in terms}
+        w = {m: one}
+        for pivot, row_v, row_w in rows:
+            if c := v.get(pivot):
+                for acc, row in ((v, row_v), (w, row_w)):
+                    for t, x in row.items():
+                        if r := add(acc.get(t, 0), mul(-c, x)):
+                            acc[t] = r
+                        else:
+                            del acc[t]
         if not v:
             # the monomial minus a combination of kept monomials lies in the ideal
-            new_basis.append(Polynomial(target_ring, w))
+            new_basis.append(Polynomial(target_ring, tuple((unpack(t), w[t]) for t in sorted(w, key=key, reverse=True))))
             new_heads.append(m)
             continue
-        scale = field.inv(v[0][1])
-        rows[v[0][0]] = (_combination(source_ring, [(scale, None, v)]),
-                         _combination(target_ring, [(scale, None, w)]))
-        for weight in weights:
-            nxt = m + weight
-            if nxt not in visited:
-                visited.add(nxt)
-                heapq.heappush(frontier, key(nxt))
+        pivot = next(iter(v))
+        c = inv(v[pivot])
+        rows.append((pivot, {t: mul(x, c) for t, x in v.items()}, {t: mul(x, c) for t, x in w.items()}))
+        for nxt in {m + weight for weight in weights} - visited:
+            visited.add(nxt)
+            heapq.heappush(frontier, key(nxt))
     return new_basis

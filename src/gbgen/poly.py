@@ -18,7 +18,7 @@ from operator import add
 from time import perf_counter
 
 from .field import Coeff, FieldSpec
-from .orders import _MONOMIAL_CACHE_SIZE, Term, TermOrder, _overflow, within_limit
+from .orders import _MONOMIAL_CACHE_SIZE, OrderKind, Term, TermOrder, _overflow, within_limit
 
 __all__ = [
     "PolyRing",
@@ -106,7 +106,7 @@ def _shared_ring(field: FieldSpec, nvars: int, order: TermOrder) -> PolyRing:
 
 def _descending(ring: PolyRing, items: list) -> tuple:
     """Sort nonzero (term, coeff) pairs descending under the ring order."""
-    if ring.order.kind.value == "lex":
+    if ring.order.kind is OrderKind.LEX:
         items.sort(reverse=True)
     else:
         key = ring.order.key
@@ -117,24 +117,22 @@ def _descending(ring: PolyRing, items: list) -> tuple:
 def _combination(ring: PolyRing, parts) -> tuple:
     """Canonical terms of the sum of c * x^s * p over (c, s, p terms) parts.
 
-    ``s`` is an exponent vector, or None for no shift.  Every contribution
-    lands in one term->coefficient dict; over GF(p) each sum is reduced once
-    at the end, over Q the Fractions are exact throughout.
+    ``s`` is an exponent vector, or None for no shift with c 1 or -1.
+    Every contribution lands in one term->coefficient dict; over GF(p) each
+    sum is reduced once at the end, over Q the Fractions are exact throughout.
     """
     acc: dict[Term, Coeff] = {}
     get = acc.get
     for c, s, terms in parts:
-        # over Q `1 * x`, `-1 * x` and `0 + x` each cost a Fraction operation:
-        # a unit part skips the product, a negated one subtracts, and a new
-        # term is stored as it is (or negated, or scaled)
+        # an unshifted part has c = 1 or c = -1; over Q `1 * x`, `-1 * x` and
+        # `0 + x` each cost a Fraction operation, so it skips the product, a
+        # negated one subtracts, and a new term is stored as it is (or negated)
         if s is None:
             if c == -1:
                 for t, x in terms:
                     prev = get(t)
                     acc[t] = -x if prev is None else prev - x
                 continue
-            if c != 1:
-                terms = [(t, c * x) for t, x in terms]
             for t, x in terms:
                 prev = get(t)
                 acc[t] = x if prev is None else prev + x

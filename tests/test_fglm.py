@@ -129,3 +129,21 @@ def test_rejects_mixed_rings():
 def test_rejects_empty():
     with pytest.raises(ValueError):
         fglm([R7.zero()], grevlex(2))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("field", [prime_field(2), prime_field(7919), prime_field(2**31 - 1), RATIONALS], ids=str)
+def test_conversion_cross_check_across_fields(field, nvars):
+    # from GF(2), where -c == c, to a 31-bit prime, and Q
+    rng = random.Random(nvars)
+    config = GenerationConfig(field=field, nvars=nvars, num_samples=0, max_degree=4)
+    for _ in range(6):
+        G = sample_shape_basis(config, rng)
+        converted = {}
+        for target in (grevlex(nvars), grlex(nvars)):
+            converted[target] = fglm(G, target)
+            assert converted[target] == buchberger([g.resorted(target) for g in G]).basis
+            assert fglm(converted[target], lex(nvars)) == canon(G)
+        grevlex_basis, grlex_basis = converted.values()
+        assert fglm(grevlex_basis, grlex(nvars)) == grlex_basis
+        assert fglm(grlex_basis, grevlex(nvars)) == grevlex_basis
