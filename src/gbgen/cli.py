@@ -44,6 +44,7 @@ from .dataset import (
     JsonlError,
     OracleMismatchError,
     check_pair,
+    convert_pair,
     generate_sample,
     parse_prefix_tokens,
     profile_dataset,
@@ -53,7 +54,7 @@ from .dataset import (
     write_meta,
 )
 from .field import FieldSpec, RATIONALS, prime_field
-from .fglm import DimensionError, fglm
+from .fglm import DimensionError
 from .orders import ExponentLimitError
 from .solve import solve_shape
 
@@ -343,11 +344,8 @@ def cmd_fglm(args) -> int:
                 stamps[ring] = GenerationConfig(field=ring.field, nvars=ring.nvars, num_samples=0,
                                                 order=args.to_order)
             stamp = stamps[ring]
-            target = stamp.target_order()
             try:
-                pair.G = fglm(pair.G, target)
-                # a graded ring refuses a term of F past the packed limit
-                pair.F = [f.resorted(target) for f in pair.F]
+                convert_pair(pair, stamp.target_order())
             except (DimensionError, ExponentLimitError) as exc:
                 raise _Abort(f"sample {pair.index}: {exc}") from None
             fh.write(record_line(pair, stamp) + "\n")

@@ -36,6 +36,7 @@ __all__ = [
     "SPOT_CHECK_TIMEOUT",
     "check_pair",
     "child_seed",
+    "convert_pair",
     "generate_sample",
     "generate_dataset",
     "profile_dataset",
@@ -228,39 +229,42 @@ def child_seed(seed: int, index: int) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
+def convert_pair(pair: SamplePair, target: TermOrder) -> None:
+    """Move ``pair`` to ``target`` order in place: G by FGLM, F re-sorted, ``ring`` that of the new G.
+
+    Raises DimensionError for a G that is not zero-dimensional, whatever the
+    target, and ExponentLimitError for a term of F past a graded ring's limit.
+    """
+    pair.G = fglm(pair.G, target)
+    pair.F = [f.resorted(target) for f in pair.F]
+    pair.ring = pair.G[0].ring
+
+
 def generate_sample(config: GenerationConfig, index: int) -> SamplePair:
     """Generate sample ``index`` of the run described by ``config``.
 
     Draw order per sample: shape basis, transform, then (if the target order
-    is not lex) the conversion of G and re-sorting of F, then the spot-check
-    coin flip.  Everything comes from one child RNG, so the pair is a pure
-    function of (config, index).
+    is not lex) the conversion of the pair, then the spot-check coin flip.
+    Everything comes from one child RNG, so the pair is a pure function of
+    (config, index).
     """
     seed = child_seed(config.seed, index)
     rng = random.Random(seed)
     basis = sample_shape_basis(config, rng)
     sample = backward_transform(basis, config, rng)
-    F, G = sample.F, basis
-
-    target = config.target_order()
-    if target.kind is not OrderKind.LEX:
-        G = fglm(G, target)
-        F = [f.resorted(target) for f in F]
-
-    if config.drop_zeros:
-        F = [f for f in F if f]
-    contains_zero = any(not f for f in F)
-
+    F = [f for f in sample.F if f] if config.drop_zeros else sample.F
     pair = SamplePair(
         index=index,
         F=F,
-        G=G,
+        G=basis,
         s=sample.s,
         seed_used=seed,
-        contains_zero=contains_zero,
+        contains_zero=any(not f for f in F),
         over_range=sample.over_range,
-        ring=G[0].ring,
+        ring=basis[0].ring,
     )
+    if config.target_order().kind is not OrderKind.LEX:
+        convert_pair(pair, config.target_order())  # re-sorting keeps a zero row zero, so the flag stands
     if config.verify_fraction > 0 and rng.random() < config.verify_fraction:
         pair.spot_check = check_pair(pair, SPOT_CHECK_TIMEOUT)
         if pair.spot_check == "mismatch":

@@ -88,10 +88,10 @@ def fglm(basis, target: TermOrder) -> list:
     """Convert a reduced zero-dimensional basis to ``target`` order.
 
     Returns the reduced Groebner basis of the same ideal under ``target``,
-    ascending by leading term, the order in which the walk finds them.  The
-    input is assumed reduced; a non-zero-dimensional input raises
-    DimensionError via the staircase enumeration, before the walk, once it
-    passes ``DIMENSION_CAP`` standard monomials.
+    ascending by leading term, the order in which the walk finds them.  Every
+    target, the source order too, takes the walk; the input is assumed reduced.
+    A non-zero-dimensional input raises DimensionError in the staircase
+    enumeration, before the walk, past ``DIMENSION_CAP`` standard monomials.
     """
     gens = [g for g in basis if g]
     if not gens:
@@ -101,8 +101,6 @@ def fglm(basis, target: TermOrder) -> list:
         raise ValueError("basis members must share one ring")
     if target.arity != source_ring.nvars:
         raise ValueError(f"target order arity {target.arity} != {source_ring.nvars}")
-    if target == source_ring.order:
-        return sorted(gens, key=lambda g: target.key(g.leading_monomial))
 
     # raises past the cap; the walk keeps one row per standard monomial, so it ends
     _staircase(gens, DIMENSION_CAP)

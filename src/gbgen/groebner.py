@@ -263,7 +263,6 @@ def _interreduced(ring, members, deadline) -> list:
         work[head] = lead if mod is None else pow(lead, -1, mod)
         terms, _ = _reduce(ring, work, reduced + minimal[idx + 1 :], deadline=deadline)
         reduced.append(_member(terms, mod))
-    reduced.sort(key=lambda m: m[0] ^ low)
     return reduced
 
 

@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 
 from .field import FieldSpec
-from .poly import Polynomial, _descending
+from .poly import Polynomial
 
 __all__ = ["sample_nonzero_coeff", "sample_univariate", "sample_shape_basis"]
 
@@ -49,8 +49,8 @@ def sample_univariate(config, max_degree: int, monic: bool, rng: random.Random) 
     equals the drawn one.  With ``monic`` the exponent max_degree is always
     present with coefficient 1 (so the degree is exactly max_degree) and the
     remaining terms sit strictly below it.  The draws are canonical as they
-    stand (distinct exponents, nonzero coefficients in range), so the
-    polynomial is built from them without ``from_terms``.
+    stand (distinct exponents, nonzero coefficients in range, lex-descending),
+    so the polynomial is built from them without ``from_terms`` or a sort.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
@@ -70,7 +70,7 @@ def sample_univariate(config, max_degree: int, monic: bool, rng: random.Random) 
         exponents = rng.sample(range(max_degree + 1), count)
         pairs = []
     pairs.extend((term(e), sample_nonzero_coeff(config.field, rng)) for e in sorted(exponents, reverse=True))
-    return Polynomial(ring, _descending(ring, pairs))
+    return Polynomial(ring, tuple(pairs))
 
 
 def sample_shape_basis(config, rng: random.Random) -> list:

@@ -214,7 +214,7 @@ def solve_shape(basis) -> SolutionSet:
         coords[last] = root.value
         # each offset uses only the last variable
         for i in range(n - 1):
-            coords[i] = offsets[i].evaluate(coords) if offsets[i] else field.zero()
+            coords[i] = offsets[i].evaluate(coords)
         for g in members:
             if g.evaluate(coords):
                 if converted:

@@ -14,6 +14,7 @@ import gbgen
 from gbgen import GenerationConfig, dataset
 from gbgen.backward import backward_transform
 from gbgen.dataset import read_jsonl
+from gbgen.orders import order_by_name
 from gbgen import cli
 from gbgen.cli import main, parse_field
 
@@ -597,17 +598,35 @@ def test_fglm_rejects_empty_basis(tmp_path, capsys):
 
 
 def test_fglm_rejects_positive_dimensional_basis(tmp_path, capsys):
-    prefix = make_dataset(tmp_path, m="3")
-    lines = (tmp_path / "ds.jsonl").read_text().splitlines()
-    record = json.loads(lines[1])
-    record["G"] = ["x0 - x1"]
-    lines[1] = json.dumps(record)
-    (tmp_path / "ds.jsonl").write_text("\n".join(lines) + "\n")
-    out = tmp_path / "x.jsonl"
-    assert run_cli("fglm", "--input", f"{prefix}.jsonl", "--to", "grevlex", "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("sample 1: more than 10000 standard monomials") and "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
+    # every target refuses, the source order included
+    for source, target in (("lex", "grevlex"), ("lex", "lex"), ("grevlex", "grevlex")):
+        prefix = make_dataset(tmp_path, m="3", extra=("--order", source))
+        lines = (tmp_path / "ds.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["G"] = ["x0 - x1"]
+        lines[1] = json.dumps(record)
+        (tmp_path / "ds.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.jsonl"
+        capsys.readouterr()
+        argv = ("--input", f"{prefix}.jsonl", "--from", source, "--to", target, "--out", str(out))
+        assert run_cli("fglm", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sample 1: more than 10000 standard monomials") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
+
+
+@pytest.mark.parametrize("field", ["f7", "q"])
+def test_fglm_of_lex_set_matches_generate_under_the_order(tmp_path, capsys, field):
+    lex_prefix = make_dataset(tmp_path, "lex", field=field, n="3", m="6")
+    for order in ("grevlex", "grlex"):
+        make_dataset(tmp_path, order, field=field, n="3", m="6", extra=("--order", order))
+        converted = tmp_path / f"to-{order}.jsonl"
+        assert run_cli("fglm", "--input", f"{lex_prefix}.jsonl", "--to", order, "--out", str(converted)) == 0
+        assert converted.read_bytes() == (tmp_path / f"{order}.jsonl").read_bytes()
+        target = order_by_name(order, 3)
+        for pair in read_jsonl(f"{lex_prefix}.jsonl"):
+            dataset.convert_pair(pair, target)
+            assert pair.ring is pair.G[0].ring and pair.ring.order == target
 
 
 def test_solve_prime_field_dataset(tmp_path, capsys):

@@ -48,6 +48,20 @@ def test_quotient_basis_positive_dimension_raises(monkeypatch):
 def test_identity_conversion():
     G = [R7.parse("x0 - 3*x1"), R7.parse("x1^3")]
     assert fglm(G, lex(2)) == canon(G)
+    # every target takes the walk: under its own order a reduced basis comes
+    # back sorted, the same members in the same shared ring
+    rng = random.Random(4)
+    for field in (prime_field(7), prime_field(31), RATIONALS):
+        for n in (1, 2, 3):
+            config = GenerationConfig(field=field, nvars=n, num_samples=0, max_degree=4)
+            for order in (lex(n), grlex(n), grevlex(n)):
+                for _ in range(5):
+                    G = sample_shape_basis(config, rng)
+                    if order != lex(n):
+                        G = fglm(G, order)
+                    out = fglm(G, order)
+                    assert out == canon(G)
+                    assert all(g.ring is G[0].ring for g in out)
 
 
 def test_small_hand_conversion():
