@@ -14,7 +14,6 @@ import gbgen
 from gbgen import GenerationConfig, dataset
 from gbgen.backward import backward_transform
 from gbgen.dataset import read_jsonl
-from gbgen.orders import order_by_name
 from gbgen import cli
 from gbgen.cli import main, parse_field
 
@@ -613,20 +612,6 @@ def test_fglm_rejects_positive_dimensional_basis(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("sample 1: more than 10000 standard monomials") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.meta.json", "ds.tokens.txt"]
-
-
-@pytest.mark.parametrize("field", ["f7", "q"])
-def test_fglm_of_lex_set_matches_generate_under_the_order(tmp_path, capsys, field):
-    lex_prefix = make_dataset(tmp_path, "lex", field=field, n="3", m="6")
-    for order in ("grevlex", "grlex"):
-        make_dataset(tmp_path, order, field=field, n="3", m="6", extra=("--order", order))
-        converted = tmp_path / f"to-{order}.jsonl"
-        assert run_cli("fglm", "--input", f"{lex_prefix}.jsonl", "--to", order, "--out", str(converted)) == 0
-        assert converted.read_bytes() == (tmp_path / f"{order}.jsonl").read_bytes()
-        target = order_by_name(order, 3)
-        for pair in read_jsonl(f"{lex_prefix}.jsonl"):
-            dataset.convert_pair(pair, target)
-            assert pair.ring is pair.G[0].ring and pair.ring.order == target
 
 
 def test_solve_prime_field_dataset(tmp_path, capsys):

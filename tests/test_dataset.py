@@ -123,12 +123,17 @@ def test_spot_verification_catches_wrong_basis():
 
 def test_nonlex_target_order():
     config = small_config(nvars=3, order="grevlex", num_samples=4)
-    for pair in generate_dataset(config):
+    lex_pairs = generate_dataset(small_config(nvars=3, num_samples=4))
+    for pair, lex_pair in zip(generate_dataset(config), lex_pairs):
         for poly in pair.F + pair.G:
             assert poly.ring.order == grevlex(3)
             # the re-sorted F and the converted G share one ring object
             assert poly.ring is pair.ring
         assert is_reduced_groebner(pair.G)
+        # converting the same-seed lex pair, as gbgen fglm does, moves its ring too
+        dataset.convert_pair(lex_pair, grevlex(3))
+        assert (lex_pair.F, lex_pair.G) == (pair.F, pair.G)
+        assert lex_pair.ring is lex_pair.G[0].ring and lex_pair.ring.order == grevlex(3)
 
 
 def test_config_round_trip_and_validation():
