@@ -11,26 +11,36 @@ invertible over the polynomial ring and A = U1*P*U2 has the explicit left
 inverse [U2block^-1 | 0] P^T U1^-1.  That guarantees <F> = <G> while F
 itself is larger, denser and (almost always) no Groebner basis at all.
 
-The product is two triangular sweeps, F = U1 * (P * (U2 * G)): row i of a
-unit upper triangle times v is v[i] plus the entries right of the diagonal
-times the later members, so no matrix product is formed and F's rows come
-one at a time.  The zero rows of U2 pad U2 * G with zero polynomials.
+The product is two triangular sweeps, F = U1 * (P * (U2 * G)), on the
+packed monomials of G's ring (see :class:`gbgen.orders.Packing`).  Row i
+of a unit upper triangle times v is v[i] plus the entries right of the
+diagonal times the later members, so no matrix product is formed, and each
+row is one dict from packed monomial to raw coefficient, where a product
+of monomials is one addition.  G is packed once; the rows of U2 * G are
+neither reduced nor sorted, and each row of F is reduced mod p once (over
+Q its zeros dropped), sorted once by the packed key and unpacked into a
+``Polynomial``.  Row i reads only the members from i on, so a sweep runs
+from the last row up, and over Q the second one stops at the first row of
+F out of range.  The zero rows of U2 pad U2 * G with empty rows.
 
 Matrix entries are polynomials of bounded total degree, present with
 probability ``density``; draw order is row-major over the strict upper
 triangle (s, then U1, then the U2 block, then P), each slot drawing its
 density coin and then, if filled, term count, exponents and coefficients.
-The degree bound, density and s_max come from a ``dataset.GenerationConfig``,
-which checks them; the samplers take it untyped, since ``dataset`` imports
-this module.  The entry term cap and the rejection limits over Q are the
-constants below, fixed for every dataset.
+An entry is a tuple of (packed monomial, coefficient) pairs in ring order,
+and a zero entry the empty tuple.  The degree bound, density and s_max
+come from a ``dataset.GenerationConfig``, which checks them; the samplers
+take it untyped, since ``dataset`` imports this module.  The entry term
+cap and the rejection limits over Q are the constants below, fixed for
+every dataset.
 """
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import Polynomial, PolyRing, _combination, _descending
+from .orders import Packing, TermOrder
+from .poly import Polynomial, PolyRing
 from .shapegen import sample_nonzero_coeff
 
 __all__ = [
@@ -60,49 +70,95 @@ def _monomials_up_to(nvars: int, max_degree: int) -> tuple:
     return tuple(out)
 
 
-def sample_entry(ring: PolyRing, config, rng: random.Random) -> Polynomial:
+@lru_cache(maxsize=None)
+def _entry_table(order: TermOrder, max_degree: int) -> tuple:
+    """(term, packed monomial) for each term of :func:`_monomials_up_to`, in its order."""
+    pack = order.packing.pack
+    return tuple((t, pack(t)) for t in _monomials_up_to(order.arity, max_degree))
+
+
+def _draw_entry(ring: PolyRing, table: tuple, rng: random.Random) -> tuple:
+    """One nonzero entry drawn from ``table`` (see :func:`sample_entry`)."""
+    count = rng.randint(1, ENTRY_MAX_TERMS)
+    drawn = rng.sample(table, min(count, len(table)))
+    drawn.sort(reverse=True)  # the coefficients are drawn in descending lex order
+    field = ring.field
+    entry = [(v, sample_nonzero_coeff(field, rng)) for _, v in drawn]
+    packing = ring.order.packing
+    if packing.graded:
+        low = packing.low
+        entry.sort(key=lambda term: term[0] ^ low, reverse=True)
+    return tuple(entry)
+
+
+def sample_entry(ring: PolyRing, config, rng: random.Random) -> tuple:
     """One nonzero matrix entry over ``ring``: total degree <= max_entry_degree, 1..ENTRY_MAX_TERMS terms.
 
     The term count is drawn first and then capped at the number of
-    monomials in reach, so an entry of degree 0 is one constant.
-
-    The draws are canonical as they stand (distinct monomials, nonzero
-    coefficients in range, descending lex order), so the entry is built
-    without ``from_terms``; ``_descending`` re-sorts for a non-lex ring.
+    monomials in reach, so an entry of degree 0 is one constant.  The
+    monomials are distinct and their coefficients are drawn in descending
+    lex order; the entry is their (packed monomial, coefficient) pairs,
+    descending in the ring order.
     """
-    count = rng.randint(1, ENTRY_MAX_TERMS)
-    monomials = _monomials_up_to(ring.nvars, config.max_entry_degree)
-    terms = rng.sample(monomials, min(count, len(monomials)))
-    pairs = [(t, sample_nonzero_coeff(ring.field, rng)) for t in sorted(terms, reverse=True)]
-    return Polynomial(ring, _descending(ring, pairs))
+    return _draw_entry(ring, _entry_table(ring.order, config.max_entry_degree), rng)
 
 
 def sample_unimodular_upper(ring: PolyRing, size: int, config, rng: random.Random) -> list:
-    """The dense rows of a unit upper triangle; each entry above it is present with probability ``config.density``."""
-    one, zero = ring.one(), ring.zero()
-    rows = []
-    for i in range(size):
-        row = [zero] * i + [one]
-        for _ in range(i + 1, size):
-            row.append(sample_entry(ring, config, rng) if rng.random() < config.density else zero)
-        rows.append(row)
-    return rows
+    """The entries above the diagonal of a unit upper triangle: row i holds those of columns i+1..size-1.
 
-
-def _upper_apply(rows, polys) -> list:
-    """U * polys for a unit upper triangle U given as its dense rows.
-
-    Row i is polys[i] plus each entry right of the diagonal times its
-    member, all in one combination sorted once; the unit diagonal and the
-    zeros are never multiplied.
+    Each is present with probability ``config.density``; a zero entry is the
+    empty tuple.
     """
-    ring = polys[0].ring
+    table = _entry_table(ring.order, config.max_entry_degree)
+    density = config.density
     return [
-        Polynomial(ring, _combination(ring, [(1, None, polys[i].terms)] + [
-            (c, t, g.terms) for e, g in zip(row[i + 1:], polys[i + 1:]) for t, c in e.terms
-        ]))
-        for i, row in enumerate(rows)
+        [_draw_entry(ring, table, rng) if rng.random() < density else () for _ in range(i + 1, size)]
+        for i in range(size)
     ]
+
+
+def _sweep(upper: list, members: list, packing: Packing):
+    """The rows of U * members for the unit upper triangle U with entries ``upper``, from the last row up.
+
+    ``members`` are dicts from packed monomial to raw coefficient, and so is
+    each row: member i plus each entry right of the diagonal times its
+    member, accumulated in one dict with no reduction and no sort.  The unit
+    diagonal and the zero entries are never multiplied, and row i reads
+    members i.. only.  A product with a field past the packed limit raises
+    ExponentLimitError.
+    """
+    guard = packing.guard
+    for i in reversed(range(len(members))):
+        acc = dict(members[i])
+        get = acc.get
+        for entry, member in zip(upper[i], members[i + 1:]):
+            for t, c in entry:
+                for k, x in member.items():
+                    k += t
+                    prev = get(k)
+                    if prev is None:
+                        if k & guard:
+                            raise packing.overflow(k)
+                        acc[k] = c * x
+                    else:
+                        acc[k] = prev + c * x
+        yield acc
+
+
+def _polynomial(ring: PolyRing, row: dict) -> Polynomial:
+    """A row of :func:`_sweep` as a polynomial: reduced, sorted by the packed key and unpacked once."""
+    packing = ring.order.packing
+    low, unpack = packing.low, packing.unpack
+    keys = sorted(row, key=low.__xor__, reverse=True) if low else sorted(row, reverse=True)
+    mod = ring.field.modulus
+    if mod is None:
+        return Polynomial(ring, tuple([(unpack(k), c) for k in keys if (c := row[k])]))
+    return Polynomial(ring, tuple([(unpack(k), c) for k in keys if (c := row[k] % mod)]))
+
+
+def _in_range(row: dict) -> bool:
+    """Whether every coefficient of a rational row has |num| and den at most COEFF_LIMIT."""
+    return all(abs(c.numerator) <= COEFF_LIMIT and c.denominator <= COEFF_LIMIT for c in row.values())
 
 
 def sample_permutation(size: int, rng: random.Random) -> list:
@@ -122,21 +178,16 @@ class BackwardSample:
     retries: int = 0
 
 
-def _coeffs_in_range(polys) -> bool:
-    for f in polys:
-        for _, c in f.terms:
-            if abs(c.numerator) > COEFF_LIMIT or c.denominator > COEFF_LIMIT:
-                return False
-    return True
-
-
 def backward_transform(basis, config, rng: random.Random) -> BackwardSample:
     """Scramble ``basis`` into an equivalent generating set of s polynomials.
 
     s is uniform on [n, config.effective_s_max].  Over the rationals, output
-    whose coefficients exceed ``COEFF_LIMIT`` is rejected and the three
-    matrices are redrawn (same s) up to ``MAX_RETRIES`` times; if the budget
-    runs out the last draw is returned flagged ``over_range``.
+    whose coefficients exceed ``COEFF_LIMIT`` is rejected at its first row
+    out of range and the three matrices are redrawn (same s) up to
+    ``MAX_RETRIES`` times; if the budget runs out the last draw is returned
+    flagged ``over_range``.  A product past the packed limit, which only a
+    basis of higher degree than a config allows can form, raises
+    ExponentLimitError.
     """
     basis = list(basis)
     n = len(basis)
@@ -151,6 +202,9 @@ def backward_transform(basis, config, rng: random.Random) -> BackwardSample:
         raise ValueError(f"s_max {s_max} below the basis size {n}")
 
     s = rng.randint(n, s_max)
+    packing = ring.order.packing
+    pack = packing.pack
+    members = [{pack(t): c for t, c in g.terms} for g in basis]
     check_range = ring.field.modulus is None
     retries = 0
     while True:
@@ -158,12 +212,16 @@ def backward_transform(basis, config, rng: random.Random) -> BackwardSample:
         u2 = sample_unimodular_upper(ring, n, config, rng)
         perm = sample_permutation(s, rng)
 
-        padded = _upper_apply(u2, basis) + [ring.zero()] * (s - n)
-        F = _upper_apply(u1, [padded[p] for p in perm])
-
-        if not check_range or _coeffs_in_range(F):
-            return BackwardSample(F, s, over_range=False, retries=retries)
-        if retries >= MAX_RETRIES:
-            return BackwardSample(F, s, over_range=True, retries=retries)
+        padded = [*_sweep(u2, members, packing)][::-1] + [{}] * (s - n)
+        F = []
+        over_range = False
+        for row in _sweep(u1, [padded[p] for p in perm], packing):
+            if check_range and not _in_range(row):
+                if retries < MAX_RETRIES:
+                    break
+                over_range = True
+            F.append(_polynomial(ring, row))
+        else:
+            F.reverse()
+            return BackwardSample(F, s, over_range=over_range, retries=retries)
         retries += 1
-

@@ -94,11 +94,6 @@ class FieldSpec:
             return 1 / a
         return pow(a, -1, self.modulus)
 
-    def pow(self, a: Coeff, e: int) -> Coeff:
-        if self.modulus is None:
-            return a**e
-        return pow(a, e, self.modulus)
-
     @property
     def forms(self):
         """This field's coefficient formatter: ``forms(modulus, a)`` gives the four strings of :func:`residue_forms`."""

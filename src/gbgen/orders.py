@@ -6,7 +6,8 @@ Each order lays a term out as one int, its packed monomial (see
 :class:`Packing`), on which a product is one addition, a divisibility test
 one subtraction and a mask, an lcm a few masks, and the order one
 comparison of ints.  The division kernel, the completion's pair update, the
-staircase and the FGLM walk all work on packed monomials.  A sort key
+staircase, the FGLM walk and the scrambling transform all work on packed
+monomials.  A sort key
 (:attr:`TermOrder.key`) is the term itself under lex, which orders tuples
 as lex does, and an int of the packed layout under grlex and grevlex.
 """

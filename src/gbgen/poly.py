@@ -120,6 +120,8 @@ def _combination(ring: PolyRing, parts) -> tuple:
     ``s`` is an exponent vector, or None for no shift with c 1 or -1.
     Every contribution lands in one term->coefficient dict; over GF(p) each
     sum is reduced once at the end, over Q the Fractions are exact throughout.
+    The scrambling transform forms its rows the same way on packed monomials
+    instead (see :mod:`gbgen.backward`).
     """
     acc: dict[Term, Coeff] = {}
     get = acc.get

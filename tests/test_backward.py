@@ -13,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 from gbgen import GenerationConfig, RATIONALS, backward, buchberger, grevlex, grlex, lex, prime_field
 from gbgen.backward import (
     _monomials_up_to,
-    _upper_apply,
+    _polynomial,
+    _sweep,
     backward_transform,
     sample_entry,
     sample_permutation,
     sample_unimodular_upper,
 )
-from gbgen.poly import PolyRing
+from gbgen.orders import EXPONENT_LIMIT, ExponentLimitError
+from gbgen.poly import PolyRing, Polynomial
 from gbgen.shapegen import sample_shape_basis
 
 F7 = prime_field(7)
@@ -30,6 +32,28 @@ def canon(basis):
 
 
 # -- reference matrix algebra on dense rows: the transform itself never forms a product
+
+
+def entry_poly(ring, entry):
+    """A packed entry, (packed monomial, coefficient) pairs, as a Polynomial built without from_terms' checks."""
+    unpack = ring.order.packing.unpack
+    return Polynomial(ring, tuple((unpack(v), c) for v, c in entry))
+
+
+def dense(ring, upper):
+    """The dense rows of the unit upper triangle whose entries above the diagonal are ``upper``."""
+    one, zero = ring.one(), ring.zero()
+    return [[zero] * i + [one] + [entry_poly(ring, e) for e in row] for i, row in enumerate(upper)]
+
+
+def packed_upper(rows):
+    """The entries above the diagonal of dense rows, packed as the transform takes them."""
+    return [[packed_terms(e) for e in row[i + 1:]] for i, row in enumerate(rows)]
+
+
+def packed_terms(f):
+    pack = f.ring.order.packing.pack
+    return tuple((pack(t), c) for t, c in f.terms)
 
 
 def identity(ring, size):
@@ -114,8 +138,8 @@ def replay(basis, config, seed):
     ring = basis[0].ring
     n = len(basis)
     s = rng.randint(n, config.effective_s_max)
-    u1 = sample_unimodular_upper(ring, s, config, rng)
-    u2 = sample_unimodular_upper(ring, n, config, rng)
+    u1 = dense(ring, sample_unimodular_upper(ring, s, config, rng))
+    u2 = dense(ring, sample_unimodular_upper(ring, n, config, rng))
     perm = sample_permutation(s, rng)
     return s, u1, u2, perm
 
@@ -173,7 +197,10 @@ def upper_and_vector(draw):
 def test_upper_apply_matches_reference(case):
     rows, vector = case
     assert is_unimodular_upper(rows)
-    assert _upper_apply(rows, vector) == reference_apply(rows, vector)
+    ring = rows[0][0].ring
+    members = [dict(packed_terms(f)) for f in vector]
+    swept = [_polynomial(ring, row) for row in _sweep(packed_upper(rows), members, ring.order.packing)]
+    assert swept[::-1] == reference_apply(rows, vector)
 
 
 def test_row_count_bounds_and_coverage():
@@ -222,7 +249,9 @@ def test_density_controls_fill_rate():
     filled = 0
     draws = 40
     for _ in range(draws):
-        m = sample_unimodular_upper(ring, size, config, rng)
+        upper = sample_unimodular_upper(ring, size, config, rng)
+        assert [len(row) for row in upper] == list(range(size - 1, -1, -1))
+        m = dense(ring, upper)
         assert is_unimodular_upper(m)
         filled += sum(
             1 for i in range(size) for j in range(i + 1, size) if m[i][j]
@@ -246,7 +275,7 @@ def test_entry_sampler_bounds():
     config = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, max_entry_degree=2)
     seen = Counter()
     for _ in range(200):
-        e = sample_entry(ring, config, rng)
+        e = entry_poly(ring, sample_entry(ring, config, rng))
         assert e
         assert e.total_degree() <= 2
         assert 1 <= e.num_terms() <= backward.ENTRY_MAX_TERMS
@@ -283,7 +312,7 @@ def test_sampled_entries_are_canonical(assert_canonical, field, order, nvars, de
     rng = random.Random(seed)
     with mock.patch.object(backward, "ENTRY_MAX_TERMS", max_terms):
         for _ in range(20):
-            assert_canonical(sample_entry(ring, config, rng))
+            assert_canonical(entry_poly(ring, sample_entry(ring, config, rng)))
 
 
 def test_rational_rejection_flags_and_retries(monkeypatch):
@@ -295,6 +324,55 @@ def test_rational_rejection_flags_and_retries(monkeypatch):
     sample = backward_transform(G, config, random.Random(0))
     assert sample.over_range
     assert sample.retries == 3
+
+
+def reference_transform(basis, config, seed):
+    """backward_transform by the full matrix product: the same draws, every row of each F checked for range."""
+    rng = random.Random(seed)
+    ring = basis[0].ring
+    n = len(basis)
+    s = rng.randint(n, config.effective_s_max)
+    limit = backward.COEFF_LIMIT
+    for retries in itertools.count():
+        u1 = dense(ring, sample_unimodular_upper(ring, s, config, rng))
+        u2 = dense(ring, sample_unimodular_upper(ring, n, config, rng))
+        P = permutation_matrix(ring, sample_permutation(s, rng))
+        F = reference_apply(matmul(matmul(u1, P), stack_u2(ring, u2, s)), basis)
+        in_range = all(abs(c.numerator) <= limit and c.denominator <= limit for f in F for _, c in f.terms)
+        if in_range or retries == backward.MAX_RETRIES:
+            return F, s, not in_range, retries
+
+
+@pytest.mark.parametrize("max_retries", [backward.MAX_RETRIES, 1])
+def test_rational_early_stop_matches_the_full_check(monkeypatch, max_retries):
+    # the sweep stops at the first row of F out of range; the redraws, the
+    # kept F, its flag and the retry count are those of checking every row
+    monkeypatch.setattr(backward, "MAX_RETRIES", max_retries)
+    rng = random.Random(19)
+    config = GenerationConfig(field=RATIONALS, nvars=3, num_samples=0, max_degree=3, s_max=4)
+    retried = flagged = 0
+    for seed in range(12):
+        G = sample_shape_basis(config, rng)
+        sample = backward_transform(G, config, random.Random(seed))
+        F, s, over_range, retries = reference_transform(G, config, seed)
+        assert (sample.F, sample.s, sample.over_range, sample.retries) == (F, s, over_range, retries)
+        retried += retries > 0
+        flagged += over_range
+    assert retried and (flagged or max_retries > 1)
+
+
+@pytest.mark.parametrize("order", [lex, grevlex])
+def test_products_past_the_packed_limit_raise(order):
+    # a config bounds the degrees of its own bases; a foreign basis at the
+    # limit passes it at its first nonconstant product, which raises, not wraps
+    ring = PolyRing(F7, 2, order(2))
+    # under lex each exponent is at the limit, under grevlex the total degree
+    top = f"x0^{EXPONENT_LIMIT}*x1^{EXPONENT_LIMIT}" if order is lex else f"x0^{EXPONENT_LIMIT}"
+    G = [ring.parse(f"{top} + 1"), ring.parse(top)]
+    config = GenerationConfig(field=F7, nvars=2, num_samples=0, max_degree=1, max_entry_degree=1, s_max=4)
+    for seed in range(10):
+        with pytest.raises(ExponentLimitError, match=f"past the limit {EXPONENT_LIMIT} of a packed monomial"):
+            backward_transform(G, config, random.Random(seed))
 
 
 def test_rational_accept_path_respects_limit():
@@ -354,7 +432,7 @@ def test_matrix_primitives():
     config = GenerationConfig(field=F7, nvars=2, num_samples=0, max_entry_degree=2)
 
     def rand_matrix(rows, cols):
-        return [[sample_entry(ring, config, rng) for _ in range(cols)] for _ in range(rows)]
+        return [[entry_poly(ring, sample_entry(ring, config, rng)) for _ in range(cols)] for _ in range(rows)]
 
     a, b, c = rand_matrix(2, 3), rand_matrix(3, 2), rand_matrix(2, 2)
     assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))

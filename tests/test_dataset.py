@@ -121,6 +121,18 @@ def test_spot_verification_catches_wrong_basis():
     assert check_pair(SamplePair(index=0, F=[ring.zero()], G=pair.G, s=1, seed_used=0)) == "mismatch"
 
 
+def test_check_pair_refuses_a_basis_short_of_a_member():
+    # the basis F generates has one more member than such a G: a check that
+    # compared only the first len(G) members of the completion would pass a G
+    # without its largest head, x0 - g0
+    for field, nvars, count in ((F7, 3, 20), (RATIONALS, 2, 10)):
+        for pair in generate_dataset(small_config(field=field, nvars=nvars, num_samples=count, seed=1)):
+            assert check_pair(pair) == "ok"
+            for i in range(len(pair.G)):
+                short = dataclasses.replace(pair, G=pair.G[:i] + pair.G[i + 1:])
+                assert check_pair(short) == "mismatch", (field, pair.index, i)
+
+
 def test_nonlex_target_order():
     config = small_config(nvars=3, order="grevlex", num_samples=4)
     lex_pairs = generate_dataset(small_config(nvars=3, num_samples=4))
@@ -404,16 +416,59 @@ GOLDEN_DIGESTS = [
 ]
 
 
+# the same pins for the knobs the six above leave at their defaults: zero
+# entries (density), constant entries (max_entry_degree 0, where an entry
+# draws at most as many terms as there are monomials), more zero rows (s_max)
+# and their removal (drop_zeros); lex throughout
+SPARSE_DIGESTS = [
+    ("f7", 3, {"density": 0.5}, 21,
+     "943e15b869e15d39d81b822d79b66f2ff840dcf43e5044e03e719d7f707f7310",
+     "8069849fcf4176ddb99ce79062d68392156702b2532a25f30a12f84bf409825f"),
+    ("f7", 3, {"max_entry_degree": 0}, 22,
+     "3d6c5c496ab9d29455cfa6ed861648ce81f5998b9f2b786eb5ee1063da1ca234",
+     "5cbe039267d069405b6fce427719548a78a4be4dd5562591b6dcb35dc9fc5546"),
+    ("f7", 3, {"s_max": 7}, 23,
+     "8fe065368a71748b6e2496bd54d8404da06dfb03eba07a8405a25d46d7cb1464",
+     "b05aaf6efee661b9417fad903de77050263b5081c586bf109a35ee8d347deca8"),
+    ("f7", 3, {"drop_zeros": True}, 24,
+     "bebd11dceeddb3e19be5a36a5cb0359ff5dd70c93012f5cc0186cf77dfe8ed9c",
+     "2940cf413ca894f376a374620143de40a58495e4ed7d2d2b23d007f0380a7473"),
+    ("q", 2, {"density": 0.5}, 25,
+     "dcdad753623fb543f4ac01a23ff7cf1dc8073d7cff911442d15782ac62960d70",
+     "1c709d2da24891dedc1fe1ede143b9fa09b5e5447e52d912670efb0c1764180a"),
+    ("q", 2, {"max_entry_degree": 0}, 26,
+     "b57d3c8060f6957cf2fab8ab7f83cfd482c583d6f105bf9abb8db3a13c9f27f5",
+     "fce64bd3fbd66989d22dfd9502747066bdf75dfd6d7e419b2acdbb0c1270c758"),
+    ("q", 2, {"s_max": 6}, 27,
+     "9caeb4540f3a34836cba435b4bc722465a8b19c3f6c070b34272763cf730c29f",
+     "31da5528c85f51aac1c8a3507a3b4de43d195761cbcf04c78fed506bb97d74bf"),
+    ("q", 2, {"drop_zeros": True}, 28,
+     "a6309afc77cdd0fcbbc3b6c6078153754ac692a0d013ab83bfd6aa356618ace6",
+     "0ff0660aaeb756e17271b8e1228ed2a125c6ffca6480e43cd2d5465dcc45dc9d"),
+]
+
+
 @pytest.mark.parametrize("field, nvars, order, seed, jsonl_sha, tokens_sha", GOLDEN_DIGESTS,
                          ids=[f"{f}-n{n}-{o}" for f, n, o, *_ in GOLDEN_DIGESTS])
 def test_dataset_bytes_are_pinned(field, nvars, order, seed, jsonl_sha, tokens_sha):
+    assert pinned_digests(field, nvars, seed, order=order) == (jsonl_sha, tokens_sha)
+
+
+@pytest.mark.parametrize("field, nvars, knobs, seed, jsonl_sha, tokens_sha", SPARSE_DIGESTS,
+                         ids=[f"{f}-n{n}-{k}" for f, n, (k,), *_ in SPARSE_DIGESTS])
+def test_sparse_dataset_bytes_are_pinned(field, nvars, knobs, seed, jsonl_sha, tokens_sha):
+    assert pinned_digests(field, nvars, seed, **knobs) == (jsonl_sha, tokens_sha)
+
+
+def pinned_digests(field, nvars, seed, **knobs):
+    """sha256 of the .jsonl and .tokens.txt bytes of 50 samples, without spot checks."""
     field = RATIONALS if field == "q" else prime_field(int(field[1:]))
-    config = GenerationConfig(field=field, nvars=nvars, num_samples=50, order=order, seed=seed, verify_fraction=0.0)
+    config = GenerationConfig(field=field, nvars=nvars, num_samples=50, seed=seed, verify_fraction=0.0, **knobs)
     records, tokens = hashlib.sha256(), hashlib.sha256()
     for pair in generate_dataset(config):
         records.update((dataset.record_line(pair, config) + "\n").encode())
         tokens.update((dataset.token_line(pair) + "\n").encode())
-    assert (records.hexdigest(), tokens.hexdigest()) == (jsonl_sha, tokens_sha)
+    return records.hexdigest(), tokens.hexdigest()
 
 
 def test_token_parse_empty_and_errors():

@@ -78,10 +78,14 @@ def test_exhaustive_inverses_f31():
 
 
 def test_fermat_little_theorem():
+    # a^(p-1) by p-2 multiplications through the field's own mul
     for field in (F7, F31):
         p = field.modulus
         for a in range(1, p):
-            assert field.pow(a, p - 1) == 1
+            power = a
+            for _ in range(p - 2):
+                power = field.mul(power, a)
+            assert power == 1
 
 
 def test_inverse_of_zero_raises():
