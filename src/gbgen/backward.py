@@ -17,11 +17,12 @@ of a unit upper triangle times v is v[i] plus the entries right of the
 diagonal times the later members, so no matrix product is formed, and each
 row is one dict from packed monomial to raw coefficient, where a product
 of monomials is one addition.  G is packed once; the rows of U2 * G are
-neither reduced nor sorted, and each row of F is reduced mod p once (over
-Q its zeros dropped), sorted once by the packed key and unpacked into a
-``Polynomial``.  Row i reads only the members from i on, so a sweep runs
-from the last row up, and over Q the second one stops at the first row of
-F out of range.  The zero rows of U2 pad U2 * G with empty rows.
+neither reduced nor sorted, and each row of F becomes a ``Polynomial``
+through ``poly._from_packed``, which reduces it mod p once (over Q drops
+its zeros), sorts it once by the packed key and unpacks each term once.
+Row i reads only the members from i on, so a sweep runs from the last row
+up, and over Q the second one stops at the first row of F out of range.
+The zero rows of U2 pad U2 * G with empty rows.
 
 Matrix entries are polynomials of bounded total degree, present with
 probability ``density``; draw order is row-major over the strict upper
@@ -40,12 +41,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .orders import Packing, TermOrder
-from .poly import Polynomial, PolyRing
+from .poly import PolyRing, _from_packed
 from .shapegen import sample_nonzero_coeff
 
 __all__ = [
     "BackwardSample",
-    "sample_entry",
     "sample_unimodular_upper",
     "sample_permutation",
     "backward_transform",
@@ -78,7 +78,14 @@ def _entry_table(order: TermOrder, max_degree: int) -> tuple:
 
 
 def _draw_entry(ring: PolyRing, table: tuple, rng: random.Random) -> tuple:
-    """One nonzero entry drawn from ``table`` (see :func:`sample_entry`)."""
+    """One nonzero matrix entry over ``ring``, drawn from ``table``: 1..ENTRY_MAX_TERMS terms.
+
+    The term count is drawn first and then capped at the number of
+    monomials in the table, so an entry of degree 0 is one constant.  The
+    monomials are distinct and their coefficients are drawn in descending
+    lex order; the entry is their (packed monomial, coefficient) pairs,
+    descending in the ring order.
+    """
     count = rng.randint(1, ENTRY_MAX_TERMS)
     drawn = rng.sample(table, min(count, len(table)))
     drawn.sort(reverse=True)  # the coefficients are drawn in descending lex order
@@ -91,23 +98,12 @@ def _draw_entry(ring: PolyRing, table: tuple, rng: random.Random) -> tuple:
     return tuple(entry)
 
 
-def sample_entry(ring: PolyRing, config, rng: random.Random) -> tuple:
-    """One nonzero matrix entry over ``ring``: total degree <= max_entry_degree, 1..ENTRY_MAX_TERMS terms.
-
-    The term count is drawn first and then capped at the number of
-    monomials in reach, so an entry of degree 0 is one constant.  The
-    monomials are distinct and their coefficients are drawn in descending
-    lex order; the entry is their (packed monomial, coefficient) pairs,
-    descending in the ring order.
-    """
-    return _draw_entry(ring, _entry_table(ring.order, config.max_entry_degree), rng)
-
-
 def sample_unimodular_upper(ring: PolyRing, size: int, config, rng: random.Random) -> list:
     """The entries above the diagonal of a unit upper triangle: row i holds those of columns i+1..size-1.
 
-    Each is present with probability ``config.density``; a zero entry is the
-    empty tuple.
+    Each is present with probability ``config.density`` and drawn by
+    :func:`_draw_entry` over the monomials of total degree at most
+    ``config.max_entry_degree``; a zero entry is the empty tuple.
     """
     table = _entry_table(ring.order, config.max_entry_degree)
     density = config.density
@@ -143,17 +139,6 @@ def _sweep(upper: list, members: list, packing: Packing):
                     else:
                         acc[k] = prev + c * x
         yield acc
-
-
-def _polynomial(ring: PolyRing, row: dict) -> Polynomial:
-    """A row of :func:`_sweep` as a polynomial: reduced, sorted by the packed key and unpacked once."""
-    packing = ring.order.packing
-    low, unpack = packing.low, packing.unpack
-    keys = sorted(row, key=low.__xor__, reverse=True) if low else sorted(row, reverse=True)
-    mod = ring.field.modulus
-    if mod is None:
-        return Polynomial(ring, tuple([(unpack(k), c) for k in keys if (c := row[k])]))
-    return Polynomial(ring, tuple([(unpack(k), c) for k in keys if (c := row[k] % mod)]))
 
 
 def _in_range(row: dict) -> bool:
@@ -220,7 +205,7 @@ def backward_transform(basis, config, rng: random.Random) -> BackwardSample:
                 if retries < MAX_RETRIES:
                     break
                 over_range = True
-            F.append(_polynomial(ring, row))
+            F.append(_from_packed(ring, row))
         else:
             F.reverse()
             return BackwardSample(F, s, over_range=over_range, retries=retries)

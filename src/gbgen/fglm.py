@@ -9,16 +9,16 @@ dependency and yields one member of the target-order reduced basis; any
 other becomes a new row.  All linear algebra is exact.
 
 The staircase, the walk's heap, the normal forms and the rows all hold the
-division kernel's packed monomials (see :class:`gbgen.orders.Packing`).  A
-standard monomial of degree d has d + 1 standard divisors, so the cap keeps
-every monomial either meets below the packed limit.
+kernel's packed monomials (see :class:`gbgen.orders.Packing`), and a new
+member is unpacked by ``poly._from_packed``.  A standard monomial of degree
+d has d + 1 standard divisors, so the cap keeps all they meet under the limit.
 """
 
 import heapq
 from dataclasses import dataclass
 
 from .orders import Term, TermOrder
-from .poly import Polynomial, _packed, _reduce
+from .poly import _from_packed, _packed, _reduce
 
 __all__ = ["QuotientBasis", "DimensionError", "quotient_basis", "fglm"]
 
@@ -115,7 +115,7 @@ def fglm(basis, target: TermOrder) -> list:
     # keyed by source- and target-packed monomials; v is 1 at its pivot and 0
     # at every earlier row's pivot, so one pass in that order clears a new v
     rows: list[tuple[int, dict, dict]] = []
-    new_basis: list[Polynomial] = []
+    new_basis: list = []
     new_heads: list[int] = []  # packed under the target order, as the walk's monomials are
     frontier = [key(0)]
     visited = {0}
@@ -138,7 +138,7 @@ def fglm(basis, target: TermOrder) -> list:
                             del acc[t]
         if not v:
             # the monomial minus a combination of kept monomials lies in the ideal
-            new_basis.append(Polynomial(target_ring, tuple((unpack(t), w[t]) for t in sorted(w, key=key, reverse=True))))
+            new_basis.append(_from_packed(target_ring, w))
             new_heads.append(m)
             continue
         pivot = next(iter(v))

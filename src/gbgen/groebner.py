@@ -267,7 +267,7 @@ def _interreduced(ring, members, deadline) -> list:
 
 
 def _unpacked(ring, members) -> list:
-    """The monic polynomials of packed forms whose tails are descending."""
+    """The monic polynomials of packed forms whose tails are descending: unpacked as they come, with no sort."""
     unpack, mod = ring.order.packing.unpack, ring.field.modulus
     if mod is None:
         return [Polynomial(ring, ((unpack(h), Fraction(1)),) + tuple((unpack(k), Fraction(v, lead)) for k, v in tail))
@@ -282,9 +282,12 @@ def is_reduced_groebner(polys) -> bool:
     Requires: no zero member, every member monic, no term of one member
     divisible by another member's leading term, and Buchberger's criterion:
     the S-polynomial of every pair whose heads share a variable reduces to
-    zero (a coprime pair's always does).
+    zero (a coprime pair's always does).  Members from different rings
+    raise ValueError.
     """
     polys = list(polys)
+    if any(f.ring != polys[0].ring for f in polys):
+        raise ValueError("basis members must share one ring")
     if not polys or any(not f for f in polys):
         return False
     one = polys[0].ring.field.one()

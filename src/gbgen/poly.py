@@ -117,32 +117,20 @@ def _descending(ring: PolyRing, items: list) -> tuple:
 def _combination(ring: PolyRing, parts) -> tuple:
     """Canonical terms of the sum of c * x^s * p over (c, s, p terms) parts.
 
-    ``s`` is an exponent vector, or None for no shift with c 1 or -1.
-    Every contribution lands in one term->coefficient dict; over GF(p) each
-    sum is reduced once at the end, over Q the Fractions are exact throughout.
-    The scrambling transform forms its rows the same way on packed monomials
-    instead (see :mod:`gbgen.backward`).
+    ``s`` is an exponent vector, or None for no shift.  Every contribution
+    lands in one term->coefficient dict; over GF(p) each sum is reduced once
+    at the end, over Q the Fractions are exact throughout.  Only ``+``, ``-``,
+    ``*``, ``from_terms`` and :func:`_canonical`'s fallback come here: generation
+    builds from canonical parts, and the packed paths use :func:`_from_packed`.
     """
     acc: dict[Term, Coeff] = {}
     get = acc.get
     for c, s, terms in parts:
-        # an unshifted part has c = 1 or c = -1; over Q `1 * x`, `-1 * x` and
-        # `0 + x` each cost a Fraction operation, so it skips the product, a
-        # negated one subtracts, and a new term is stored as it is (or negated)
-        if s is None:
-            if c == -1:
-                for t, x in terms:
-                    prev = get(t)
-                    acc[t] = -x if prev is None else prev - x
-                continue
-            for t, x in terms:
-                prev = get(t)
-                acc[t] = x if prev is None else prev + x
-        else:
-            for t, x in terms:
+        for t, x in terms:
+            if s is not None:
                 t = tuple(map(add, t, s))
-                prev = get(t)
-                acc[t] = c * x if prev is None else prev + c * x
+            prev = get(t)
+            acc[t] = c * x if prev is None else prev + c * x
     mod = ring.field.modulus
     if mod is None:
         return _descending(ring, [(t, x) for t, x in acc.items() if x])
@@ -365,14 +353,24 @@ def normal_form(f: Polynomial, divisors, *, top_only: bool = False) -> Polynomia
     # the packed form is f itself over GF(p), and f scaled by lead / hc over Q
     work[head] = lead if mod is None else hc
     terms, scale = _reduce(ring, work, forms, top_only)
-    packing = ring.order.packing
-    if top_only and terms:
-        flip = packing.flip
-        terms[1:] = sorted(terms[1:], key=lambda term: term[0] ^ flip)
     if mod is None:
         factor = hc / lead / scale
-        return Polynomial(ring, tuple((packing.unpack(t), c * factor) for t, c in terms))
-    return Polynomial(ring, tuple((packing.unpack(t), c) for t, c in terms))
+        return _from_packed(ring, {t: c * factor for t, c in terms})
+    return _from_packed(ring, dict(terms))
+
+
+def _from_packed(ring: PolyRing, row: dict) -> Polynomial:
+    """The polynomial of a dict from packed monomial to raw coefficient: F's rows, FGLM's members, remainders.
+
+    Reduced mod p once (over Q its zeros dropped), sorted once by the packed key and unpacked once.
+    """
+    packing = ring.order.packing
+    low, unpack = packing.low, packing.unpack
+    keys = sorted(row, key=low.__xor__, reverse=True) if low else sorted(row, reverse=True)
+    mod = ring.field.modulus
+    if mod is None:
+        return Polynomial(ring, tuple([(unpack(k), c) for k in keys if (c := row[k])]))
+    return Polynomial(ring, tuple([(unpack(k), c) for k in keys if (c := row[k] % mod)]))
 
 
 def _reduce(ring: PolyRing, work: dict, divisors, top_only: bool = False, deadline: float | None = None):

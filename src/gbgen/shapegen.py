@@ -7,7 +7,8 @@ A zero-dimensional lex basis in shape position looks like
 with t the last variable, h monic and non-constant, and every gj of degree
 strictly below deg(h).  That degree bound makes the set reduced by
 construction, so sampling h and the gj independently gives a uniform-ish
-stream of reduced bases without ever running a completion algorithm.
+stream of reduced bases, each member built from its canonical draws with no
+completion, no polynomial arithmetic and no sort.
 
 Sampling draws, in order: deg(h), then h's terms, then g0..g{n-2}.  For a
 single polynomial the draws are: term count, exponents, then coefficients.
@@ -76,14 +77,17 @@ def sample_univariate(config, max_degree: int, monic: bool, rng: random.Random) 
 def sample_shape_basis(config, rng: random.Random) -> list:
     """One reduced lex basis in shape position over the ``GenerationConfig``'s sample ring.
 
-    Returns [x0 - g0, ..., x{n-2} - g{n-2}, h]; for one variable just [h].
+    Returns [x0 - g0, ..., x{n-2} - g{n-2}, h]; for one variable just [h].  Under
+    lex xj ranks above every power of t, so xj and then gj's negated terms are canonical.
     """
     ring = config.sample_ring()
+    mod = config.field.modulus
     deg_h = rng.randint(1, config.max_degree)
     h = sample_univariate(config, deg_h, monic=True, rng=rng)
     members = []
     for j in range(config.nvars - 1):
         g = sample_univariate(config, deg_h - 1, monic=False, rng=rng)
-        members.append(ring.variable(j) - g)
+        negated = tuple((t, -c if mod is None else mod - c) for t, c in g.terms)
+        members.append(Polynomial(ring, (ring.variable(j).leading_term,) + negated))
     members.append(h)
     return members

@@ -12,16 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from gbgen import GenerationConfig, RATIONALS, backward, buchberger, grevlex, grlex, lex, prime_field
 from gbgen.backward import (
+    _draw_entry,
+    _entry_table,
     _monomials_up_to,
-    _polynomial,
     _sweep,
     backward_transform,
-    sample_entry,
     sample_permutation,
     sample_unimodular_upper,
 )
 from gbgen.orders import EXPONENT_LIMIT, ExponentLimitError
-from gbgen.poly import PolyRing, Polynomial
+from gbgen.poly import PolyRing, Polynomial, _from_packed
 from gbgen.shapegen import sample_shape_basis
 
 F7 = prime_field(7)
@@ -199,7 +199,7 @@ def test_upper_apply_matches_reference(case):
     assert is_unimodular_upper(rows)
     ring = rows[0][0].ring
     members = [dict(packed_terms(f)) for f in vector]
-    swept = [_polynomial(ring, row) for row in _sweep(packed_upper(rows), members, ring.order.packing)]
+    swept = [_from_packed(ring, row) for row in _sweep(packed_upper(rows), members, ring.order.packing)]
     assert swept[::-1] == reference_apply(rows, vector)
 
 
@@ -272,10 +272,10 @@ def test_permutation_sampler_is_uniform():
 def test_entry_sampler_bounds():
     rng = random.Random(3)
     ring = PolyRing(RATIONALS, 2, lex(2))
-    config = GenerationConfig(field=RATIONALS, nvars=2, num_samples=0, max_entry_degree=2)
+    table = _entry_table(ring.order, 2)
     seen = Counter()
     for _ in range(200):
-        e = entry_poly(ring, sample_entry(ring, config, rng))
+        e = entry_poly(ring, _draw_entry(ring, table, rng))
         assert e
         assert e.total_degree() <= 2
         assert 1 <= e.num_terms() <= backward.ENTRY_MAX_TERMS
@@ -308,11 +308,11 @@ def test_sampled_entries_are_canonical(assert_canonical, field, order, nvars, de
     # cap is patched, since a low degree has fewer monomials than the constant
     ring = PolyRing(field, nvars, order(nvars))
     max_terms = min(max_terms, comb(nvars + degree, nvars))  # no more terms than monomials
-    config = GenerationConfig(field=field, nvars=nvars, num_samples=0, max_entry_degree=degree)
+    table = _entry_table(ring.order, degree)
     rng = random.Random(seed)
     with mock.patch.object(backward, "ENTRY_MAX_TERMS", max_terms):
         for _ in range(20):
-            assert_canonical(entry_poly(ring, sample_entry(ring, config, rng)))
+            assert_canonical(entry_poly(ring, _draw_entry(ring, table, rng)))
 
 
 def test_rational_rejection_flags_and_retries(monkeypatch):
@@ -429,10 +429,10 @@ def test_structural_check_rejects_bad_factors():
 def test_matrix_primitives():
     ring = PolyRing(F7, 2, lex(2))
     rng = random.Random(4)
-    config = GenerationConfig(field=F7, nvars=2, num_samples=0, max_entry_degree=2)
+    table = _entry_table(ring.order, 2)
 
     def rand_matrix(rows, cols):
-        return [[entry_poly(ring, sample_entry(ring, config, rng)) for _ in range(cols)] for _ in range(rows)]
+        return [[entry_poly(ring, _draw_entry(ring, table, rng)) for _ in range(cols)] for _ in range(rows)]
 
     a, b, c = rand_matrix(2, 3), rand_matrix(3, 2), rand_matrix(2, 2)
     assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))

@@ -448,6 +448,18 @@ SPARSE_DIGESTS = [
 ]
 
 
+# sha256 of the .jsonl bytes gbgen fglm writes for the 50 samples of a
+# grevlex set: convert_pair and record_line from grevlex to the two orders
+# the six pins above never convert to.  Taken while FGLM still sorted and
+# unpacked its new members itself and shape members were built by subtraction.
+CONVERSION_DIGESTS = [
+    ("f7", 3, 31, "lex", "4f3474df88b52b427d91c352ee367edf2e8bcb434cd6ea5b0eecfbbfcbe70a4c"),
+    ("f7", 3, 31, "grlex", "cc46b19ae01aca19f434d0e3c11f38f2515abb338d936709dabd9dda21e48b72"),
+    ("q", 3, 32, "lex", "4c7306a9f73da2f77e4d6d56e48bea590d18c1f3a4c27126aaeda46474c01d79"),
+    ("q", 3, 32, "grlex", "11705832a813d4ae7cc377bf313762c81d0c8768de1523efc171b4c49a451b5f"),
+]
+
+
 @pytest.mark.parametrize("field, nvars, order, seed, jsonl_sha, tokens_sha", GOLDEN_DIGESTS,
                          ids=[f"{f}-n{n}-{o}" for f, n, o, *_ in GOLDEN_DIGESTS])
 def test_dataset_bytes_are_pinned(field, nvars, order, seed, jsonl_sha, tokens_sha):
@@ -458,6 +470,21 @@ def test_dataset_bytes_are_pinned(field, nvars, order, seed, jsonl_sha, tokens_s
                          ids=[f"{f}-n{n}-{k}" for f, n, (k,), *_ in SPARSE_DIGESTS])
 def test_sparse_dataset_bytes_are_pinned(field, nvars, knobs, seed, jsonl_sha, tokens_sha):
     assert pinned_digests(field, nvars, seed, **knobs) == (jsonl_sha, tokens_sha)
+
+
+@pytest.mark.parametrize("field, nvars, seed, target, jsonl_sha", CONVERSION_DIGESTS,
+                         ids=[f"{f}-n{n}-grevlex-to-{t}" for f, n, _, t, _ in CONVERSION_DIGESTS])
+def test_converted_dataset_bytes_are_pinned(field, nvars, seed, target, jsonl_sha):
+    field = RATIONALS if field == "q" else prime_field(int(field[1:]))
+    config = GenerationConfig(field=field, nvars=nvars, num_samples=50, seed=seed, order="grevlex",
+                              verify_fraction=0.0)
+    # the record is stamped as gbgen fglm stamps it: the source's field and nvars, the target order
+    stamp = GenerationConfig(field=field, nvars=nvars, num_samples=0, order=target)
+    records = hashlib.sha256()
+    for pair in generate_dataset(config):
+        dataset.convert_pair(pair, stamp.target_order())
+        records.update((dataset.record_line(pair, stamp) + "\n").encode())
+    assert records.hexdigest() == jsonl_sha
 
 
 def pinned_digests(field, nvars, seed, **knobs):

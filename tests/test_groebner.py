@@ -188,6 +188,16 @@ def test_is_reduced_rejects_zero_member():
     assert not is_reduced_groebner([RQ.parse("x0"), RQ.zero()])
 
 
+def test_is_reduced_refuses_members_from_different_rings():
+    # as buchberger, fglm and normal_form do: a verdict over two fields, or in
+    # the packing of the first member's order only, answers no question
+    mixed_fields = [R7.variable(0), PolyRing(prime_field(5), 2, lex(2)).variable(1)]
+    mixed_orders = [R7.variable(0), PolyRing(prime_field(7), 2, grevlex(2)).variable(1)]
+    for polys in (mixed_fields, mixed_orders):
+        with pytest.raises(ValueError, match="^basis members must share one ring$"):
+            is_reduced_groebner(polys)
+
+
 def test_reduce_basis_idempotent_and_canonical():
     F = [RQ.parse("x0 - x1"), RQ.parse("2*x0 - 2*x1"), RQ.parse("x1^2 - 1"), RQ.parse("x0*x1 - x0")]
     reduced = reduce_basis(F)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from gbgen import poly
 from gbgen import GenerationConfig, RATIONALS, generate_dataset, grevlex, grlex, lex, prime_field
 from gbgen.orders import EXPONENT_LIMIT, ExponentLimitError, Packing
-from gbgen.poly import ParseError, PolyRing, _packed, normal_form
+from gbgen.poly import ParseError, PolyRing, _from_packed, _packed, normal_form
 
 R7 = PolyRing(prime_field(7), 2, lex(2))
 RQ = PolyRing(RATIONALS, 2, lex(2))
@@ -61,6 +61,32 @@ def test_canonical_form(assert_canonical):
     for ring in MIXED_RINGS:
         for _ in range(100):
             assert_canonical(random_poly(ring, rng, max_terms=12, max_exp=2))
+
+
+@st.composite
+def packed_rows(draw):
+    """A ring and a dict from term to raw coefficient, in draw order: unsorted, with zeros to drop."""
+    field = draw(st.sampled_from([prime_field(2), prime_field(7), prime_field(7919), RATIONALS]))
+    n = draw(st.integers(1, 3))
+    ring = PolyRing(field, n, draw(st.sampled_from([lex, grlex, grevlex]))(n))
+    mod = field.modulus
+    if mod is None:
+        coeff = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    else:
+        # raw sums as the transform leaves them: negative, past p, and multiples of p
+        coeff = st.one_of(st.integers(-3, 3).map(lambda k: k * mod), st.integers(-5 * mod, 5 * mod))
+    row = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), coeff, max_size=8))
+    return ring, row
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_rows())
+def test_from_packed_matches_from_terms(assert_canonical, case):
+    ring, row = case
+    pack = ring.order.packing.pack
+    f = _from_packed(ring, {pack(t): c for t, c in row.items()})
+    assert f == ring.from_terms(row)
+    assert_canonical(f)
 
 
 def test_terms_sorted_descending():

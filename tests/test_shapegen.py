@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbgen import GenerationConfig, RATIONALS, is_reduced_groebner, prime_field
@@ -98,6 +99,20 @@ def test_sampled_polynomials_are_canonical(assert_canonical, field, nvars, degre
         assert_canonical(sample_univariate(config, max(degree, 1) if monic else degree, monic, rng))
         for g in sample_shape_basis(config, rng):
             assert_canonical(g)
+
+
+@pytest.mark.parametrize("field", [prime_field(2), prime_field(7), RATIONALS], ids=str)
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_shape_members_are_canonical(assert_canonical, field, nvars):
+    # each xj - gj is built from xj and gj's negated terms, not by subtraction
+    config = GenerationConfig(field=field, nvars=nvars, num_samples=0)
+    rng = random.Random(nvars)
+    for _ in range(40):
+        G = sample_shape_basis(config, rng)
+        for j, g in enumerate(G):
+            assert_canonical(g)
+            if j < nvars - 1:
+                assert g.leading_term == g.ring.variable(j).leading_term
 
 
 def test_seeded_determinism():
